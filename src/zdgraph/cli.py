@@ -1,7 +1,7 @@
 """Command-line surface: analyze one ring, verify whole families, print trees.
 
 Exit codes: 0 all applicable checks pass, 1 usage or construction error,
-2 at least one check failed.
+2 at least one check failed, 3 internal invariant failure (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -12,17 +12,23 @@ import sys
 from pathlib import Path
 
 from .expr import Matrix, ParseError, build_ring, parse_ring_expr, unparse
-from .graphs import export_dot
-from .report import write_report_json
+from .graphs import directed_zd_graph, export_dot
+from .report import AnalysisReport, write_report_json
 from .rings import (
     DEFAULT_SIZE_CAP,
     CapacityError,
     RingValidationError,
     TableFormatError,
     make_cyclic_ring,
+    make_matrix_ring,
 )
-from .semigroups import enumerate_semigroups_with_zero
+from .semigroups import (
+    ClosureViolationError,
+    SemigroupValidationError,
+    enumerate_semigroups_with_zero,
+)
 from .theorems import (
+    RingAnalysis,
     check_directed_connectivity_iff,
     check_girth_bound,
     check_undirected_connectivity,
@@ -94,23 +100,24 @@ def _tally(report) -> tuple[int, int, int]:
     return passed, failed, na
 
 
-def _cmd_analyze(args) -> int:
-    cap = _resolve_cap(args.cap)
-    ast = parse_ring_expr(args.expr)
-    ring = build_ring(ast, cap)
+def _analyze_expr(text: str, cap: int) -> tuple[AnalysisReport, RingAnalysis]:
+    """Build the named ring once (for Mk(R), R once as the matrix base) and run_all on it."""
+    ast = parse_ring_expr(text)
     matrix_base = matrix_k = None
     if isinstance(ast, Matrix):
-        matrix_base = build_ring(ast.inner, cap)
-        matrix_k = ast.k
+        matrix_base, matrix_k = build_ring(ast.inner, cap), ast.k
+        ring = make_matrix_ring(matrix_base, matrix_k, cap)
+    else:
+        ring = build_ring(ast, cap)
     analysis = prepare_ring_analysis(ring)
     report = run_all(
-        ring,
-        expr=unparse(ast),
-        matrix_base=matrix_base,
-        matrix_k=matrix_k,
-        cap=cap,
-        analysis=analysis,
+        ring, expr=unparse(ast), matrix_base=matrix_base, matrix_k=matrix_k, analysis=analysis
     )
+    return report, analysis
+
+
+def _cmd_analyze(args) -> int:
+    report, analysis = _analyze_expr(args.expr, _resolve_cap(args.cap))
     text = write_report_json(report)
     if args.json is None or args.json == "-":
         sys.stdout.write(text)
@@ -139,10 +146,11 @@ def _cmd_verify_semigroups(args) -> int:
     total_failed = 0
     for s in enumerate_semigroups_with_zero(args.order):
         count += 1
+        g = directed_zd_graph(s)
         for result in (
-            check_directed_connectivity_iff(s),
-            check_undirected_connectivity(s),
-            check_girth_bound(s),
+            check_directed_connectivity_iff(s, graph=g),
+            check_undirected_connectivity(s, graph=g),
+            check_girth_bound(s, graph=g),
         ):
             if result.status == "fail":
                 total_failed += 1
@@ -160,19 +168,10 @@ def _cmd_verify_list(args) -> int:
     ]
     total_failed = 0
     for line in lines:
-        ast = parse_ring_expr(line)
-        ring = build_ring(ast, cap)
-        matrix_base = build_ring(ast.inner, cap) if isinstance(ast, Matrix) else None
-        report = run_all(
-            ring,
-            expr=unparse(ast),
-            matrix_base=matrix_base,
-            matrix_k=ast.k if isinstance(ast, Matrix) else None,
-            cap=cap,
-        )
+        report = _analyze_expr(line, cap)[0]  # drop the analysis before the next ring
         passed, failed, na = _tally(report)
         total_failed += failed
-        print(f"{unparse(ast)}: {passed} passed, {failed} failed, {na} n/a")
+        print(f"{report.expr}: {passed} passed, {failed} failed, {na} n/a")
     print(f"{len(lines)} instances, {total_failed} failing checks")
     return 2 if total_failed else 0
 
@@ -219,6 +218,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"zdgraph: error: {exc}", file=sys.stderr)
         return 1
+    except (ClosureViolationError, SemigroupValidationError) as exc:  # before ValueError
+        print(f"zdgraph: internal error: {exc}", file=sys.stderr)
+        return 3
     except _CONSTRUCTION_ERRORS as exc:
         print(f"zdgraph: error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
 
-from .rings import FiniteRing, load_table_ring, make_cyclic_ring, make_matrix_ring, make_product_ring
+from .rings import (
+    FiniteRing,
+    _check_cap,
+    load_table_ring,
+    make_cyclic_ring,
+    make_matrix_ring,
+    make_product_ring,
+)
 
 
 class RingExpr:
@@ -156,13 +163,15 @@ def unparse(e: RingExpr) -> str:
 
 
 def build_ring(e: RingExpr, cap: int | None = None) -> FiniteRing:
-    """Construct the ring an expression names (reading table files from disk)."""
+    """Construct the ring an expression names (reading table files from disk).
+    Every constructor checks its order against `cap` before it builds tables."""
     if isinstance(e, Cyclic):
+        _check_cap(e.n, cap)
         return make_cyclic_ring(e.n)
     if isinstance(e, Matrix):
         return make_matrix_ring(build_ring(e.inner, cap), e.k, cap)
     if isinstance(e, TableFile):
-        return load_table_ring(Path(e.path).read_text())
+        return load_table_ring(Path(e.path).read_text(), cap)
     if isinstance(e, Product):
         rings = [build_ring(f, cap) for f in e.factors]
         return reduce(lambda a, b: make_product_ring(a, b, cap), rings)

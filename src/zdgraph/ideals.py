@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import (
+    _BLOCK_ELEMS,
     ElementSet,
     FiniteRing,
     _closure_mask,
@@ -166,7 +167,7 @@ def _annihilator(r: FiniteRing, x: ElementSet, side: str) -> ElementSet:
     n = r.order
     cand = np.ones(n, dtype=bool)
     cols = list(x.indices())
-    step = max(1, 4_000_000 // max(1, n))
+    step = max(1, _BLOCK_ELEMS // max(1, n))
     for lo in range(0, len(cols), step):
         chunk = cols[lo : lo + step]
         if side == "left":

@@ -350,30 +350,36 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int | None = None) -> Finite
     return FiniteRing(add, mul, one=one, name=f"M{k}({base.name})")
 
 
-def load_table_ring(text: str) -> FiniteRing:
+def _table_ints(tokens: list[str]) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise TableFormatError(f"non-integer token in table file: {exc}") from None
+
+
+def load_table_ring(text: str, cap: int | None = None) -> FiniteRing:
     """Parse and fully validate a plain-text table ring.
 
     Format: first integer is n, followed by the n x n addition table rows
     and then the n x n multiplication table rows (0-based indices).  The
     additive identity is renumbered to element 0 if needed, and unity is
     auto-detected by scanning for a two-sided multiplicative identity.
+    The declared order is checked against `cap` before the body is parsed.
     """
-    tokens = text.split()
-    if not tokens:
+    head = text.split(maxsplit=1)
+    if not head:
         raise TableFormatError("empty table file")
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise TableFormatError(f"non-integer token in table file: {exc}") from None
-    n = values[0]
+    (n,) = _table_ints(head[:1])
     if n < 1:
         raise TableFormatError("declared order must be a positive integer")
-    expected = 1 + 2 * n * n
+    _check_cap(n, cap)
+    values = _table_ints(head[1].split() if len(head) > 1 else [])
+    expected = 2 * n * n
     if len(values) != expected:
         raise TableFormatError(
-            f"expected {expected} integers for order {n} (got {len(values)})"
+            f"expected {1 + expected} integers for order {n} (got {1 + len(values)})"
         )
-    body = np.array(values[1:], dtype=np.int64)
+    body = np.array(values, dtype=np.int64)
     if body.min() < 0 or body.max() >= n:
         raise TableFormatError("table entry out of range for declared order")
     add = body[: n * n].reshape(n, n)

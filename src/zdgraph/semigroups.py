@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ideals import additive_generators, enumerate_one_sided_ideals
+from .ideals import OneSidedIdeal, additive_generators, enumerate_one_sided_ideals
 from .rings import ElementSet, FiniteRing, _closure_mask, _freeze
 
 
@@ -122,12 +122,17 @@ def _lookup(index: dict, key, what: str) -> int:
     return hit
 
 
-def build_ipo(r: FiniteRing) -> FiniteSemigroupWithZero:
+def build_ipo(
+    r: FiniteRing, left: list[OneSidedIdeal] | None = None, right: list[OneSidedIdeal] | None = None
+) -> FiniteSemigroupWithZero:
     """The semigroup of all products I*J over one-sided ideals I, J of r.
 
     Elements are the distinct product sets over every ordered pair drawn
     from the union of the left- and right-ideal enumerations; the zero
     ideal sits at index 0 and labels carry the underlying element subsets.
+    `left` and `right`, when given, must be r's full left and right
+    enumerations from `enumerate_one_sided_ideals`; they are trusted, not
+    re-checked.  A side that is not given is enumerated here.
 
     The Cayley table is filled algebraically rather than by one closure per
     entry.  For a right ideal B, A*B is the join of the right ideals g*B
@@ -139,8 +144,8 @@ def build_ipo(r: FiniteRing) -> FiniteSemigroupWithZero:
     the assembled table is then re-validated for associativity and a test
     cross-checks it against directly computed products on mid-size rings.
     """
-    left = enumerate_one_sided_ideals(r, "left")
-    right = enumerate_one_sided_ideals(r, "right")
+    left = left if left is not None else enumerate_one_sided_ideals(r, "left")
+    right = right if right is not None else enumerate_one_sided_ideals(r, "right")
     pool: dict[int, ElementSet] = {}
     is_right_flag: dict[int, bool] = {}
     for ideal in itertools.chain(left, right):

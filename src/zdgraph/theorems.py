@@ -34,6 +34,7 @@ from .ideals import (
     left_annihilator,
 )
 from .rings import (
+    _BLOCK_ELEMS,
     FiniteRing,
     central_idempotents,
     element_zero_divisors,
@@ -61,17 +62,12 @@ class RingAnalysis:
 
 
 def prepare_ring_analysis(r: FiniteRing) -> RingAnalysis:
+    """Enumerate each side once (one side for commutative r, where both lists
+    coincide, flags included), then build the IPO, its ann sets and graph."""
     left = enumerate_one_sided_ideals(r, "left")
-    right = enumerate_one_sided_ideals(r, "right")
-    ipo = build_ipo(r)
-    return RingAnalysis(
-        ring=r,
-        left=left,
-        right=right,
-        ipo=ipo,
-        ann=ann_sets(ipo),
-        graph=directed_zd_graph(ipo),
-    )
+    right = left if r.is_commutative() else enumerate_one_sided_ideals(r, "right")
+    ipo = build_ipo(r, left, right)
+    return RingAnalysis(r, left, right, ipo, ann_sets(ipo), directed_zd_graph(ipo))
 
 
 def _labels(g: ZdGraph, vertices) -> list[str]:
@@ -117,15 +113,19 @@ def check_undirected_connectivity(
     return CheckResult("undirected_connectivity", PASS, witness)
 
 
-def check_girth_bound(
-    s: FiniteSemigroupWithZero, *, graph: ZdGraph | None = None
-) -> CheckResult:
-    """If the undirected graph has a cycle at all, its girth is 3 or 4."""
-    g = graph if graph is not None else directed_zd_graph(s)
+def _girth_witness(g: ZdGraph) -> tuple[object, dict]:
     value, cycle = girth_with_cycle(g)
     witness: dict = {"girth": serialize_extent(value)}
     if cycle is not None:
         witness["cycle"] = [g.label_of(v) for v in cycle]
+    return value, witness
+
+
+def check_girth_bound(
+    s: FiniteSemigroupWithZero, *, graph: ZdGraph | None = None
+) -> CheckResult:
+    """If the undirected graph has a cycle at all, its girth is 3 or 4."""
+    value, witness = _girth_witness(graph if graph is not None else directed_zd_graph(s))
     status = PASS if value is INF or value <= 4 else FAIL
     return CheckResult("girth_bound", status, witness)
 
@@ -312,7 +312,7 @@ def _zero_divisor_products_vanish(r: FiniteRing) -> bool:
     didx = np.nonzero(element_zero_divisors(r).mask())[0]
     if len(didx) == 0:
         return True
-    step = max(1, 4_000_000 // len(didx))
+    step = max(1, _BLOCK_ELEMS // len(didx))
     for lo in range(0, len(didx), step):
         rows = didx[lo : lo + step]
         if (r.mul_table[np.ix_(rows, didx)] != 0).any():
@@ -406,12 +406,14 @@ def check_not_tournament(r: FiniteRing, *, analysis: RingAnalysis | None = None)
 # -- matrix-ring checks -----------------------------------------------------------
 
 
-def annihilating_ideal_graph(r: FiniteRing) -> ZdGraph:
+def annihilating_ideal_graph(r: FiniteRing, *, analysis: RingAnalysis | None = None) -> ZdGraph:
     """Commutative annihilating-ideal graph: nonzero ideals with a nonzero
-    annihilator, adjacent when their product is the zero ideal."""
+    annihilator, adjacent when their product is the zero ideal.  It never reads
+    the IPO; `analysis` only supplies the ideal list."""
     if not r.is_commutative():
         raise ValueError("the annihilating-ideal graph is defined for commutative rings")
-    ideals = [i.set for i in enumerate_one_sided_ideals(r, "left")]
+    left = analysis.left if analysis is not None else enumerate_one_sided_ideals(r, "left")
+    ideals = [i.set for i in left]
     vsets = [
         s for s in ideals if s.bits != 1 and left_annihilator(r, s).bits != 1
     ]
@@ -424,27 +426,32 @@ def annihilating_ideal_graph(r: FiniteRing) -> ZdGraph:
     return ZdGraph(range(m), vsets, adj)
 
 
-def _require_matrix_args(r: FiniteRing, k: int) -> None:
+_MATRIX_CHECKS = ("matrix_diam_lower", "matrix_diam_monotone", "matrix_girth")
+
+
+def _matrix_unmet(r: FiniteRing, k: int) -> str | None:
+    """Why the matrix checks do not apply to k-by-k matrices over r, if they don't."""
     if not r.is_commutative():
-        raise ValueError("matrix checks require a commutative base ring")
-    if k < 2:
-        raise ValueError("matrix checks require dimension k >= 2")
+        return "base ring is not commutative"
+    return "matrix dimension below 2" if k < 2 else None
 
 
-def _matrix_graph(r: FiniteRing, k: int, cap, matrix_ring):
-    m = matrix_ring if matrix_ring is not None else make_matrix_ring(r, k, cap)
-    ipo = build_ipo(m)
-    return m, ipo, directed_zd_graph(ipo)
+def _matrix_analysis(r: FiniteRing, k: int, cap, analysis) -> RingAnalysis:
+    """Analysis of the k-by-k matrix ring over r: `analysis` if given, else built here."""
+    unmet = _matrix_unmet(r, k)
+    if unmet is not None:
+        raise ValueError(f"matrix checks do not apply: {unmet}")
+    return analysis if analysis is not None else prepare_ring_analysis(make_matrix_ring(r, k, cap))
 
 
 def check_matrix_diam_lower(
-    r: FiniteRing, k: int, cap: int | None = None, *, matrix_ring: FiniteRing | None = None
+    r: FiniteRing, k: int, cap: int | None = None, *, analysis: RingAnalysis | None = None
 ) -> CheckResult:
     """diam of the undirected graph of a k-by-k matrix ring is at least 2;
     also verifies the witness pair of column/row ideals at the corner unit."""
     name = "matrix_diam_lower"
-    _require_matrix_args(r, k)
-    m, ipo, g = _matrix_graph(r, k, cap, matrix_ring)
+    a = _matrix_analysis(r, k, cap, analysis)
+    m, g = a.ring, a.graph
     diam = undirected_diameter(g)
     witness: dict = {"diameter": serialize_extent(diam)}
 
@@ -467,17 +474,17 @@ def check_matrix_diam_lower(
 
 
 def check_matrix_diam_monotone(
-    r: FiniteRing, k: int, cap: int | None = None, *, matrix_ring: FiniteRing | None = None
+    r: FiniteRing, k: int, cap: int | None = None, *,
+    analysis: RingAnalysis | None = None, base_analysis: RingAnalysis | None = None,
 ) -> CheckResult:
     """diam over the matrix ring dominates diam over the base ring, and the
     base-ring graph agrees with the directly built annihilating-ideal graph."""
     name = "matrix_diam_monotone"
-    _require_matrix_args(r, k)
-    base_graph = directed_zd_graph(build_ipo(r))
-    diam_base = undirected_diameter(base_graph)
-    diam_ag = undirected_diameter(annihilating_ideal_graph(r))
-    _, _, g = _matrix_graph(r, k, cap, matrix_ring)
-    diam_matrix = undirected_diameter(g)
+    a = _matrix_analysis(r, k, cap, analysis)
+    base = base_analysis if base_analysis is not None else prepare_ring_analysis(r)
+    diam_base = undirected_diameter(base.graph)
+    diam_ag = undirected_diameter(annihilating_ideal_graph(r, analysis=base))
+    diam_matrix = undirected_diameter(a.graph)
     witness = {
         "matrix_diameter": serialize_extent(diam_matrix),
         "base_diameter": serialize_extent(diam_base),
@@ -492,16 +499,11 @@ def check_matrix_diam_monotone(
 
 
 def check_matrix_girth(
-    r: FiniteRing, k: int, cap: int | None = None, *, matrix_ring: FiniteRing | None = None
+    r: FiniteRing, k: int, cap: int | None = None, *, analysis: RingAnalysis | None = None
 ) -> CheckResult:
     """Girth of the undirected graph of a k-by-k matrix ring is exactly 3."""
     name = "matrix_girth"
-    _require_matrix_args(r, k)
-    _, _, g = _matrix_graph(r, k, cap, matrix_ring)
-    value, cycle = girth_with_cycle(g)
-    witness: dict = {"girth": serialize_extent(value)}
-    if cycle is not None:
-        witness["cycle"] = [g.label_of(v) for v in cycle]
+    value, witness = _girth_witness(_matrix_analysis(r, k, cap, analysis).graph)
     return CheckResult(name, PASS if value == 3 else FAIL, witness)
 
 
@@ -514,15 +516,15 @@ def run_all(
     *,
     matrix_base: FiniteRing | None = None,
     matrix_k: int | None = None,
-    cap: int | None = None,
     analysis: RingAnalysis | None = None,
 ) -> AnalysisReport:
     """Build ideals, the ideal-product semigroup, both graph views, all
     metrics, and every applicable check for one ring.
 
-    When the ring is a k-by-k matrix ring over a known base (the CLI passes
-    this for matrix expressions), the matrix-specific checks run as well,
-    reusing the already-built ring.
+    Every check shares r's `analysis` (prepared here if not given).  When r
+    is the k-by-k matrix ring over `matrix_base` (the CLI passes this for
+    matrix expressions), the matrix checks run too, on r's analysis and the
+    base ring's, which is prepared here only when they apply.
     """
     a = analysis if analysis is not None else prepare_ring_analysis(r)
     metrics = compute_graph_metrics(a.graph)
@@ -535,25 +537,15 @@ def run_all(
         check_not_tournament(r, analysis=a),
     ]
     if matrix_base is not None and matrix_k is not None:
-        if not matrix_base.is_commutative():
-            na = {"unmet": "base ring is not commutative"}
-            checks += [
-                CheckResult("matrix_diam_lower", NOT_APPLICABLE, na),
-                CheckResult("matrix_diam_monotone", NOT_APPLICABLE, na),
-                CheckResult("matrix_girth", NOT_APPLICABLE, na),
-            ]
-        elif matrix_k < 2:
-            na = {"unmet": "matrix dimension below 2"}
-            checks += [
-                CheckResult("matrix_diam_lower", NOT_APPLICABLE, na),
-                CheckResult("matrix_diam_monotone", NOT_APPLICABLE, na),
-                CheckResult("matrix_girth", NOT_APPLICABLE, na),
-            ]
+        unmet = _matrix_unmet(matrix_base, matrix_k)
+        if unmet is not None:
+            checks += [CheckResult(n, NOT_APPLICABLE, {"unmet": unmet}) for n in _MATRIX_CHECKS]
         else:
+            base = prepare_ring_analysis(matrix_base)
             checks += [
-                check_matrix_diam_lower(matrix_base, matrix_k, cap, matrix_ring=r),
-                check_matrix_diam_monotone(matrix_base, matrix_k, cap, matrix_ring=r),
-                check_matrix_girth(matrix_base, matrix_k, cap, matrix_ring=r),
+                check_matrix_diam_lower(matrix_base, matrix_k, analysis=a),
+                check_matrix_diam_monotone(matrix_base, matrix_k, analysis=a, base_analysis=base),
+                check_matrix_girth(matrix_base, matrix_k, analysis=a),
             ]
     return AnalysisReport(
         expr=expr if expr is not None else r.name,

@@ -2,7 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import zdgraph.cli
+import zdgraph.semigroups
+import zdgraph.theorems
 from zdgraph.cli import main
 
 
@@ -26,6 +30,38 @@ def test_analyze_vacuous_field(capsys):
 def test_analyze_capacity_error(capsys):
     assert main(["analyze", "M3(M2(Z7))"]) == 1
     assert "size cap" in capsys.readouterr().err
+
+
+def test_analyze_cap_applies_to_cyclic_ring(capsys):
+    assert main(["analyze", "Z12", "--cap", "10"]) == 1
+    assert "size cap" in capsys.readouterr().err
+
+
+def test_analyze_cap_applies_to_table_file(tmp_path, capsys):
+    path = tmp_path / "z2.txt"
+    path.write_text("2\n0 1\n1 0\n0 0\n0 1\n")
+    assert main(["analyze", f"T({path})", "--cap", "1"]) == 1
+    assert "size cap" in capsys.readouterr().err
+    assert main(["analyze", f"T({path})", "--cap", "2"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        zdgraph.semigroups.ClosureViolationError("product escapes the collection"),
+        zdgraph.semigroups.SemigroupValidationError("associativity", (1, 2, 3), "not associative"),
+    ],
+)
+def test_internal_invariant_failure_exits_three(monkeypatch, capsys, error):
+    def broken_build_ipo(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(zdgraph.theorems, "build_ipo", broken_build_ipo)
+    assert main(["analyze", "Z6"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("zdgraph: internal error:") and str(error) in err
+    assert main(["verify", "zn", "--max", "3"]) == 3
 
 
 def test_analyze_parse_error(capsys):
