@@ -1,7 +1,8 @@
 """Command-line surface: analyze one ring, verify whole families, print trees.
 
 Exit codes: 0 all applicable checks pass, 1 usage or construction error,
-2 at least one check failed, 3 internal invariant failure (a bug, not bad input).
+2 at least one check failed, 3 internal invariant failure (any other
+ValueError or RuntimeError from the pipeline: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .expr import Matrix, ParseError, build_ring, parse_ring_expr, unparse
+from .expr import Matrix, ParseError, build_ring, expr_order, parse_ring_expr, unparse
 from .graphs import directed_zd_graph, export_dot
 from .report import AnalysisReport, write_report_json
 from .rings import (
@@ -22,11 +23,7 @@ from .rings import (
     make_cyclic_ring,
     make_matrix_ring,
 )
-from .semigroups import (
-    ClosureViolationError,
-    SemigroupValidationError,
-    enumerate_semigroups_with_zero,
-)
+from .semigroups import ann_sets, enumerate_semigroups_with_zero
 from .theorems import (
     RingAnalysis,
     check_directed_connectivity_iff,
@@ -41,7 +38,7 @@ _CONSTRUCTION_ERRORS = (
     CapacityError,
     RingValidationError,
     TableFormatError,
-    ValueError,
+    UnicodeDecodeError,  # a table or listing file that is not UTF-8
     OSError,
 )
 
@@ -103,17 +100,15 @@ def _tally(report) -> tuple[int, int, int]:
 def _analyze_expr(text: str, cap: int) -> tuple[AnalysisReport, RingAnalysis]:
     """Build the named ring once (for Mk(R), R once as the matrix base) and run_all on it."""
     ast = parse_ring_expr(text)
-    matrix_base = matrix_k = None
+    matrix = None
     if isinstance(ast, Matrix):
-        matrix_base, matrix_k = build_ring(ast.inner, cap), ast.k
-        ring = make_matrix_ring(matrix_base, matrix_k, cap)
+        expr_order(ast, cap)  # the matrix ring's order, checked before its base is built
+        matrix = (build_ring(ast.inner, cap), ast.k)
+        ring = make_matrix_ring(*matrix, cap)
     else:
         ring = build_ring(ast, cap)
     analysis = prepare_ring_analysis(ring)
-    report = run_all(
-        ring, expr=unparse(ast), matrix_base=matrix_base, matrix_k=matrix_k, analysis=analysis
-    )
-    return report, analysis
+    return run_all(ring, expr=unparse(ast), matrix=matrix, analysis=analysis), analysis
 
 
 def _cmd_analyze(args) -> int:
@@ -148,9 +143,9 @@ def _cmd_verify_semigroups(args) -> int:
         count += 1
         g = directed_zd_graph(s)
         for result in (
-            check_directed_connectivity_iff(s, graph=g),
-            check_undirected_connectivity(s, graph=g),
-            check_girth_bound(s, graph=g),
+            check_directed_connectivity_iff(g, ann_sets(s)),
+            check_undirected_connectivity(g),
+            check_girth_bound(g),
         ):
             if result.status == "fail":
                 total_failed += 1
@@ -218,12 +213,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"zdgraph: error: {exc}", file=sys.stderr)
         return 1
-    except (ClosureViolationError, SemigroupValidationError) as exc:  # before ValueError
-        print(f"zdgraph: internal error: {exc}", file=sys.stderr)
-        return 3
     except _CONSTRUCTION_ERRORS as exc:
         print(f"zdgraph: error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, RuntimeError) as exc:  # closure, validation or other invariant failure
+        print(f"zdgraph: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,17 +9,21 @@ whitespace around tokens is insignificant; 'Z', 'M', 'T' are case-sensitive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
 
 from .rings import (
+    DEFAULT_SIZE_CAP,
+    CapacityError,
     FiniteRing,
     _check_cap,
     load_table_ring,
     make_cyclic_ring,
     make_matrix_ring,
     make_product_ring,
+    table_order,
 )
 
 
@@ -147,7 +151,10 @@ class _Parser:
 
 
 def parse_ring_expr(text: str) -> RingExpr:
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:  # bad input, not a bug: nested deeper than the stack allows
+        raise ParseError(0, ("an expression nested less deeply",), "too deep a nesting") from None
 
 
 def unparse(e: RingExpr) -> str:
@@ -162,17 +169,41 @@ def unparse(e: RingExpr) -> str:
     raise TypeError(f"not a ring expression: {e!r}")
 
 
+def expr_order(e: RingExpr, cap: int | None = None) -> int:
+    """The order of the ring an expression names, found without building it
+    (a table file is read only for its declared order).  Raises CapacityError
+    once a subexpression exceeds `cap`; none is larger than the whole ring."""
+    cap = DEFAULT_SIZE_CAP if cap is None else cap
+    if isinstance(e, Cyclic):
+        n = e.n
+    elif isinstance(e, TableFile):
+        n = table_order(Path(e.path).read_text())
+    elif isinstance(e, Product):
+        n = math.prod(expr_order(f, cap) for f in e.factors)
+    elif isinstance(e, Matrix):
+        m, kk = expr_order(e.inner, cap), e.k * e.k
+        if m > 1 and kk >= cap.bit_length():  # m**kk >= 2**kk > cap; never compute it
+            raise CapacityError(f"ring of order {m}**{kk} exceeds the size cap of {cap}")
+        n = m**kk
+    else:
+        raise TypeError(f"not a ring expression: {e!r}")
+    _check_cap(n, cap)
+    return n
+
+
 def build_ring(e: RingExpr, cap: int | None = None) -> FiniteRing:
     """Construct the ring an expression names (reading table files from disk).
-    Every constructor checks its order against `cap` before it builds tables."""
+    The whole ring's order is checked against `cap` before anything is built."""
+    expr_order(e, cap)
+    return _build(e, cap)
+
+
+def _build(e: RingExpr, cap: int | None) -> FiniteRing:
     if isinstance(e, Cyclic):
-        _check_cap(e.n, cap)
         return make_cyclic_ring(e.n)
     if isinstance(e, Matrix):
-        return make_matrix_ring(build_ring(e.inner, cap), e.k, cap)
+        return make_matrix_ring(_build(e.inner, cap), e.k, cap)
     if isinstance(e, TableFile):
         return load_table_ring(Path(e.path).read_text(), cap)
-    if isinstance(e, Product):
-        rings = [build_ring(f, cap) for f in e.factors]
-        return reduce(lambda a, b: make_product_ring(a, b, cap), rings)
-    raise TypeError(f"not a ring expression: {e!r}")
+    rings = [_build(f, cap) for f in e.factors]
+    return reduce(lambda a, b: make_product_ring(a, b, cap), rings)

@@ -15,8 +15,7 @@ from .rings import (
     _BLOCK_ELEMS,
     ElementSet,
     FiniteRing,
-    _closure_mask,
-    _subgroup_generators,
+    _additive_span,
 )
 
 
@@ -40,13 +39,13 @@ def additive_closure(r: FiniteRing, seed) -> ElementSet:
     """Smallest additive subgroup containing seed and 0."""
     if isinstance(seed, ElementSet):
         seed = seed.indices()
-    mask = _closure_mask(r.add_table, sorted(int(x) for x in seed), r.order)
+    mask = _additive_span(r.add_table, sorted(int(x) for x in seed), r.order)[0]
     return ElementSet.from_mask(r, mask)
 
 
 def additive_generators(r: FiniteRing, s: ElementSet) -> list[int]:
     """Small generating list for an additive subgroup (greedy, ascending scan)."""
-    return _subgroup_generators(r.add_table, s.indices(), r.order)
+    return _additive_span(r.add_table, s.indices(), r.order)[1]
 
 
 def _is_subgroup(r: FiniteRing, s: ElementSet) -> bool:

@@ -189,6 +189,17 @@ def _first_bad_pair(bad: np.ndarray) -> tuple[int, int]:
     return int(i), int(j)
 
 
+def _first_non_associative(t: np.ndarray) -> tuple[int, int, int] | None:
+    """The first triple (a, b, c), in row-major order, where the operation
+    with Cayley table t is not associative: t[t[a,b],c] != t[a,t[b,c]]."""
+    for a in range(t.shape[0]):
+        lhs = t[t[a]]            # (a*b)*c
+        rhs = t[a][t]            # a*(b*c)
+        if not np.array_equal(lhs, rhs):
+            return (a, *_first_bad_pair(lhs != rhs))
+    return None
+
+
 def validate_ring(r: FiniteRing) -> None:
     """Exhaustively check every ring axiom, reporting the first violation.
 
@@ -218,14 +229,11 @@ def validate_ring(r: FiniteRing) -> None:
         i = int(np.argwhere(~(add == 0).any(axis=1))[0][0])
         raise RingValidationError("add-inverse", (i,), f"element {i} has no additive inverse")
 
-    for a in range(n):
-        lhs = add[add[a]]            # (a+b)+c
-        rhs = add[a][add]            # a+(b+c)
-        if not np.array_equal(lhs, rhs):
-            b, c = _first_bad_pair(lhs != rhs)
-            raise RingValidationError(
-                "add-associative", (a, b, c), f"addition not associative at ({a},{b},{c})"
-            )
+    bad = _first_non_associative(add)
+    if bad is not None:
+        raise RingValidationError(
+            "add-associative", bad, "addition not associative at ({},{},{})".format(*bad)
+        )
 
     if not (np.array_equal(mul[0], np.zeros(n, mul.dtype)) and np.array_equal(mul[:, 0], np.zeros(n, mul.dtype))):
         raise RingValidationError("zero-annihilates", None, "element 0 does not annihilate")
@@ -234,14 +242,11 @@ def validate_ring(r: FiniteRing) -> None:
             "one-identity", (r.one,), f"element {r.one} is not a two-sided multiplicative identity"
         )
 
-    for a in range(n):
-        lhs = mul[mul[a]]            # (a*b)*c
-        rhs = mul[a][mul]            # a*(b*c)
-        if not np.array_equal(lhs, rhs):
-            b, c = _first_bad_pair(lhs != rhs)
-            raise RingValidationError(
-                "mul-associative", (a, b, c), f"multiplication not associative at ({a},{b},{c})"
-            )
+    bad = _first_non_associative(mul)
+    if bad is not None:
+        raise RingValidationError(
+            "mul-associative", bad, "multiplication not associative at ({},{},{})".format(*bad)
+        )
 
     for a in range(n):
         lhs = mul[a][add]                            # a*(b+c)
@@ -357,6 +362,17 @@ def _table_ints(tokens: list[str]) -> list[int]:
         raise TableFormatError(f"non-integer token in table file: {exc}") from None
 
 
+def table_order(text: str) -> int:
+    """The order a table file declares: its first integer, which must be positive."""
+    head = text.split(maxsplit=1)
+    if not head:
+        raise TableFormatError("empty table file")
+    (n,) = _table_ints(head[:1])
+    if n < 1:
+        raise TableFormatError("declared order must be a positive integer")
+    return n
+
+
 def load_table_ring(text: str, cap: int | None = None) -> FiniteRing:
     """Parse and fully validate a plain-text table ring.
 
@@ -366,20 +382,18 @@ def load_table_ring(text: str, cap: int | None = None) -> FiniteRing:
     auto-detected by scanning for a two-sided multiplicative identity.
     The declared order is checked against `cap` before the body is parsed.
     """
-    head = text.split(maxsplit=1)
-    if not head:
-        raise TableFormatError("empty table file")
-    (n,) = _table_ints(head[:1])
-    if n < 1:
-        raise TableFormatError("declared order must be a positive integer")
+    n = table_order(text)
     _check_cap(n, cap)
-    values = _table_ints(head[1].split() if len(head) > 1 else [])
+    values = _table_ints(text.split()[1:])
     expected = 2 * n * n
     if len(values) != expected:
         raise TableFormatError(
             f"expected {1 + expected} integers for order {n} (got {1 + len(values)})"
         )
-    body = np.array(values, dtype=np.int64)
+    try:
+        body = np.array(values, dtype=np.int64)
+    except OverflowError:  # a token beyond int64 is out of range for any order
+        raise TableFormatError("table entry out of range for declared order") from None
     if body.min() < 0 or body.max() >= n:
         raise TableFormatError("table entry out of range for declared order")
     add = body[: n * n].reshape(n, n)
@@ -420,36 +434,23 @@ def _cyclic_chain(add_table: np.ndarray, g: int) -> list[int]:
     return mults
 
 
-def _closure_mask(add_table: np.ndarray, seed, n: int) -> np.ndarray:
-    """Boolean mask of the additive subgroup generated by `seed` and 0."""
-    mask = np.zeros(n, dtype=bool)
-    mask[0] = True
-    members = np.zeros(1, dtype=np.intp)
-    for g in seed:
-        g = int(g)
-        if mask[g]:
-            continue
-        block = add_table[members[:, None], np.asarray(_cyclic_chain(add_table, g))]
-        mask[block.ravel()] = True
-        members = np.flatnonzero(mask)
-    return mask
-
-
-def _subgroup_generators(add_table: np.ndarray, indices, n: int) -> list[int]:
-    """Greedy small generating list for an additive subgroup (<= log2 n long)."""
+def _additive_span(add_table: np.ndarray, seed, n: int) -> tuple[np.ndarray, list[int]]:
+    """Boolean mask of the additive subgroup generated by `seed` and 0, and
+    the seed elements that enlarged it, in seed order: a generating list of
+    that subgroup (greedy, at most log2 n long)."""
     mask = np.zeros(n, dtype=bool)
     mask[0] = True
     members = np.zeros(1, dtype=np.intp)
     gens: list[int] = []
-    for x in indices:
-        x = int(x)
-        if mask[x]:
+    for g in seed:
+        g = int(g)
+        if mask[g]:
             continue
-        gens.append(x)
-        block = add_table[members[:, None], np.asarray(_cyclic_chain(add_table, x))]
+        gens.append(g)
+        block = add_table[members[:, None], np.asarray(_cyclic_chain(add_table, g))]
         mask[block.ravel()] = True
         members = np.flatnonzero(mask)
-    return gens
+    return mask, gens
 
 
 def _row_any_blocked(table: np.ndarray, predicate) -> np.ndarray:
@@ -505,11 +506,9 @@ def is_local_ring(r: FiniteRing) -> tuple[bool, ElementSet | None]:
         raise ValueError("the zero ring is not eligible for the local-ring predicate")
     n = r.order
     nonunit = ~units_mask(r)
-    idx = np.nonzero(nonunit)[0]
-    closure = _closure_mask(r.add_table, idx, n)
+    closure, gens = _additive_span(r.add_table, np.nonzero(nonunit)[0], n)
     if not np.array_equal(closure, nonunit):
         return False, None
-    gens = _subgroup_generators(r.add_table, idx, n)
     if gens:
         left_img = r.mul_table[:, gens]
         right_img = r.mul_table[gens, :]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ideals import OneSidedIdeal, additive_generators, enumerate_one_sided_ideals
-from .rings import ElementSet, FiniteRing, _closure_mask, _freeze
+from .rings import ElementSet, FiniteRing, _additive_span, _first_non_associative, _freeze
 
 
 class SemigroupValidationError(ValueError):
@@ -64,16 +64,11 @@ def validate_semigroup(s: FiniteSemigroupWithZero) -> None:
         raise SemigroupValidationError("range", None, "Cayley table entry out of range")
     if not (np.array_equal(t[0], np.zeros(m, t.dtype)) and np.array_equal(t[:, 0], np.zeros(m, t.dtype))):
         raise SemigroupValidationError("zero", None, "element 0 is not absorbing")
-    for a in range(m):
-        lhs = t[t[a]]      # (a*b)*c
-        rhs = t[a][t]      # a*(b*c)
-        if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            raise SemigroupValidationError(
-                "associativity",
-                (a, int(b), int(c)),
-                f"not associative: ({a}*{int(b)})*{int(c)} != {a}*({int(b)}*{int(c)})",
-            )
+    bad = _first_non_associative(t)
+    if bad is not None:
+        raise SemigroupValidationError(
+            "associativity", bad, "not associative: ({0}*{1})*{2} != {0}*({1}*{2})".format(*bad)
+        )
 
 
 def semigroup_from_table(table, zero_index: int, labels=None) -> FiniteSemigroupWithZero:
@@ -164,7 +159,7 @@ def build_ipo(
         if len(ga) == 0 or len(gb) == 0:
             return 1  # zero ideal
         seed = np.unique(mul_tbl[ga[:, None], gb])
-        s = ElementSet.from_mask(r, _closure_mask(add_tbl, seed, n))
+        s = ElementSet.from_mask(r, _additive_span(add_tbl, seed, n)[0])
         if s.bits not in gens:
             gens[s.bits] = np.asarray(additive_generators(r, s), dtype=np.intp)
         return s.bits
@@ -202,7 +197,7 @@ def build_ipo(
     for i, ib in enumerate(rpool):
         for j, jb in enumerate(rpool):
             s = ElementSet.from_mask(
-                r, _closure_mask(add_tbl, np.concatenate((gens[ib], gens[jb])), n)
+                r, _additive_span(add_tbl, np.concatenate((gens[ib], gens[jb])), n)[0]
             )
             join[i, j] = _lookup(r_idx, s.bits, "a sum of right ideals")
 

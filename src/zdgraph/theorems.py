@@ -39,7 +39,6 @@ from .rings import (
     central_idempotents,
     element_zero_divisors,
     is_local_ring,
-    make_matrix_ring,
 )
 from .report import AnalysisReport, CheckResult, serialize_extent
 from .semigroups import AnnSets, FiniteSemigroupWithZero, ann_sets, build_ipo
@@ -77,13 +76,9 @@ def _labels(g: ZdGraph, vertices) -> list[str]:
 # -- semigroup-level checks ----------------------------------------------------
 
 
-def check_directed_connectivity_iff(
-    s: FiniteSemigroupWithZero, *, graph: ZdGraph | None = None
-) -> CheckResult:
-    """Directed graph is connected exactly when the left and right
-    annihilator sets coincide, and connected instances have diameter <= 3."""
-    g = graph if graph is not None else directed_zd_graph(s)
-    ann = ann_sets(s)
+def check_directed_connectivity_iff(g: ZdGraph, ann: AnnSets) -> CheckResult:
+    """A semigroup's directed graph g is connected exactly when its annihilator
+    sets ann coincide on both sides; connected instances have diameter <= 3."""
     sides_equal = ann.a_left == ann.a_right
     connected, diam = directed_connectivity(g)
     witness = {
@@ -100,12 +95,9 @@ def check_directed_connectivity_iff(
     return CheckResult("directed_connectivity_iff", PASS, witness)
 
 
-def check_undirected_connectivity(
-    s: FiniteSemigroupWithZero, *, graph: ZdGraph | None = None
-) -> CheckResult:
-    """Undirected graph is connected (vacuously below 2 vertices) with
-    diameter <= 3."""
-    g = graph if graph is not None else directed_zd_graph(s)
+def check_undirected_connectivity(g: ZdGraph) -> CheckResult:
+    """The undirected view of `g` is connected (vacuously below 2 vertices)
+    with diameter <= 3."""
     diam = undirected_diameter(g)
     witness = {"diameter": serialize_extent(diam)}
     if diam is INF or (diam is not None and diam > 3):
@@ -121,11 +113,9 @@ def _girth_witness(g: ZdGraph) -> tuple[object, dict]:
     return value, witness
 
 
-def check_girth_bound(
-    s: FiniteSemigroupWithZero, *, graph: ZdGraph | None = None
-) -> CheckResult:
-    """If the undirected graph has a cycle at all, its girth is 3 or 4."""
-    value, witness = _girth_witness(graph if graph is not None else directed_zd_graph(s))
+def check_girth_bound(g: ZdGraph) -> CheckResult:
+    """If the undirected view of `g` has a cycle at all, its girth is 3 or 4."""
+    value, witness = _girth_witness(g)
     status = PASS if value is INF or value <= 4 else FAIL
     return CheckResult("girth_bound", status, witness)
 
@@ -133,11 +123,12 @@ def check_girth_bound(
 # -- constructive path builder --------------------------------------------------
 
 
-def _assert_path(s: FiniteSemigroupWithZero, path: list[int], mode: str) -> None:
+def _assert_path(
+    s: FiniteSemigroupWithZero, path: list[int], mode: str, d_star: frozenset[int]
+) -> None:
     t = s.table
     if len(path) != len(set(path)) or not 2 <= len(path) <= 4:
         raise RuntimeError(f"internal: constructed path {path} is degenerate")
-    d_star = ann_sets(s).d_star
     if any(v not in d_star for v in path):
         raise RuntimeError(f"internal: constructed path {path} leaves the vertex set")
     for x, y in zip(path, path[1:]):
@@ -257,7 +248,7 @@ def constructive_path(
         path = _directed_path(s, a, b)
     else:
         path = _undirected_path(s, a, b)
-    _assert_path(s, path, mode)
+    _assert_path(s, path, mode, ann.d_star)
     return path
 
 
@@ -268,13 +259,12 @@ def _zero_ring_na(name: str) -> CheckResult:
     return CheckResult(name, NOT_APPLICABLE, {"unmet": "ring has one == zero"})
 
 
-def check_duo_ann_sets(r: FiniteRing, *, analysis: RingAnalysis | None = None) -> CheckResult:
+def check_duo_ann_sets(a: RingAnalysis) -> CheckResult:
     """On rings whose one-sided ideals are all two-sided, both annihilator
     sets equal everything except the zero ideal and the full ring."""
     name = "duo_ann_sets"
-    if r.is_zero_ring():
+    if a.ring.is_zero_ring():
         return _zero_ring_na(name)
-    a = analysis if analysis is not None else prepare_ring_analysis(r)
     for ideal in a.left + a.right:
         if not (ideal.is_left and ideal.is_right):
             return CheckResult(
@@ -282,7 +272,7 @@ def check_duo_ann_sets(r: FiniteRing, *, analysis: RingAnalysis | None = None) -
                 NOT_APPLICABLE,
                 {"unmet": "ring is not Duo", "one_sided_ideal": str(ideal.set)},
             )
-    full_bits = (1 << r.order) - 1
+    full_bits = (1 << a.ring.order) - 1
     expected = frozenset(
         i for i, lab in enumerate(a.ipo.labels) if lab.bits not in (1, full_bits)
     )
@@ -320,9 +310,10 @@ def _zero_divisor_products_vanish(r: FiniteRing) -> bool:
     return True
 
 
-def _completeness_branches(r: FiniteRing, a: RingAnalysis) -> tuple[list[str], dict]:
+def _completeness_branches(a: RingAnalysis) -> tuple[list[str], dict]:
     branches: list[str] = []
     detail: dict = {}
+    r = a.ring
     mul = r.mul_table
 
     if _zero_divisor_products_vanish(r):
@@ -353,29 +344,27 @@ def _completeness_branches(r: FiniteRing, a: RingAnalysis) -> tuple[list[str], d
     return branches, detail
 
 
-def classify_completeness(r: FiniteRing, *, analysis: RingAnalysis | None = None) -> CheckResult:
+def classify_completeness(a: RingAnalysis) -> CheckResult:
     """The undirected graph is complete exactly when one of three structural
     branches holds: all zero-divisor products vanish, the ring splits into two
     division rings, or it is local and its ideal products stop at the square
     of the maximal ideal."""
     name = "completeness_classifier"
-    if r.is_zero_ring():
+    if a.ring.is_zero_ring():
         return _zero_ring_na(name)
-    a = analysis if analysis is not None else prepare_ring_analysis(r)
-    branches, detail = _completeness_branches(r, a)
+    branches, detail = _completeness_branches(a)
     complete = is_complete(a.graph)
     witness = {"complete": complete, "branches": branches, **detail}
     status = PASS if bool(branches) == complete else FAIL
     return CheckResult(name, status, witness)
 
 
-def check_not_tournament(r: FiniteRing, *, analysis: RingAnalysis | None = None) -> CheckResult:
+def check_not_tournament(a: RingAnalysis) -> CheckResult:
     """When no nonzero ideal product squares to zero and the annihilator sides
     overlap, the directed graph cannot be a tournament."""
     name = "not_tournament"
-    if r.is_zero_ring():
+    if a.ring.is_zero_ring():
         return _zero_ring_na(name)
-    a = analysis if analysis is not None else prepare_ring_analysis(r)
     tbl = a.ipo.table
     for i in range(1, a.ipo.order):
         if tbl[i, i] == 0:
@@ -406,17 +395,14 @@ def check_not_tournament(r: FiniteRing, *, analysis: RingAnalysis | None = None)
 # -- matrix-ring checks -----------------------------------------------------------
 
 
-def annihilating_ideal_graph(r: FiniteRing, *, analysis: RingAnalysis | None = None) -> ZdGraph:
+def annihilating_ideal_graph(a: RingAnalysis) -> ZdGraph:
     """Commutative annihilating-ideal graph: nonzero ideals with a nonzero
-    annihilator, adjacent when their product is the zero ideal.  It never reads
-    the IPO; `analysis` only supplies the ideal list."""
+    annihilator, adjacent when their product is the zero ideal.  It reads only
+    the ring and its ideal list, never the IPO."""
+    r = a.ring
     if not r.is_commutative():
         raise ValueError("the annihilating-ideal graph is defined for commutative rings")
-    left = analysis.left if analysis is not None else enumerate_one_sided_ideals(r, "left")
-    ideals = [i.set for i in left]
-    vsets = [
-        s for s in ideals if s.bits != 1 and left_annihilator(r, s).bits != 1
-    ]
+    vsets = [i.set for i in a.left if i.bits != 1 and left_annihilator(r, i.set).bits != 1]
     m = len(vsets)
     adj = np.zeros((m, m), dtype=bool)
     for i, x in enumerate(vsets):
@@ -436,28 +422,24 @@ def _matrix_unmet(r: FiniteRing, k: int) -> str | None:
     return "matrix dimension below 2" if k < 2 else None
 
 
-def _matrix_analysis(r: FiniteRing, k: int, cap, analysis) -> RingAnalysis:
-    """Analysis of the k-by-k matrix ring over r: `analysis` if given, else built here."""
-    unmet = _matrix_unmet(r, k)
+def _require_matrix(base: FiniteRing, k: int) -> None:
+    unmet = _matrix_unmet(base, k)
     if unmet is not None:
         raise ValueError(f"matrix checks do not apply: {unmet}")
-    return analysis if analysis is not None else prepare_ring_analysis(make_matrix_ring(r, k, cap))
 
 
-def check_matrix_diam_lower(
-    r: FiniteRing, k: int, cap: int | None = None, *, analysis: RingAnalysis | None = None
-) -> CheckResult:
-    """diam of the undirected graph of a k-by-k matrix ring is at least 2;
-    also verifies the witness pair of column/row ideals at the corner unit."""
+def check_matrix_diam_lower(a: RingAnalysis, base: FiniteRing, k: int) -> CheckResult:
+    """diam of the undirected graph of a = M_k(base) is at least 2; also
+    verifies the witness pair of column/row ideals at the corner unit."""
     name = "matrix_diam_lower"
-    a = _matrix_analysis(r, k, cap, analysis)
+    _require_matrix(base, k)
     m, g = a.ring, a.graph
     diam = undirected_diameter(g)
     witness: dict = {"diameter": serialize_extent(diam)}
 
     # the column and row ideals at the corner unit: their product is nonzero,
     # so they realise a non-adjacent vertex pair
-    e11 = r.one * (r.order ** (k * k - 1))
+    e11 = base.one * (base.order ** (k * k - 1))
     col = additive_closure(m, np.unique(m.mul_table[:, e11]))
     row = additive_closure(m, np.unique(m.mul_table[e11, :]))
     label_bits = {g.label_value(v).bits for v in g.vertices}
@@ -473,17 +455,13 @@ def check_matrix_diam_lower(
     return CheckResult(name, PASS if ok else FAIL, witness)
 
 
-def check_matrix_diam_monotone(
-    r: FiniteRing, k: int, cap: int | None = None, *,
-    analysis: RingAnalysis | None = None, base_analysis: RingAnalysis | None = None,
-) -> CheckResult:
-    """diam over the matrix ring dominates diam over the base ring, and the
+def check_matrix_diam_monotone(a: RingAnalysis, base: RingAnalysis, k: int) -> CheckResult:
+    """diam over a = M_k(base.ring) dominates diam over the base ring, and the
     base-ring graph agrees with the directly built annihilating-ideal graph."""
     name = "matrix_diam_monotone"
-    a = _matrix_analysis(r, k, cap, analysis)
-    base = base_analysis if base_analysis is not None else prepare_ring_analysis(r)
+    _require_matrix(base.ring, k)
     diam_base = undirected_diameter(base.graph)
-    diam_ag = undirected_diameter(annihilating_ideal_graph(r, analysis=base))
+    diam_ag = undirected_diameter(annihilating_ideal_graph(base))
     diam_matrix = undirected_diameter(a.graph)
     witness = {
         "matrix_diameter": serialize_extent(diam_matrix),
@@ -498,12 +476,11 @@ def check_matrix_diam_monotone(
     return CheckResult(name, PASS if ok else FAIL, witness)
 
 
-def check_matrix_girth(
-    r: FiniteRing, k: int, cap: int | None = None, *, analysis: RingAnalysis | None = None
-) -> CheckResult:
-    """Girth of the undirected graph of a k-by-k matrix ring is exactly 3."""
+def check_matrix_girth(a: RingAnalysis, base: FiniteRing, k: int) -> CheckResult:
+    """Girth of the undirected graph of a = M_k(base) is exactly 3."""
     name = "matrix_girth"
-    value, witness = _girth_witness(_matrix_analysis(r, k, cap, analysis).graph)
+    _require_matrix(base, k)
+    value, witness = _girth_witness(a.graph)
     return CheckResult(name, PASS if value == 3 else FAIL, witness)
 
 
@@ -514,38 +491,38 @@ def run_all(
     r: FiniteRing,
     expr: str | None = None,
     *,
-    matrix_base: FiniteRing | None = None,
-    matrix_k: int | None = None,
+    matrix: tuple[FiniteRing, int] | None = None,
     analysis: RingAnalysis | None = None,
 ) -> AnalysisReport:
     """Build ideals, the ideal-product semigroup, both graph views, all
     metrics, and every applicable check for one ring.
 
-    Every check shares r's `analysis` (prepared here if not given).  When r
-    is the k-by-k matrix ring over `matrix_base` (the CLI passes this for
-    matrix expressions), the matrix checks run too, on r's analysis and the
-    base ring's, which is prepared here only when they apply.
+    Checks take the artifacts they read; this is the one function that builds
+    them.  Every check shares r's `analysis` (prepared here if not given).
+    When r = M_k(base) and `matrix` is (base, k), the matrix checks run too,
+    on r's analysis and the base ring's, prepared here only when they apply.
     """
     a = analysis if analysis is not None else prepare_ring_analysis(r)
     metrics = compute_graph_metrics(a.graph)
     checks = [
-        check_directed_connectivity_iff(a.ipo, graph=a.graph),
-        check_undirected_connectivity(a.ipo, graph=a.graph),
-        check_girth_bound(a.ipo, graph=a.graph),
-        check_duo_ann_sets(r, analysis=a),
-        classify_completeness(r, analysis=a),
-        check_not_tournament(r, analysis=a),
+        check_directed_connectivity_iff(a.graph, a.ann),
+        check_undirected_connectivity(a.graph),
+        check_girth_bound(a.graph),
+        check_duo_ann_sets(a),
+        classify_completeness(a),
+        check_not_tournament(a),
     ]
-    if matrix_base is not None and matrix_k is not None:
-        unmet = _matrix_unmet(matrix_base, matrix_k)
+    if matrix is not None:
+        base, k = matrix
+        unmet = _matrix_unmet(base, k)
         if unmet is not None:
             checks += [CheckResult(n, NOT_APPLICABLE, {"unmet": unmet}) for n in _MATRIX_CHECKS]
         else:
-            base = prepare_ring_analysis(matrix_base)
+            base_analysis = prepare_ring_analysis(base)
             checks += [
-                check_matrix_diam_lower(matrix_base, matrix_k, analysis=a),
-                check_matrix_diam_monotone(matrix_base, matrix_k, analysis=a, base_analysis=base),
-                check_matrix_girth(matrix_base, matrix_k, analysis=a),
+                check_matrix_diam_lower(a, base, k),
+                check_matrix_diam_monotone(a, base_analysis, k),
+                check_matrix_girth(a, base, k),
             ]
     return AnalysisReport(
         expr=expr if expr is not None else r.name,

@@ -64,7 +64,7 @@ def test_criterion_03_directed_connectivity_iff(semigroup_corpus):
     started = time.monotonic()
     ring_derived, exhaustive = semigroup_corpus
     for s in ring_derived + exhaustive:
-        res = z.check_directed_connectivity_iff(s)
+        res = z.check_directed_connectivity_iff(z.directed_zd_graph(s), z.ann_sets(s))
         assert res.status == "pass", res.witness
     elapsed = time.monotonic() - started
     assert elapsed < 300, f"sweep took {elapsed:.1f}s"
@@ -74,9 +74,10 @@ def test_criterion_03_directed_connectivity_iff(semigroup_corpus):
 def test_criterion_04_undirected_connectivity_and_girth(semigroup_corpus):
     ring_derived, exhaustive = semigroup_corpus
     for s in ring_derived + exhaustive:
-        res = z.check_undirected_connectivity(s)
+        g = z.directed_zd_graph(s)
+        res = z.check_undirected_connectivity(g)
         assert res.status == "pass", res.witness
-        res = z.check_girth_bound(s)
+        res = z.check_girth_bound(g)
         assert res.status == "pass", res.witness
     _report("4 undirected graphs connected with diameter <= 3 and girth in {3,4,inf}")
 
@@ -86,7 +87,7 @@ def test_criterion_05_duo_ann_sets(rings):
     for name, ring in rings.items():
         if ring.is_zero_ring() or not ring.is_commutative():
             continue
-        res = z.check_duo_ann_sets(ring)
+        res = z.check_duo_ann_sets(z.prepare_ring_analysis(ring))
         assert res.status == "pass", (name, res.witness)
         checked += 1
     assert checked >= 18
@@ -106,7 +107,7 @@ def test_criterion_06_completeness_trichotomy(rings):
     seen_complete = {}
     for name in COMPLETENESS_FAMILY:
         ring = pool[name]
-        res = z.classify_completeness(ring)
+        res = z.classify_completeness(z.prepare_ring_analysis(ring))
         assert res.status == "pass", (name, res.witness)
         seen_complete[name] = res.witness["complete"]
         if name == "Z6":
@@ -126,9 +127,10 @@ def test_criterion_07_matrix_diameter_and_girth(rings):
     for name in MATRIX_BASES:
         started = time.monotonic()
         ring = rings[name]
-        lower = z.check_matrix_diam_lower(ring, 2)
-        monotone = z.check_matrix_diam_monotone(ring, 2)
-        girth_res = z.check_matrix_girth(ring, 2)
+        a = z.prepare_ring_analysis(z.make_matrix_ring(ring, 2))
+        lower = z.check_matrix_diam_lower(a, ring, 2)
+        monotone = z.check_matrix_diam_monotone(a, z.prepare_ring_analysis(ring), 2)
+        girth_res = z.check_matrix_girth(a, ring, 2)
         elapsed = time.monotonic() - started
         assert lower.status == "pass", (name, lower.witness)
         assert monotone.status == "pass", (name, monotone.witness)
@@ -144,9 +146,12 @@ def test_criterion_07_matrix_diameter_and_girth(rings):
 def test_criterion_07_stretch_m2_z12(rings):
     started = time.monotonic()
     r12 = rings["Z12"]
-    ag_diam = z.undirected_diameter(z.annihilating_ideal_graph(r12))
+    base = z.prepare_ring_analysis(r12)
+    ag_diam = z.undirected_diameter(z.annihilating_ideal_graph(base))
     assert ag_diam == 3
-    monotone = z.check_matrix_diam_monotone(r12, 2)
+    monotone = z.check_matrix_diam_monotone(
+        z.prepare_ring_analysis(z.make_matrix_ring(r12, 2)), base, 2
+    )
     assert monotone.status == "pass", monotone.witness
     assert monotone.witness["matrix_diameter"] == 3
     elapsed = time.monotonic() - started
@@ -195,7 +200,7 @@ def test_criterion_09_not_tournament(rings):
     for name, ring in rings.items():
         if ring.is_zero_ring():
             continue
-        res = z.check_not_tournament(ring)
+        res = z.check_not_tournament(z.prepare_ring_analysis(ring))
         if res.status != "not-applicable":
             assert res.status == "pass", (name, res.witness)
             applicable.append(name)

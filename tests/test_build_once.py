@@ -38,7 +38,7 @@ def _count_pipeline(monkeypatch) -> tuple[Counter, Counter]:
 
 def test_run_all_builds_each_artifact_once(rings, monkeypatch):
     ipo, enum = _count_pipeline(monkeypatch)
-    report = z.run_all(rings["M2(Z2)"], matrix_base=rings["Z2"], matrix_k=2)
+    report = z.run_all(rings["M2(Z2)"], matrix=(rings["Z2"], 2))
     assert [c.status for c in report.checks[-3:]] == ["pass"] * 3
     assert ipo == {"M2(Z2)": 1, "Z2": 1}
     # Z2 is commutative: one enumeration serves both sides

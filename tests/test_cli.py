@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import zdgraph.cli
+import zdgraph.expr
 import zdgraph.semigroups
 import zdgraph.theorems
 from zdgraph.cli import main
@@ -27,7 +28,14 @@ def test_analyze_vacuous_field(capsys):
     assert report["undirected_diameter"] is None
 
 
-def test_analyze_capacity_error(capsys):
+def test_analyze_capacity_error(monkeypatch, capsys):
+    # the order is inferred from the expression: no matrix ring, not even
+    # the 2401-element M2(Z7), is built before the cap rejects it
+    def no_build(*args, **kwargs):
+        raise AssertionError("make_matrix_ring called for an over-cap expression")
+
+    monkeypatch.setattr(zdgraph.expr, "make_matrix_ring", no_build)
+    monkeypatch.setattr(zdgraph.cli, "make_matrix_ring", no_build)
     assert main(["analyze", "M3(M2(Z7))"]) == 1
     assert "size cap" in capsys.readouterr().err
 
@@ -47,10 +55,24 @@ def test_analyze_cap_applies_to_table_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "body",
+    [b"\xff\xfe2\n", b"2\n0 1\n1 0\n0 0\n0 99999999999999999999999\n"],
+    ids=["not-utf8", "int64-overflow"],
+)
+def test_bad_table_file_is_a_user_error(tmp_path, capsys, body):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(body)
+    assert main(["analyze", f"T({path})"]) == 1
+    assert capsys.readouterr().err.startswith("zdgraph: error:")
+
+
+@pytest.mark.parametrize(
     "error",
     [
         zdgraph.semigroups.ClosureViolationError("product escapes the collection"),
         zdgraph.semigroups.SemigroupValidationError("associativity", (1, 2, 3), "not associative"),
+        ValueError("an unexpected value deep in the pipeline"),
+        RuntimeError("internal: tournament test and witness scan disagree"),
     ],
 )
 def test_internal_invariant_failure_exits_three(monkeypatch, capsys, error):

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import zdgraph as z
-from zdgraph.expr import Cyclic, Matrix, Product, TableFile
+from zdgraph.expr import Cyclic, Matrix, Product, TableFile, expr_order
 
 
 def test_parse_examples():
@@ -40,6 +40,8 @@ def test_parse_error_details():
         z.parse_ring_expr("M2(Z4")
     with pytest.raises(z.ParseError):
         z.parse_ring_expr("")
+    with pytest.raises(z.ParseError):
+        z.parse_ring_expr("(" * 5000 + "Z2" + ")" * 5000)
 
 
 def test_parse_case_sensitive():
@@ -93,6 +95,17 @@ def test_build_ring_table_file(tmp_path, rings):
     path = tmp_path / "z4.tbl"
     path.write_text("\n".join(lines))
     assert z.build_ring(z.parse_ring_expr(f"T({path})")) == r
+
+
+def test_expr_order_reads_only_the_declared_order(tmp_path):
+    path = tmp_path / "big.tbl"
+    path.write_text("30000\n")  # a header without a body: only the order is read
+    assert expr_order(z.parse_ring_expr("M2(Z2 x Z3)")) == 6**4
+    assert expr_order(z.parse_ring_expr(f"Z2 x T({path})"), cap=10**6) == 60000
+    # M1000000(Z2) has 2**(10**12) elements: rejected without computing that
+    for text in ("M3(M2(Z7))", f"M2(T({path}))", f"T({path})", "M1000000(Z2)"):
+        with pytest.raises(z.CapacityError):
+            expr_order(z.parse_ring_expr(text))
 
 
 def test_build_ring_capacity():

@@ -7,50 +7,56 @@ import zdgraph as z
 INF = math.inf
 
 
+def _directed_iff(s):
+    return z.check_directed_connectivity_iff(z.directed_zd_graph(s), z.ann_sets(s))
+
+
 def test_directed_iff_on_rings(rings):
     for name in ("Z4", "Z5", "Z6", "Z8", "Z12", "Z2xZ2", "M2(Z2)", "M2(Z3)"):
-        res = z.check_directed_connectivity_iff(z.build_ipo(rings[name]))
+        res = _directed_iff(z.build_ipo(rings[name]))
         assert res.status == "pass", (name, res.witness)
 
 
 def test_directed_iff_z12_detail(rings):
-    res = z.check_directed_connectivity_iff(z.build_ipo(rings["Z12"]))
+    res = _directed_iff(z.build_ipo(rings["Z12"]))
     assert res.witness == {"ann_sides_equal": True, "connected": True, "diameter": 3}
 
 
 def test_directed_iff_vacuous_on_fields(rings):
-    res = z.check_directed_connectivity_iff(z.build_ipo(rings["Z5"]))
+    res = _directed_iff(z.build_ipo(rings["Z5"]))
     assert res.status == "pass"
     assert res.witness["diameter"] is None
 
 
 def test_undirected_and_girth_on_rings(rings):
     for name, ring in rings.items():
-        ipo = z.build_ipo(ring)
-        assert z.check_undirected_connectivity(ipo).status == "pass", name
-        assert z.check_girth_bound(ipo).status == "pass", name
+        g = z.directed_zd_graph(z.build_ipo(ring))
+        assert z.check_undirected_connectivity(g).status == "pass", name
+        assert z.check_girth_bound(g).status == "pass", name
 
 
 def test_checks_on_exhaustive_small_semigroups():
     for order in (2, 3):
         for s in z.enumerate_semigroups_with_zero(order):
-            assert z.check_directed_connectivity_iff(s).status == "pass"
-            assert z.check_undirected_connectivity(s).status == "pass"
-            assert z.check_girth_bound(s).status == "pass"
+            g = z.directed_zd_graph(s)
+            assert _directed_iff(s).status == "pass"
+            assert z.check_undirected_connectivity(g).status == "pass"
+            assert z.check_girth_bound(g).status == "pass"
 
 
 def test_duo_check(rings):
-    assert z.check_duo_ann_sets(rings["Z12"]).status == "pass"
+    assert z.check_duo_ann_sets(z.prepare_ring_analysis(rings["Z12"])).status == "pass"
 
-    res = z.check_duo_ann_sets(rings["Z2xZ2"])
+    res = z.check_duo_ann_sets(z.prepare_ring_analysis(rings["Z2xZ2"]))
     assert res.status == "pass"
     assert res.witness["expected_vertices"] == ["{0,2}", "{0,1}"]
 
-    res = z.check_duo_ann_sets(rings["M2(Z2)"])
+    res = z.check_duo_ann_sets(z.prepare_ring_analysis(rings["M2(Z2)"]))
     assert res.status == "not-applicable"
     assert "not Duo" in res.witness["unmet"]
 
-    assert z.check_duo_ann_sets(rings["Z1"]).status == "not-applicable"
+    res = z.check_duo_ann_sets(z.prepare_ring_analysis(rings["Z1"]))
+    assert res.status == "not-applicable"
 
 
 def test_completeness_classifier(rings):
@@ -66,28 +72,28 @@ def test_completeness_classifier(rings):
         "M2(Z2)": (False, set()),
     }
     for name, (complete, branches) in expectations.items():
-        res = z.classify_completeness(rings[name])
+        res = z.classify_completeness(z.prepare_ring_analysis(rings[name]))
         assert res.status == "pass", (name, res.witness)
         assert res.witness["complete"] == complete, name
         assert set(res.witness["branches"]) == branches, name
 
 
 def test_completeness_z8_chain_detail(rings):
-    res = z.classify_completeness(rings["Z8"])
+    res = z.classify_completeness(z.prepare_ring_analysis(rings["Z8"]))
     assert res.witness["maximal_ideal"] == "{0,2,4,6}"
     assert res.witness["maximal_ideal_squared"] == "{0,4}"
 
 
 def test_not_tournament(rings):
-    res = z.check_not_tournament(rings["Z6"])
+    res = z.check_not_tournament(z.prepare_ring_analysis(rings["Z6"]))
     assert res.status == "pass"
     assert "mutual_pair" in res.witness or "non_adjacent_pair" in res.witness
 
-    res = z.check_not_tournament(rings["Z4"])
+    res = z.check_not_tournament(z.prepare_ring_analysis(rings["Z4"]))
     assert res.status == "not-applicable"
     assert res.witness["witness_element"] == "{0,2}"
 
-    res = z.check_not_tournament(rings["Z5"])
+    res = z.check_not_tournament(z.prepare_ring_analysis(rings["Z5"]))
     assert res.status == "not-applicable"
     assert "disjoint" in res.witness["unmet"]
 
@@ -97,7 +103,7 @@ def test_not_tournament_applicable_family(rings):
     for name, ring in rings.items():
         if ring.is_zero_ring():
             continue
-        res = z.check_not_tournament(ring)
+        res = z.check_not_tournament(z.prepare_ring_analysis(ring))
         if res.status != "not-applicable":
             assert res.status == "pass", name
             applicable.append(name)
@@ -106,25 +112,32 @@ def test_not_tournament_applicable_family(rings):
 
 def test_matrix_checks(rings):
     for base in ("Z2", "Z3", "Z4"):
-        assert z.check_matrix_diam_lower(rings[base], 2).status == "pass"
-        assert z.check_matrix_diam_monotone(rings[base], 2).status == "pass"
-        assert z.check_matrix_girth(rings[base], 2).status == "pass"
+        r = rings[base]
+        a = z.prepare_ring_analysis(z.make_matrix_ring(r, 2))
+        assert z.check_matrix_diam_lower(a, r, 2).status == "pass"
+        assert z.check_matrix_diam_monotone(a, z.prepare_ring_analysis(r), 2).status == "pass"
+        assert z.check_matrix_girth(a, r, 2).status == "pass"
 
 
 def test_matrix_checks_witnesses(rings):
-    res = z.check_matrix_diam_lower(rings["Z2"], 2)
+    a = z.prepare_ring_analysis(rings["M2(Z2)"])
+    res = z.check_matrix_diam_lower(a, rings["Z2"], 2)
     assert res.witness["corner_pair_present"] and res.witness["corner_product_nonzero"]
     assert res.witness["diameter"] >= 2
 
-    res = z.check_matrix_girth(rings["Z2"], 2)
+    res = z.check_matrix_girth(a, rings["Z2"], 2)
     assert res.witness["girth"] == 3 and len(res.witness["cycle"]) == 3
 
 
 def test_matrix_checks_reject_bad_args(rings):
+    # (base, k) is rejected before the analysis is read: M2(M2(Z2)) is over
+    # the size cap, so the analysis of M2(Z2) stands in for it
+    m2 = z.prepare_ring_analysis(rings["M2(Z2)"])
     with pytest.raises(ValueError):
-        z.check_matrix_diam_lower(rings["M2(Z2)"], 2)
+        z.check_matrix_diam_lower(m2, rings["M2(Z2)"], 2)
+    m1 = z.prepare_ring_analysis(z.make_matrix_ring(rings["Z6"], 1))
     with pytest.raises(ValueError):
-        z.check_matrix_girth(rings["Z6"], 1)
+        z.check_matrix_girth(m1, rings["Z6"], 1)
 
 
 def test_ag_graph_matches_ipo_graph(rings):
@@ -132,7 +145,7 @@ def test_ag_graph_matches_ipo_graph(rings):
     # same vertex labels and edges as the ideal-product-semigroup graph
     for name in ("Z4", "Z6", "Z8", "Z9", "Z12", "Z2xZ4", "Z2xZ2xZ2"):
         ring = rings[name]
-        ag = z.annihilating_ideal_graph(ring)
+        ag = z.annihilating_ideal_graph(z.prepare_ring_analysis(ring))
         apog = z.directed_zd_graph(z.build_ipo(ring))
         ag_vertices = {str(ag.label_value(v)) for v in ag.vertices}
         apog_vertices = {str(apog.label_value(v)) for v in apog.vertices}
@@ -149,11 +162,12 @@ def test_ag_graph_matches_ipo_graph(rings):
 
 def test_ag_rejects_noncommutative(rings):
     with pytest.raises(ValueError):
-        z.annihilating_ideal_graph(rings["M2(Z2)"])
+        z.annihilating_ideal_graph(z.prepare_ring_analysis(rings["M2(Z2)"]))
 
 
 def test_ag_z12_diameter(rings):
-    assert z.undirected_diameter(z.annihilating_ideal_graph(rings["Z12"])) == 3
+    ag = z.annihilating_ideal_graph(z.prepare_ring_analysis(rings["Z12"]))
+    assert z.undirected_diameter(ag) == 3
 
 
 def test_constructive_path_z12(rings):
@@ -243,16 +257,12 @@ def test_run_all_reports(rings):
     assert rep.directed_diameter == 3 and rep.girth == INF
     assert rep.left_ideal_count == rep.right_ideal_count == 6
 
-    rep = z.run_all(rings["M2(Z2)"], matrix_base=rings["Z2"], matrix_k=2)
+    rep = z.run_all(rings["M2(Z2)"], matrix=(rings["Z2"], 2))
     names = [c.check_name for c in rep.checks]
     assert names[-3:] == ["matrix_diam_lower", "matrix_diam_monotone", "matrix_girth"]
     assert all(c.status == "pass" for c in rep.checks[-3:])
 
 
 def test_run_all_noncommutative_matrix_base(rings):
-    rep = z.run_all(
-        z.make_matrix_ring(rings["M2(Z2)"], 1),
-        matrix_base=rings["M2(Z2)"],
-        matrix_k=1,
-    )
+    rep = z.run_all(z.make_matrix_ring(rings["M2(Z2)"], 1), matrix=(rings["M2(Z2)"], 1))
     assert {c.status for c in rep.checks[-3:]} == {"not-applicable"}
