@@ -24,14 +24,7 @@ from .rings import (
     make_matrix_ring,
 )
 from .semigroups import ann_sets, enumerate_semigroups_with_zero
-from .theorems import (
-    RingAnalysis,
-    check_directed_connectivity_iff,
-    check_girth_bound,
-    check_undirected_connectivity,
-    prepare_ring_analysis,
-    run_all,
-)
+from .theorems import RingAnalysis, prepare_ring_analysis, run_all, semigroup_checks
 
 _CONSTRUCTION_ERRORS = (
     ParseError,
@@ -141,12 +134,8 @@ def _cmd_verify_semigroups(args) -> int:
     total_failed = 0
     for s in enumerate_semigroups_with_zero(args.order):
         count += 1
-        g = directed_zd_graph(s)
-        for result in (
-            check_directed_connectivity_iff(g, ann_sets(s)),
-            check_undirected_connectivity(g),
-            check_girth_bound(g),
-        ):
+        ann = ann_sets(s)
+        for result in semigroup_checks(directed_zd_graph(s, ann), ann):
             if result.status == "fail":
                 total_failed += 1
                 print(f"semigroup #{count}: {result.check_name} FAILED: {result.witness}")

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import ElementSet, FiniteRing, element_zero_divisors
-from .semigroups import FiniteSemigroupWithZero, ann_sets
+from .semigroups import AnnSets, FiniteSemigroupWithZero
 
 INF = math.inf
 
 
 class ZdGraph:
-    """Zero-divisor graph: vertex a points at b when a*b = 0 (a != b)."""
+    """Zero-divisor graph: vertex a points at b when a*b = 0 (a != b),
+    measured once when built (`metrics`); nothing re-measures it."""
 
     def __init__(self, vertices, labels, adj_matrix):
         self.vertices = tuple(int(v) for v in vertices)
@@ -43,6 +44,7 @@ class ZdGraph:
             v: tuple(self.vertices[j] for j in np.nonzero(und[i])[0])
             for i, v in enumerate(self.vertices)
         }
+        self.metrics = compute_graph_metrics(self)
 
     @property
     def n_vertices(self) -> int:
@@ -64,9 +66,9 @@ class ZdGraph:
         return f"ZdGraph({self.n_vertices} vertices, {len(self.directed_edges())} arcs)"
 
 
-def directed_zd_graph(s: FiniteSemigroupWithZero) -> ZdGraph:
-    """Graph on the nonzero zero-divisors of a semigroup, ascending order."""
-    verts = sorted(ann_sets(s).d_star)
+def directed_zd_graph(s: FiniteSemigroupWithZero, ann: AnnSets) -> ZdGraph:
+    """Graph on the nonzero zero-divisors `ann.d_star` of s, ascending order."""
+    verts = sorted(ann.d_star)
     labels = [s.labels[v] if s.labels is not None else str(v) for v in verts]
     adj = s.table[np.ix_(verts, verts)] == 0 if verts else np.zeros((0, 0), bool)
     return ZdGraph(verts, labels, adj)
@@ -136,12 +138,6 @@ def _bfs_dists(adj, source, skip_edge=None):
     return dist
 
 
-def girth(g: ZdGraph):
-    """Shortest cycle length in the undirected view, or inf if acyclic."""
-    value, _ = girth_with_cycle(g)
-    return value
-
-
 def girth_with_cycle(g: ZdGraph):
     """(girth, witness cycle as a vertex list) on the undirected view.
 
@@ -209,17 +205,20 @@ class GraphMetrics:
     directed_diameter: float | int | None
     undirected_diameter: float | int | None
     girth: float | int
+    girth_cycle: tuple[int, ...] | None  # a shortest cycle, None when acyclic
     complete: bool
     tournament: bool
 
 
 def compute_graph_metrics(g: ZdGraph) -> GraphMetrics:
     connected, ddiam = directed_connectivity(g)
+    girth_value, cycle = girth_with_cycle(g)
     return GraphMetrics(
         directed_connected=connected,
         directed_diameter=ddiam,
         undirected_diameter=undirected_diameter(g),
-        girth=girth(g),
+        girth=girth_value,
+        girth_cycle=None if cycle is None else tuple(cycle),
         complete=is_complete(g),
         tournament=is_tournament(g),
     )

@@ -317,6 +317,9 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int | None = None) -> Finite
     """
     if k < 1:
         raise ValueError("matrix dimension must be at least 1")
+    name = f"M{k}({base.name})"
+    if base.order == 1:  # matrices over the zero ring: the zero ring again
+        return FiniteRing(base.add_table, base.mul_table, one=0, name=name)
     m = base.order
     n = m ** (k * k)
     _check_cap(n, cap)
@@ -352,7 +355,7 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int | None = None) -> Finite
 
     one_digits = [base.one if i == j else 0 for i in range(k) for j in range(k)]
     one = int(sum(d * w for d, w in zip(one_digits, weights)))
-    return FiniteRing(add, mul, one=one, name=f"M{k}({base.name})")
+    return FiniteRing(add, mul, one=one, name=name)
 
 
 def _table_ints(tokens: list[str]) -> list[int]:

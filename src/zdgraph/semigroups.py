@@ -130,14 +130,15 @@ def build_ipo(
     re-checked.  A side that is not given is enumerated here.
 
     The Cayley table is filled algebraically rather than by one closure per
-    entry.  For a right ideal B, A*B is the join of the right ideals g*B
-    over a generating set {g} of A, so whole table columns reduce to lookups
-    in the right-ideal join table; for any other B = K*L (K then necessarily
-    a right ideal and L a left ideal), A*B = (A*K)*L falls back to an
-    already-computed ideal-pair product.  Every intermediate value must be a
-    collected element or ideal, which machine-checks multiplicative closure;
-    the assembled table is then re-validated for associativity and a test
-    cross-checks it against directly computed products on mid-size rings.
+    entry, one column B at a time by one rule.  B is written as K*L with K a
+    right ideal: B*R for a right ideal B, R*B for a left-only one, otherwise
+    the pool pair that produced B (K is then necessarily a right ideal and L
+    a left ideal).  A*K is the join of the right ideals g*K over a generating
+    set {g} of A, a fold over the right-ideal join table, and A*B = (A*K)*L
+    is an already-computed pool-pair product.  Every intermediate value must
+    be a collected element or ideal, which machine-checks multiplicative
+    closure; the assembled table is then re-validated for associativity and a
+    test cross-checks it against directly computed products on mid-size rings.
     """
     left = left if left is not None else enumerate_one_sided_ideals(r, "left")
     right = right if right is not None else enumerate_one_sided_ideals(r, "right")
@@ -232,22 +233,16 @@ def build_ipo(
         fold_cache[k_bits] = acc
         return acc
 
-    rpool_eidx = np.array([_lookup(e_idx, b, "a right ideal") for b in rpool], dtype=np.int64)
+    # a pool member B as K*L: B*R for a right ideal B, R*B for a left-only one
+    for b in pool_bits:
+        decomp[b] = (b, full_bits) if is_right_flag[b] else (full_bits, b)
     rpool_pidx = np.array([pool_idx[b] for b in rpool], dtype=np.int64)
 
     dtype = np.uint16 if m < 2**16 else np.uint32
     table = np.zeros((m, m), dtype=dtype)
     for j, b in enumerate(ordered):
-        if b.bits in pool and is_right_flag[b.bits]:
-            table[:, j] = rpool_eidx[fold_column(b.bits)]
-        elif b.bits in pool:
-            # left-only ideal: A*B = (A*R)*B since R*B = B
-            x = fold_column(full_bits)
-            table[:, j] = pp_eidx[rpool_pidx[x], pool_idx[b.bits]]
-        else:
-            kb, lb = decomp[b.bits]
-            x = fold_column(kb)
-            table[:, j] = pp_eidx[rpool_pidx[x], pool_idx[lb]]
+        kb, lb = decomp[b.bits]  # A*B = (A*K)*L
+        table[:, j] = pp_eidx[rpool_pidx[fold_column(kb)], pool_idx[lb]]
 
     s = FiniteSemigroupWithZero(table, labels=ordered)
     validate_semigroup(s)

@@ -15,17 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (
-    INF,
-    ZdGraph,
-    compute_graph_metrics,
-    directed_connectivity,
-    directed_zd_graph,
-    girth_with_cycle,
-    is_complete,
-    is_tournament,
-    undirected_diameter,
-)
+from .graphs import INF, ZdGraph, directed_zd_graph
 from .ideals import (
     OneSidedIdeal,
     additive_closure,
@@ -66,7 +56,8 @@ def prepare_ring_analysis(r: FiniteRing) -> RingAnalysis:
     left = enumerate_one_sided_ideals(r, "left")
     right = left if r.is_commutative() else enumerate_one_sided_ideals(r, "right")
     ipo = build_ipo(r, left, right)
-    return RingAnalysis(r, left, right, ipo, ann_sets(ipo), directed_zd_graph(ipo))
+    ann = ann_sets(ipo)
+    return RingAnalysis(r, left, right, ipo, ann, directed_zd_graph(ipo, ann))
 
 
 def _labels(g: ZdGraph, vertices) -> list[str]:
@@ -80,7 +71,7 @@ def check_directed_connectivity_iff(g: ZdGraph, ann: AnnSets) -> CheckResult:
     """A semigroup's directed graph g is connected exactly when its annihilator
     sets ann coincide on both sides; connected instances have diameter <= 3."""
     sides_equal = ann.a_left == ann.a_right
-    connected, diam = directed_connectivity(g)
+    connected, diam = g.metrics.directed_connected, g.metrics.directed_diameter
     witness = {
         "ann_sides_equal": sides_equal,
         "connected": connected,
@@ -98,7 +89,7 @@ def check_directed_connectivity_iff(g: ZdGraph, ann: AnnSets) -> CheckResult:
 def check_undirected_connectivity(g: ZdGraph) -> CheckResult:
     """The undirected view of `g` is connected (vacuously below 2 vertices)
     with diameter <= 3."""
-    diam = undirected_diameter(g)
+    diam = g.metrics.undirected_diameter
     witness = {"diameter": serialize_extent(diam)}
     if diam is INF or (diam is not None and diam > 3):
         return CheckResult("undirected_connectivity", FAIL, witness)
@@ -106,7 +97,7 @@ def check_undirected_connectivity(g: ZdGraph) -> CheckResult:
 
 
 def _girth_witness(g: ZdGraph) -> tuple[object, dict]:
-    value, cycle = girth_with_cycle(g)
+    value, cycle = g.metrics.girth, g.metrics.girth_cycle
     witness: dict = {"girth": serialize_extent(value)}
     if cycle is not None:
         witness["cycle"] = [g.label_of(v) for v in cycle]
@@ -118,6 +109,16 @@ def check_girth_bound(g: ZdGraph) -> CheckResult:
     value, witness = _girth_witness(g)
     status = PASS if value is INF or value <= 4 else FAIL
     return CheckResult("girth_bound", status, witness)
+
+
+def semigroup_checks(g: ZdGraph, ann: AnnSets) -> list[CheckResult]:
+    """The checks that hold for every semigroup with zero, on its graph `g`
+    and annihilator sets `ann`."""
+    return [
+        check_directed_connectivity_iff(g, ann),
+        check_undirected_connectivity(g),
+        check_girth_bound(g),
+    ]
 
 
 # -- constructive path builder --------------------------------------------------
@@ -255,8 +256,11 @@ def constructive_path(
 # -- ring-level checks -----------------------------------------------------------
 
 
+_ZERO_RING = "ring has one == zero"
+
+
 def _zero_ring_na(name: str) -> CheckResult:
-    return CheckResult(name, NOT_APPLICABLE, {"unmet": "ring has one == zero"})
+    return CheckResult(name, NOT_APPLICABLE, {"unmet": _ZERO_RING})
 
 
 def check_duo_ann_sets(a: RingAnalysis) -> CheckResult:
@@ -353,7 +357,7 @@ def classify_completeness(a: RingAnalysis) -> CheckResult:
     if a.ring.is_zero_ring():
         return _zero_ring_na(name)
     branches, detail = _completeness_branches(a)
-    complete = is_complete(a.graph)
+    complete = a.graph.metrics.complete
     witness = {"complete": complete, "branches": branches, **detail}
     status = PASS if bool(branches) == complete else FAIL
     return CheckResult(name, status, witness)
@@ -380,7 +384,7 @@ def check_not_tournament(a: RingAnalysis) -> CheckResult:
             name, NOT_APPLICABLE, {"unmet": "left and right annihilator sets are disjoint"}
         )
     g = a.graph
-    if is_tournament(g):
+    if g.metrics.tournament:
         return CheckResult(name, FAIL, {"tournament": True})
     for x in g.vertices:
         for y in g.vertices:
@@ -417,6 +421,8 @@ _MATRIX_CHECKS = ("matrix_diam_lower", "matrix_diam_monotone", "matrix_girth")
 
 def _matrix_unmet(r: FiniteRing, k: int) -> str | None:
     """Why the matrix checks do not apply to k-by-k matrices over r, if they don't."""
+    if r.is_zero_ring():
+        return _ZERO_RING
     if not r.is_commutative():
         return "base ring is not commutative"
     return "matrix dimension below 2" if k < 2 else None
@@ -434,7 +440,7 @@ def check_matrix_diam_lower(a: RingAnalysis, base: FiniteRing, k: int) -> CheckR
     name = "matrix_diam_lower"
     _require_matrix(base, k)
     m, g = a.ring, a.graph
-    diam = undirected_diameter(g)
+    diam = g.metrics.undirected_diameter
     witness: dict = {"diameter": serialize_extent(diam)}
 
     # the column and row ideals at the corner unit: their product is nonzero,
@@ -460,9 +466,9 @@ def check_matrix_diam_monotone(a: RingAnalysis, base: RingAnalysis, k: int) -> C
     base-ring graph agrees with the directly built annihilating-ideal graph."""
     name = "matrix_diam_monotone"
     _require_matrix(base.ring, k)
-    diam_base = undirected_diameter(base.graph)
-    diam_ag = undirected_diameter(annihilating_ideal_graph(base))
-    diam_matrix = undirected_diameter(a.graph)
+    diam_base = base.graph.metrics.undirected_diameter
+    diam_ag = annihilating_ideal_graph(base).metrics.undirected_diameter
+    diam_matrix = a.graph.metrics.undirected_diameter
     witness = {
         "matrix_diameter": serialize_extent(diam_matrix),
         "base_diameter": serialize_extent(diam_base),
@@ -503,11 +509,9 @@ def run_all(
     on r's analysis and the base ring's, prepared here only when they apply.
     """
     a = analysis if analysis is not None else prepare_ring_analysis(r)
-    metrics = compute_graph_metrics(a.graph)
+    metrics = a.graph.metrics
     checks = [
-        check_directed_connectivity_iff(a.graph, a.ann),
-        check_undirected_connectivity(a.graph),
-        check_girth_bound(a.graph),
+        *semigroup_checks(a.graph, a.ann),
         check_duo_ann_sets(a),
         classify_completeness(a),
         check_not_tournament(a),

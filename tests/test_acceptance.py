@@ -64,7 +64,8 @@ def test_criterion_03_directed_connectivity_iff(semigroup_corpus):
     started = time.monotonic()
     ring_derived, exhaustive = semigroup_corpus
     for s in ring_derived + exhaustive:
-        res = z.check_directed_connectivity_iff(z.directed_zd_graph(s), z.ann_sets(s))
+        ann = z.ann_sets(s)
+        res = z.check_directed_connectivity_iff(z.directed_zd_graph(s, ann), ann)
         assert res.status == "pass", res.witness
     elapsed = time.monotonic() - started
     assert elapsed < 300, f"sweep took {elapsed:.1f}s"
@@ -74,7 +75,7 @@ def test_criterion_03_directed_connectivity_iff(semigroup_corpus):
 def test_criterion_04_undirected_connectivity_and_girth(semigroup_corpus):
     ring_derived, exhaustive = semigroup_corpus
     for s in ring_derived + exhaustive:
-        g = z.directed_zd_graph(s)
+        g = z.directed_zd_graph(s, z.ann_sets(s))
         res = z.check_undirected_connectivity(g)
         assert res.status == "pass", res.witness
         res = z.check_girth_bound(g)
@@ -163,7 +164,7 @@ def test_criterion_08_constructive_paths(rings, semigroup_corpus):
     ring_derived, exhaustive = semigroup_corpus
     for s in ring_derived + exhaustive:
         ann = z.ann_sets(s)
-        g = z.directed_zd_graph(s)
+        g = z.directed_zd_graph(s, ann)
         directed_ok = ann.a_left == ann.a_right
         for a in sorted(ann.d_star):
             dist_d = _bfs(g.out_adj, a)

@@ -8,14 +8,16 @@ from pathlib import Path
 import pytest
 
 import zdgraph as z
+from zdgraph import graphs
 from zdgraph.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
-def _count_calls(monkeypatch, name: str, key) -> Counter:
-    """Wrap `name` in every zdgraph module that binds it; count calls by key(args)."""
-    orig = getattr(z, name)
+def _count_calls(monkeypatch, name: str, key, home=z) -> Counter:
+    """Wrap `name` (as bound in `home`) in every zdgraph module that binds it;
+    count calls by key(args)."""
+    orig = getattr(home, name)
     calls: Counter = Counter()
 
     def wrapper(*args, **kwargs):
@@ -58,6 +60,30 @@ def test_analyze_matrix_of_table_file_builds_inner_ring_once(rings, tmp_path, mo
     assert loads == {"file": 1}
     assert sorted(ipo.values()) == [1, 1]
     assert sorted(enum.values()) == [1, 1, 1]
+
+
+def test_each_graph_is_measured_once(rings, monkeypatch):
+    ann = _count_calls(monkeypatch, "ann_sets", lambda s: s.order)
+    metrics = _count_calls(monkeypatch, "compute_graph_metrics", id)
+    girths = _count_calls(monkeypatch, "girth_with_cycle", id, home=graphs)
+    levels = _count_calls(monkeypatch, "_matrix_levels", lambda adj: len(adj), home=graphs)
+    report = z.run_all(rings["M2(Z2)"], matrix=(rings["Z2"], 2))
+    assert [c.status for c in report.checks[-3:]] == ["pass"] * 3
+    # one IPO each for M2(Z2) and Z2
+    assert list(ann.values()) == [1, 1]
+    # three graphs: both IPO graphs and Z2's annihilating-ideal graph
+    assert list(metrics.values()) == [1, 1, 1]
+    assert girths == metrics
+    # only the M2(Z2) graph has two vertices: one expansion per view
+    assert levels == {report.vertex_count: 2}
+
+
+def test_verify_semigroups_computes_ann_sets_once_each(monkeypatch, capsys):
+    ann = _count_calls(monkeypatch, "ann_sets", lambda s: s.table.tobytes())
+    assert main(["verify", "semigroups", "--order", "3"]) == 0
+    capsys.readouterr()
+    assert len(ann) == len(list(z.enumerate_semigroups_with_zero(3)))
+    assert set(ann.values()) == {1}
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,14 @@ def test_analyze_matrix_runs_matrix_checks(capsys):
     assert all(c["status"] == "pass" for c in report["checks"][-3:])
 
 
+@pytest.mark.parametrize("expr", ["M2(Z1)", "M100000(Z1)"])
+def test_analyze_matrix_over_the_zero_ring(expr, capsys):
+    assert main(["analyze", expr, "--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ring_order"] == 1
+    assert {c["status"] for c in report["checks"][-3:]} == {"not-applicable"}
+
+
 def test_analyze_writes_files(tmp_path, capsys):
     json_path = tmp_path / "report.json"
     dot_path = tmp_path / "graph.dot"

@@ -11,7 +11,8 @@ INF = math.inf
 
 
 def _ipo_graph(rings, name):
-    return z.directed_zd_graph(z.build_ipo(rings[name]))
+    ipo = z.build_ipo(rings[name])
+    return z.directed_zd_graph(ipo, z.ann_sets(ipo))
 
 
 def test_directed_graph_z12(rings):
@@ -35,7 +36,7 @@ def test_directed_graph_empty_for_fields(rings):
 
 def test_null_semigroup_graph():
     null3 = z.semigroup_from_table(np.zeros((3, 3), dtype=int), zero_index=0)
-    g = z.directed_zd_graph(null3)
+    g = z.directed_zd_graph(null3, z.ann_sets(null3))
     assert g.n_vertices == 2
     assert set(g.directed_edges()) == {(1, 2), (2, 1)}
 
@@ -65,13 +66,13 @@ def test_directed_connectivity(rings):
 def test_undirected_metrics_z12(rings):
     g = _ipo_graph(rings, "Z12")
     assert z.undirected_diameter(g) == 3
-    assert z.girth(g) == INF
+    assert g.metrics.girth == INF
     assert not z.is_complete(g)
 
 
 def test_girth_three_on_triple_product(rings):
     g = _ipo_graph(rings, "Z2xZ2xZ2")
-    assert z.girth(g) == 3
+    assert g.metrics.girth == 3
 
 
 def test_complete_two_vertices(rings):
@@ -95,7 +96,7 @@ def _all_test_graphs(rings):
         graphs.append(_ipo_graph(rings, name))
         graphs.append(z.element_zd_graph(rings[name]))
     for s in z.enumerate_semigroups_with_zero(3):
-        graphs.append(z.directed_zd_graph(s))
+        graphs.append(z.directed_zd_graph(s, z.ann_sets(s)))
     return graphs
 
 
@@ -132,7 +133,7 @@ def test_girth_matches_naive_enumeration(rings):
     for g in _all_test_graphs(rings):
         if g.n_vertices > 8:
             continue
-        assert z.girth(g) == naive_girth(g.vertices, g.undirected_edges())
+        assert g.metrics.girth == naive_girth(g.vertices, g.undirected_edges())
 
 
 def test_complete_implies_diameter_at_most_one(rings):
@@ -143,7 +144,7 @@ def test_complete_implies_diameter_at_most_one(rings):
 
 def test_ad_neighborhood(rings):
     ipo = z.build_ipo(rings["Z12"])
-    g = z.directed_zd_graph(ipo)
+    g = z.directed_zd_graph(ipo, z.ann_sets(ipo))
     by_label = {g.label_of(v): v for v in g.vertices}
     ball = z.ad_neighborhood(g, by_label["{0,2,4,6,8,10}"])
     assert {g.label_of(v) for v in ball} == {"{0,2,4,6,8,10}", "{0,6}", "{0,4,8}"}
@@ -161,7 +162,7 @@ def test_ad_neighborhood(rings):
 def test_adu_neighborhood(rings):
     r = rings["Z12"]
     ipo = z.build_ipo(r)
-    g = z.directed_zd_graph(ipo)
+    g = z.directed_zd_graph(ipo, z.ann_sets(ipo))
     evens = z.ElementSet.from_indices(r, [0, 2, 4, 6, 8, 10])
     assert z.adu_neighborhood(g, evens) == set(g.vertices)
     assert z.adu_neighborhood(g, z.ElementSet.zero_set(r)) == set()

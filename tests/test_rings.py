@@ -59,6 +59,13 @@ def test_matrix_ring_m2z2(rings):
     assert m.mul(E12, E11) == 0
 
 
+def test_matrix_ring_over_the_zero_ring_is_built_without_tables():
+    # k**2 digits per element are never laid out: M100000(Z1) is one element
+    m = z.make_matrix_ring(z.make_cyclic_ring(1), 100000)
+    assert m.order == 1 and m.is_zero_ring()
+    assert m.name == "M100000(Z1)"
+
+
 def test_matrix_ring_capacity():
     inner = z.make_matrix_ring(z.make_cyclic_ring(7), 2)
     with pytest.raises(z.CapacityError):

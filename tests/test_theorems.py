@@ -8,7 +8,8 @@ INF = math.inf
 
 
 def _directed_iff(s):
-    return z.check_directed_connectivity_iff(z.directed_zd_graph(s), z.ann_sets(s))
+    ann = z.ann_sets(s)
+    return z.check_directed_connectivity_iff(z.directed_zd_graph(s, ann), ann)
 
 
 def test_directed_iff_on_rings(rings):
@@ -30,7 +31,8 @@ def test_directed_iff_vacuous_on_fields(rings):
 
 def test_undirected_and_girth_on_rings(rings):
     for name, ring in rings.items():
-        g = z.directed_zd_graph(z.build_ipo(ring))
+        ipo = z.build_ipo(ring)
+        g = z.directed_zd_graph(ipo, z.ann_sets(ipo))
         assert z.check_undirected_connectivity(g).status == "pass", name
         assert z.check_girth_bound(g).status == "pass", name
 
@@ -38,7 +40,7 @@ def test_undirected_and_girth_on_rings(rings):
 def test_checks_on_exhaustive_small_semigroups():
     for order in (2, 3):
         for s in z.enumerate_semigroups_with_zero(order):
-            g = z.directed_zd_graph(s)
+            g = z.directed_zd_graph(s, z.ann_sets(s))
             assert _directed_iff(s).status == "pass"
             assert z.check_undirected_connectivity(g).status == "pass"
             assert z.check_girth_bound(g).status == "pass"
@@ -140,13 +142,31 @@ def test_matrix_checks_reject_bad_args(rings):
         z.check_matrix_girth(m1, rings["Z6"], 1)
 
 
+def test_matrix_checks_over_the_zero_ring(rings):
+    z1 = rings["Z1"]
+    m = z.make_matrix_ring(z1, 2)
+    report = z.run_all(m, matrix=(z1, 2))
+    assert [(c.check_name, c.status, c.witness) for c in report.checks[-3:]] == [
+        (name, "not-applicable", {"unmet": "ring has one == zero"})
+        for name in ("matrix_diam_lower", "matrix_diam_monotone", "matrix_girth")
+    ]
+    a = z.prepare_ring_analysis(m)
+    with pytest.raises(ValueError, match="one == zero"):
+        z.check_matrix_diam_lower(a, z1, 2)
+    with pytest.raises(ValueError, match="one == zero"):
+        z.check_matrix_diam_monotone(a, z.prepare_ring_analysis(z1), 2)
+    with pytest.raises(ValueError, match="one == zero"):
+        z.check_matrix_girth(a, z1, 2)
+
+
 def test_ag_graph_matches_ipo_graph(rings):
     # commutative rings: the directly built annihilating-ideal graph has the
     # same vertex labels and edges as the ideal-product-semigroup graph
     for name in ("Z4", "Z6", "Z8", "Z9", "Z12", "Z2xZ4", "Z2xZ2xZ2"):
         ring = rings[name]
         ag = z.annihilating_ideal_graph(z.prepare_ring_analysis(ring))
-        apog = z.directed_zd_graph(z.build_ipo(ring))
+        ipo = z.build_ipo(ring)
+        apog = z.directed_zd_graph(ipo, z.ann_sets(ipo))
         ag_vertices = {str(ag.label_value(v)) for v in ag.vertices}
         apog_vertices = {str(apog.label_value(v)) for v in apog.vertices}
         assert ag_vertices == apog_vertices, name
@@ -172,7 +192,7 @@ def test_ag_z12_diameter(rings):
 
 def test_constructive_path_z12(rings):
     ipo = z.build_ipo(rings["Z12"])
-    g = z.directed_zd_graph(ipo)
+    g = z.directed_zd_graph(ipo, z.ann_sets(ipo))
     by_label = {g.label_of(v): v for v in g.vertices}
     a, b = by_label["{0,2,4,6,8,10}"], by_label["{0,3,6,9}"]
     path = z.constructive_path(ipo, a, b, "directed")
@@ -229,7 +249,7 @@ def test_constructive_path_always_valid_and_short(rings):
     corpus += list(z.enumerate_semigroups_with_zero(3))
     for s in corpus:
         ann = z.ann_sets(s)
-        g = z.directed_zd_graph(s)
+        g = z.directed_zd_graph(s, ann)
         directed_ok = ann.a_left == ann.a_right
         for a in sorted(ann.d_star):
             for b in sorted(ann.d_star):
