@@ -15,12 +15,9 @@ from .graphs import (
     INF,
     GraphMetrics,
     ZdGraph,
-    ad_neighborhood,
-    adu_neighborhood,
     compute_graph_metrics,
     directed_connectivity,
     directed_zd_graph,
-    element_zd_graph,
     export_dot,
     is_complete,
     is_tournament,
@@ -34,11 +31,7 @@ from .ideals import (
     ideal_product,
     is_left_ideal,
     is_right_ideal,
-    jacobson_radical,
     left_annihilator,
-    principal_left_ideal,
-    principal_right_ideal,
-    right_annihilator,
 )
 from .report import AnalysisReport, CheckResult, write_report_json
 from .rings import (
@@ -50,7 +43,6 @@ from .rings import (
     TableFormatError,
     central_idempotents,
     element_zero_divisors,
-    is_division_ring,
     is_local_ring,
     load_table_ring,
     make_cyclic_ring,

@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .expr import Matrix, ParseError, build_ring, expr_order, parse_ring_expr, unparse
+from .expr import ParseError, build_ring, parse_ring_expr, unparse
 from .graphs import directed_zd_graph, export_dot
 from .report import AnalysisReport, write_report_json
 from .rings import (
@@ -21,7 +21,6 @@ from .rings import (
     RingValidationError,
     TableFormatError,
     make_cyclic_ring,
-    make_matrix_ring,
 )
 from .semigroups import ann_sets, enumerate_semigroups_with_zero
 from .theorems import RingAnalysis, prepare_ring_analysis, run_all, semigroup_checks
@@ -91,17 +90,11 @@ def _tally(report) -> tuple[int, int, int]:
 
 
 def _analyze_expr(text: str, cap: int) -> tuple[AnalysisReport, RingAnalysis]:
-    """Build the named ring once (for Mk(R), R once as the matrix base) and run_all on it."""
+    """Build the named ring once and run_all on it."""
     ast = parse_ring_expr(text)
-    matrix = None
-    if isinstance(ast, Matrix):
-        expr_order(ast, cap)  # the matrix ring's order, checked before its base is built
-        matrix = (build_ring(ast.inner, cap), ast.k)
-        ring = make_matrix_ring(*matrix, cap)
-    else:
-        ring = build_ring(ast, cap)
+    ring = build_ring(ast, cap)
     analysis = prepare_ring_analysis(ring)
-    return run_all(ring, expr=unparse(ast), matrix=matrix, analysis=analysis), analysis
+    return run_all(ring, expr=unparse(ast), analysis=analysis), analysis
 
 
 def _cmd_analyze(args) -> int:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import ElementSet, FiniteRing, element_zero_divisors
 from .semigroups import AnnSets, FiniteSemigroupWithZero
 
 INF = math.inf
@@ -72,13 +71,6 @@ def directed_zd_graph(s: FiniteSemigroupWithZero, ann: AnnSets) -> ZdGraph:
     labels = [s.labels[v] if s.labels is not None else str(v) for v in verts]
     adj = s.table[np.ix_(verts, verts)] == 0 if verts else np.zeros((0, 0), bool)
     return ZdGraph(verts, labels, adj)
-
-
-def element_zd_graph(r: FiniteRing) -> ZdGraph:
-    """Element-level graph on the nonzero one-sided zero-divisors of a ring."""
-    verts = [v for v in element_zero_divisors(r).indices() if v != 0]
-    adj = r.mul_table[np.ix_(verts, verts)] == 0 if verts else np.zeros((0, 0), bool)
-    return ZdGraph(verts, [str(v) for v in verts], adj)
 
 
 # -- invariants ---------------------------------------------------------------
@@ -222,31 +214,6 @@ def compute_graph_metrics(g: ZdGraph) -> GraphMetrics:
         complete=is_complete(g),
         tournament=is_tournament(g),
     )
-
-
-# -- neighbourhoods -----------------------------------------------------------
-
-
-def ad_neighborhood(g: ZdGraph, c: int) -> set[int]:
-    """Closed ball of radius 2 around c in the symmetrised adjacency."""
-    if c not in g.und_adj:
-        raise ValueError(f"{c} is not a vertex")
-    ball = {c} | set(g.und_adj[c])
-    for b in g.und_adj[c]:
-        ball |= set(g.und_adj[b])
-    return ball
-
-
-def adu_neighborhood(g: ZdGraph, d: ElementSet) -> set[int]:
-    """Union of ad(C) over vertices C whose element subset lies inside d."""
-    out: set[int] = set()
-    for v in g.vertices:
-        label = g.label_value(v)
-        if not isinstance(label, ElementSet):
-            raise TypeError("adu_neighborhood needs a graph with element-subset labels")
-        if label.issubset(d):
-            out |= ad_neighborhood(g, v)
-    return out
 
 
 # -- export -------------------------------------------------------------------

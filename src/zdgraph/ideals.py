@@ -78,16 +78,6 @@ def _flagged(r: FiniteRing, s: ElementSet, side: str) -> OneSidedIdeal:
     return OneSidedIdeal(s, _absorbs(r, s, "left"), True)
 
 
-def principal_left_ideal(r: FiniteRing, x: int) -> OneSidedIdeal:
-    """Additive closure of { r*x : r in R }; upgraded to two-sided if it absorbs."""
-    return _flagged(r, additive_closure(r, np.unique(r.mul_table[:, x])), "left")
-
-
-def principal_right_ideal(r: FiniteRing, x: int) -> OneSidedIdeal:
-    """Additive closure of { x*r : r in R }; upgraded to two-sided if it absorbs."""
-    return _flagged(r, additive_closure(r, np.unique(r.mul_table[x, :])), "right")
-
-
 def _principal_sets(r: FiniteRing, side: str) -> dict[int, ElementSet]:
     """Distinct principal one-sided ideals, keyed by bits.
 
@@ -150,45 +140,13 @@ def ideal_product(r: FiniteRing, a: ElementSet, b: ElementSet) -> ElementSet:
 
 def left_annihilator(r: FiniteRing, x: ElementSet) -> ElementSet:
     """{ a : a*y = 0 for all y in x }; always a left ideal."""
-    out = _annihilator(r, x, "left")
-    assert is_left_ideal(r, out)
-    return out
-
-
-def right_annihilator(r: FiniteRing, x: ElementSet) -> ElementSet:
-    """{ a : y*a = 0 for all y in x }; always a right ideal."""
-    out = _annihilator(r, x, "right")
-    assert is_right_ideal(r, out)
-    return out
-
-
-def _annihilator(r: FiniteRing, x: ElementSet, side: str) -> ElementSet:
     n = r.order
     cand = np.ones(n, dtype=bool)
     cols = list(x.indices())
     step = max(1, _BLOCK_ELEMS // max(1, n))
     for lo in range(0, len(cols), step):
-        chunk = cols[lo : lo + step]
-        if side == "left":
-            cand &= (r.mul_table[:, chunk] == 0).all(axis=1)
-        else:
-            cand &= (r.mul_table[chunk, :] == 0).all(axis=0)
-    return ElementSet.from_mask(r, cand)
+        cand &= (r.mul_table[:, cols[lo : lo + step]] == 0).all(axis=1)
+    out = ElementSet.from_mask(r, cand)
+    assert is_left_ideal(r, out)
+    return out
 
-
-def jacobson_radical(r: FiniteRing, side: str = "right") -> ElementSet:
-    """Intersection of all maximal one-sided ideals (right by default)."""
-    if r.is_zero_ring():
-        raise ValueError("the zero ring is not eligible for the Jacobson radical")
-    ideals = enumerate_one_sided_ideals(r, side)
-    full = (1 << r.order) - 1
-    proper = [i.set for i in ideals if i.bits != full]
-    maximal = [
-        s
-        for s in proper
-        if not any(t.bits != s.bits and s.bits & ~t.bits == 0 for t in proper)
-    ]
-    bits = full
-    for s in maximal:
-        bits &= s.bits
-    return ElementSet(r, bits)

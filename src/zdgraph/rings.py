@@ -44,11 +44,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 class FiniteRing:
-    """A finite ring with 1 on elements 0..order-1, zero fixed at index 0."""
+    """A finite ring with 1 on elements 0..order-1, zero fixed at index 0.
+
+    `matrix_of` is (base, k) when `make_matrix_ring(base, k)` built the ring,
+    and None otherwise.
+    """
 
     zero = 0
 
-    def __init__(self, add_table, mul_table, one: int, name: str = ""):
+    def __init__(self, add_table, mul_table, one: int, name: str = "", matrix_of=None):
         add_table = np.asarray(add_table)
         mul_table = np.asarray(mul_table)
         n = add_table.shape[0]
@@ -61,6 +65,7 @@ class FiniteRing:
         self.mul_table = _freeze(mul_table)
         self.one = int(one)
         self.name = name or f"ring-of-order-{n}"
+        self.matrix_of = matrix_of
         self._neg: np.ndarray | None = None
 
     # -- elementwise access ------------------------------------------------
@@ -79,17 +84,11 @@ class FiniteRing:
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def is_zero_ring(self) -> bool:
         return self.one == self.zero
 
     def is_commutative(self) -> bool:
         return bool(np.array_equal(self.mul_table, self.mul_table.T))
-
-    def validate(self) -> None:
-        validate_ring(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteRing):
@@ -157,14 +156,6 @@ class ElementSet:
 
     def __iter__(self):
         return iter(self.indices())
-
-    def __or__(self, other: "ElementSet") -> "ElementSet":
-        assert self.ring is other.ring
-        return ElementSet(self.ring, self.bits | other.bits)
-
-    def __and__(self, other: "ElementSet") -> "ElementSet":
-        assert self.ring is other.ring
-        return ElementSet(self.ring, self.bits & other.bits)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElementSet):
@@ -273,9 +264,13 @@ def make_cyclic_ring(n: int) -> FiniteRing:
     if n <= 0:
         raise ValueError("cyclic ring order must be a positive integer")
     ar = np.arange(n, dtype=np.int64)
-    dtype = _index_dtype(n)
-    add = ((ar[:, None] + ar[None, :]) % n).astype(dtype)
-    mul = ((ar[:, None] * ar[None, :]) % n).astype(dtype)
+    add = np.empty((n, n), dtype=_index_dtype(n))
+    mul = np.empty_like(add)
+    step = max(1, _BLOCK_ELEMS // n)
+    for lo in range(0, n, step):
+        rows = ar[lo : lo + step, None]
+        add[lo : lo + step] = (rows + ar) % n
+        mul[lo : lo + step] = rows * ar % n
     return FiniteRing(add, mul, one=1 % n, name=f"Z{n}")
 
 
@@ -319,7 +314,7 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int | None = None) -> Finite
         raise ValueError("matrix dimension must be at least 1")
     name = f"M{k}({base.name})"
     if base.order == 1:  # matrices over the zero ring: the zero ring again
-        return FiniteRing(base.add_table, base.mul_table, one=0, name=name)
+        return FiniteRing(base.add_table, base.mul_table, one=0, name=name, matrix_of=(base, k))
     m = base.order
     n = m ** (k * k)
     _check_cap(n, cap)
@@ -355,7 +350,7 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int | None = None) -> Finite
 
     one_digits = [base.one if i == j else 0 for i in range(k) for j in range(k)]
     one = int(sum(d * w for d, w in zip(one_digits, weights)))
-    return FiniteRing(add, mul, one=one, name=name)
+    return FiniteRing(add, mul, one=one, name=name, matrix_of=(base, k))
 
 
 def _table_ints(tokens: list[str]) -> list[int]:
@@ -486,13 +481,6 @@ def element_zero_divisors(r: FiniteRing) -> ElementSet:
     rows = _row_any_blocked(r.mul_table, lambda blk: blk[:, 1:] == 0)
     cols = _row_any_blocked(np.ascontiguousarray(r.mul_table.T), lambda blk: blk[:, 1:] == 0)
     return ElementSet.from_mask(r, rows | cols)
-
-
-def is_division_ring(r: FiniteRing) -> bool:
-    """True iff every nonzero element has a two-sided inverse; rejects the zero ring."""
-    if r.is_zero_ring():
-        raise ValueError("the zero ring is not eligible for the division-ring predicate")
-    return bool(units_mask(r)[1:].all())
 
 
 def central_idempotents(r: FiniteRing) -> list[int]:

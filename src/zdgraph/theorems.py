@@ -428,17 +428,20 @@ def _matrix_unmet(r: FiniteRing, k: int) -> str | None:
     return "matrix dimension below 2" if k < 2 else None
 
 
-def _require_matrix(base: FiniteRing, k: int) -> None:
-    unmet = _matrix_unmet(base, k)
+def _require_matrix(a: RingAnalysis) -> tuple[FiniteRing, int]:
+    """(base, k) of the matrix ring a.ring = M_k(base), if the matrix checks apply."""
+    m = a.ring.matrix_of
+    unmet = "ring was not built by make_matrix_ring" if m is None else _matrix_unmet(*m)
     if unmet is not None:
         raise ValueError(f"matrix checks do not apply: {unmet}")
+    return m
 
 
-def check_matrix_diam_lower(a: RingAnalysis, base: FiniteRing, k: int) -> CheckResult:
+def check_matrix_diam_lower(a: RingAnalysis) -> CheckResult:
     """diam of the undirected graph of a = M_k(base) is at least 2; also
     verifies the witness pair of column/row ideals at the corner unit."""
     name = "matrix_diam_lower"
-    _require_matrix(base, k)
+    base, k = _require_matrix(a)
     m, g = a.ring, a.graph
     diam = g.metrics.undirected_diameter
     witness: dict = {"diameter": serialize_extent(diam)}
@@ -461,11 +464,12 @@ def check_matrix_diam_lower(a: RingAnalysis, base: FiniteRing, k: int) -> CheckR
     return CheckResult(name, PASS if ok else FAIL, witness)
 
 
-def check_matrix_diam_monotone(a: RingAnalysis, base: RingAnalysis, k: int) -> CheckResult:
+def check_matrix_diam_monotone(a: RingAnalysis, base: RingAnalysis) -> CheckResult:
     """diam over a = M_k(base.ring) dominates diam over the base ring, and the
     base-ring graph agrees with the directly built annihilating-ideal graph."""
     name = "matrix_diam_monotone"
-    _require_matrix(base.ring, k)
+    if base.ring != _require_matrix(a)[0]:
+        raise ValueError("matrix_diam_monotone needs the analysis of the matrix ring's base")
     diam_base = base.graph.metrics.undirected_diameter
     diam_ag = annihilating_ideal_graph(base).metrics.undirected_diameter
     diam_matrix = a.graph.metrics.undirected_diameter
@@ -482,10 +486,10 @@ def check_matrix_diam_monotone(a: RingAnalysis, base: RingAnalysis, k: int) -> C
     return CheckResult(name, PASS if ok else FAIL, witness)
 
 
-def check_matrix_girth(a: RingAnalysis, base: FiniteRing, k: int) -> CheckResult:
+def check_matrix_girth(a: RingAnalysis) -> CheckResult:
     """Girth of the undirected graph of a = M_k(base) is exactly 3."""
     name = "matrix_girth"
-    _require_matrix(base, k)
+    _require_matrix(a)
     value, witness = _girth_witness(a.graph)
     return CheckResult(name, PASS if value == 3 else FAIL, witness)
 
@@ -497,7 +501,6 @@ def run_all(
     r: FiniteRing,
     expr: str | None = None,
     *,
-    matrix: tuple[FiniteRing, int] | None = None,
     analysis: RingAnalysis | None = None,
 ) -> AnalysisReport:
     """Build ideals, the ideal-product semigroup, both graph views, all
@@ -505,8 +508,9 @@ def run_all(
 
     Checks take the artifacts they read; this is the one function that builds
     them.  Every check shares r's `analysis` (prepared here if not given).
-    When r = M_k(base) and `matrix` is (base, k), the matrix checks run too,
-    on r's analysis and the base ring's, prepared here only when they apply.
+    When make_matrix_ring built r = M_k(base) (`r.matrix_of`), the matrix
+    checks run too, on r's analysis and the base ring's, prepared here only
+    when they apply.
     """
     a = analysis if analysis is not None else prepare_ring_analysis(r)
     metrics = a.graph.metrics
@@ -516,17 +520,15 @@ def run_all(
         classify_completeness(a),
         check_not_tournament(a),
     ]
-    if matrix is not None:
-        base, k = matrix
-        unmet = _matrix_unmet(base, k)
+    if r.matrix_of is not None:
+        unmet = _matrix_unmet(*r.matrix_of)
         if unmet is not None:
             checks += [CheckResult(n, NOT_APPLICABLE, {"unmet": unmet}) for n in _MATRIX_CHECKS]
         else:
-            base_analysis = prepare_ring_analysis(base)
             checks += [
-                check_matrix_diam_lower(a, base, k),
-                check_matrix_diam_monotone(a, base_analysis, k),
-                check_matrix_girth(a, base, k),
+                check_matrix_diam_lower(a),
+                check_matrix_diam_monotone(a, prepare_ring_analysis(r.matrix_of[0])),
+                check_matrix_girth(a),
             ]
     return AnalysisReport(
         expr=expr if expr is not None else r.name,

@@ -102,6 +102,15 @@ def naive_girth(vertices, und_edges):
     return best[0]
 
 
+def naive_is_division_ring(ring):
+    """Every nonzero element has a two-sided inverse, by a double loop."""
+    n = ring.order
+    return all(
+        any(ring.mul(a, b) == ring.one == ring.mul(b, a) for b in range(1, n))
+        for a in range(1, n)
+    )
+
+
 def ring_isomorphism(a, b):
     """Search for a table bijection (orders <= 8); returns the map or None."""
     if a.order != b.order:

@@ -129,9 +129,9 @@ def test_criterion_07_matrix_diameter_and_girth(rings):
         started = time.monotonic()
         ring = rings[name]
         a = z.prepare_ring_analysis(z.make_matrix_ring(ring, 2))
-        lower = z.check_matrix_diam_lower(a, ring, 2)
-        monotone = z.check_matrix_diam_monotone(a, z.prepare_ring_analysis(ring), 2)
-        girth_res = z.check_matrix_girth(a, ring, 2)
+        lower = z.check_matrix_diam_lower(a)
+        monotone = z.check_matrix_diam_monotone(a, z.prepare_ring_analysis(ring))
+        girth_res = z.check_matrix_girth(a)
         elapsed = time.monotonic() - started
         assert lower.status == "pass", (name, lower.witness)
         assert monotone.status == "pass", (name, monotone.witness)
@@ -151,7 +151,7 @@ def test_criterion_07_stretch_m2_z12(rings):
     ag_diam = z.undirected_diameter(z.annihilating_ideal_graph(base))
     assert ag_diam == 3
     monotone = z.check_matrix_diam_monotone(
-        z.prepare_ring_analysis(z.make_matrix_ring(r12, 2)), base, 2
+        z.prepare_ring_analysis(z.make_matrix_ring(r12, 2)), base
     )
     assert monotone.status == "pass", monotone.witness
     assert monotone.witness["matrix_diameter"] == 3

@@ -1,5 +1,5 @@
 """Each artifact is built once per ring, and reports match the committed
-golden bytes (generated before the build-once refactor)."""
+golden bytes (each generated by the code before the refactor it guards)."""
 
 import sys
 from collections import Counter
@@ -40,7 +40,7 @@ def _count_pipeline(monkeypatch) -> tuple[Counter, Counter]:
 
 def test_run_all_builds_each_artifact_once(rings, monkeypatch):
     ipo, enum = _count_pipeline(monkeypatch)
-    report = z.run_all(rings["M2(Z2)"], matrix=(rings["Z2"], 2))
+    report = z.run_all(rings["M2(Z2)"])
     assert [c.status for c in report.checks[-3:]] == ["pass"] * 3
     assert ipo == {"M2(Z2)": 1, "Z2": 1}
     # Z2 is commutative: one enumeration serves both sides
@@ -55,9 +55,19 @@ def test_analyze_matrix_of_table_file_builds_inner_ring_once(rings, tmp_path, mo
     path.write_text("\n".join(rows) + "\n")
     loads = _count_calls(monkeypatch, "load_table_ring", lambda text, cap=None: "file")
     ipo, enum = _count_pipeline(monkeypatch)
+    reads = Counter()
+    read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads[self] += 1
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
     assert main(["analyze", f"M2(T({path}))"]) == 0
     capsys.readouterr()
     assert loads == {"file": 1}
+    # once for its declared order (the cap check), once for the tables
+    assert reads == {path: 2}
     assert sorted(ipo.values()) == [1, 1]
     assert sorted(enum.values()) == [1, 1, 1]
 
@@ -67,7 +77,7 @@ def test_each_graph_is_measured_once(rings, monkeypatch):
     metrics = _count_calls(monkeypatch, "compute_graph_metrics", id)
     girths = _count_calls(monkeypatch, "girth_with_cycle", id, home=graphs)
     levels = _count_calls(monkeypatch, "_matrix_levels", lambda adj: len(adj), home=graphs)
-    report = z.run_all(rings["M2(Z2)"], matrix=(rings["Z2"], 2))
+    report = z.run_all(rings["M2(Z2)"])
     assert [c.status for c in report.checks[-3:]] == ["pass"] * 3
     # one IPO each for M2(Z2) and Z2
     assert list(ann.values()) == [1, 1]
@@ -88,7 +98,18 @@ def test_verify_semigroups_computes_ann_sets_once_each(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "stem, expr",
-    [("Z12", "Z12"), ("Z2xZ3", "Z2 x Z3"), ("M2_Z2", "M2(Z2)"), ("M2_Z4", "M2(Z4)")],
+    [
+        ("Z12", "Z12"),
+        ("Z2xZ3", "Z2 x Z3"),
+        ("M2_Z2", "M2(Z2)"),
+        ("M2_Z4", "M2(Z4)"),
+        # the three reasons the matrix checks do not apply
+        ("M1_Z6", "M1(Z6)"),
+        ("M1_M2_Z2", "M1(M2(Z2))"),
+        ("M2_Z1", "M2(Z1)"),
+        # a product with a matrix factor gets no matrix checks
+        ("M2_Z2xZ3", "M2(Z2) x Z3"),
+    ],
 )
 def test_analyze_matches_golden_bytes(stem, expr, tmp_path, capsys):
     dot = tmp_path / "graph.dot"

@@ -35,7 +35,6 @@ def test_analyze_capacity_error(monkeypatch, capsys):
         raise AssertionError("make_matrix_ring called for an over-cap expression")
 
     monkeypatch.setattr(zdgraph.expr, "make_matrix_ring", no_build)
-    monkeypatch.setattr(zdgraph.cli, "make_matrix_ring", no_build)
     assert main(["analyze", "M3(M2(Z7))"]) == 1
     assert "size cap" in capsys.readouterr().err
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import zdgraph as z
 
-from oracles import ring_isomorphism
+from oracles import naive_is_division_ring, ring_isomorphism
 
 # matrix-unit indices in M2(Z2): digits (m00,m01,m10,m11), most significant first
 E11, E12, E21, E22 = 8, 4, 2, 1
@@ -24,14 +24,20 @@ def test_cyclic_ring_basics():
 def test_zero_ring():
     r1 = z.make_cyclic_ring(1)
     assert r1.order == 1 and r1.one == r1.zero == 0
-    r1.validate()
+    z.validate_ring(r1)
     assert z.element_zero_divisors(r1).indices() == ()
     with pytest.raises(ValueError):
-        z.is_division_ring(r1)
-    with pytest.raises(ValueError):
         z.is_local_ring(r1)
-    with pytest.raises(ValueError):
-        z.jacobson_radical(r1)
+
+
+def test_cyclic_ring_tables_match_closed_form():
+    # 2500 rows span two row blocks of the table fill
+    for n in (1, 2, 7, 300, 2500):
+        r = z.make_cyclic_ring(n)
+        ar = np.arange(n)
+        assert r.add_table.dtype == r.mul_table.dtype == np.uint16
+        assert np.array_equal(r.add_table, np.add.outer(ar, ar) % n)
+        assert np.array_equal(r.mul_table, np.multiply.outer(ar, ar) % n)
 
 
 def test_product_ring_shape(rings):
@@ -51,6 +57,17 @@ def test_matrix_ring_m1_is_base(rings):
     assert m1 == rings["Z6"]
 
 
+def test_only_matrix_rings_record_their_base(rings):
+    z1, z2 = rings["Z1"], rings["Z2"]
+    assert rings["M2(Z2)"].matrix_of == (z2, 2)
+    assert z.make_matrix_ring(z1, 3).matrix_of == (z1, 3)
+    assert z.make_matrix_ring(rings["Z6"], 1).matrix_of == (rings["Z6"], 1)
+    for name in ("Z1", "Z6", "Z2xZ3"):
+        assert rings[name].matrix_of is None
+    assert z.make_product_ring(rings["M2(Z2)"], rings["Z3"]).matrix_of is None
+    assert z.load_table_ring(_format_tables(rings["M2(Z2)"])).matrix_of is None
+
+
 def test_matrix_ring_m2z2(rings):
     m = rings["M2(Z2)"]
     assert m.order == 16
@@ -64,6 +81,7 @@ def test_matrix_ring_over_the_zero_ring_is_built_without_tables():
     m = z.make_matrix_ring(z.make_cyclic_ring(1), 100000)
     assert m.order == 1 and m.is_zero_ring()
     assert m.name == "M100000(Z1)"
+    assert m.matrix_of[1] == 100000
 
 
 def test_matrix_ring_capacity():
@@ -76,7 +94,7 @@ def test_matrix_ring_capacity():
 
 def test_validate_accepts_all_constructors(rings):
     for ring in rings.values():
-        ring.validate()
+        z.validate_ring(ring)
 
 
 def _format_tables(ring):
@@ -121,9 +139,7 @@ def test_load_table_ring_gf4():
     gf4 = z.load_table_ring(GF4)
     assert gf4.order == 4
     # brute-force: every nonzero element is a unit
-    for a in range(1, 4):
-        assert any(gf4.mul(a, b) == gf4.one == gf4.mul(b, a) for b in range(1, 4))
-    assert z.is_division_ring(gf4)
+    assert naive_is_division_ring(gf4)
 
 
 def test_load_table_ring_renumbers_identity(rings):
@@ -162,18 +178,12 @@ def test_element_zero_divisors(rings):
     assert len(m_divisors) == 10  # 16 elements minus the 6 invertible matrices
 
 
-def test_is_division_ring(rings):
-    assert z.is_division_ring(rings["Z7"])
-    assert not z.is_division_ring(rings["Z6"])
-    assert not z.is_division_ring(rings["M2(Z2)"])
-
-
 def test_zero_divisors_vs_division_ring(rings):
     for ring in rings.values():
         if ring.is_zero_ring():
             continue
         nonzero_divisors = [x for x in z.element_zero_divisors(ring).indices() if x]
-        assert (not nonzero_divisors) == z.is_division_ring(ring)
+        assert (not nonzero_divisors) == naive_is_division_ring(ring)
 
 
 def test_central_idempotents(rings):
@@ -201,8 +211,6 @@ def test_element_set_operations(rings):
     assert len(s) == 3
     assert str(s) == "{0,2,4}"
     assert s.issubset(z.ElementSet.full(r))
-    assert (s | z.ElementSet.from_indices(r, [3])).indices() == (0, 2, 3, 4)
-    assert (s & z.ElementSet.from_indices(r, [0, 3, 4])).indices() == (0, 4)
 
 
 def test_element_set_sort_key_is_bitvector_lex(rings):
@@ -215,7 +223,7 @@ def test_element_set_sort_key_is_bitvector_lex(rings):
 
 @given(st.integers(min_value=1, max_value=40))
 def test_cyclic_rings_validate(n):
-    z.make_cyclic_ring(n).validate()
+    z.validate_ring(z.make_cyclic_ring(n))
 
 
 def test_validation_catches_broken_associativity(rings):
@@ -223,4 +231,4 @@ def test_validation_catches_broken_associativity(rings):
     mul[3, 3] = 2  # 3*3 = 9 = 1 mod 4; breaking it breaks associativity
     broken = z.FiniteRing(rings["Z4"].add_table, mul, one=1)
     with pytest.raises(z.RingValidationError):
-        broken.validate()
+        z.validate_ring(broken)

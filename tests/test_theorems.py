@@ -116,47 +116,54 @@ def test_matrix_checks(rings):
     for base in ("Z2", "Z3", "Z4"):
         r = rings[base]
         a = z.prepare_ring_analysis(z.make_matrix_ring(r, 2))
-        assert z.check_matrix_diam_lower(a, r, 2).status == "pass"
-        assert z.check_matrix_diam_monotone(a, z.prepare_ring_analysis(r), 2).status == "pass"
-        assert z.check_matrix_girth(a, r, 2).status == "pass"
+        assert z.check_matrix_diam_lower(a).status == "pass"
+        assert z.check_matrix_diam_monotone(a, z.prepare_ring_analysis(r)).status == "pass"
+        assert z.check_matrix_girth(a).status == "pass"
 
 
 def test_matrix_checks_witnesses(rings):
     a = z.prepare_ring_analysis(rings["M2(Z2)"])
-    res = z.check_matrix_diam_lower(a, rings["Z2"], 2)
+    res = z.check_matrix_diam_lower(a)
     assert res.witness["corner_pair_present"] and res.witness["corner_product_nonzero"]
     assert res.witness["diameter"] >= 2
 
-    res = z.check_matrix_girth(a, rings["Z2"], 2)
+    res = z.check_matrix_girth(a)
     assert res.witness["girth"] == 3 and len(res.witness["cycle"]) == 3
 
 
 def test_matrix_checks_reject_bad_args(rings):
-    # (base, k) is rejected before the analysis is read: M2(M2(Z2)) is over
-    # the size cap, so the analysis of M2(Z2) stands in for it
-    m2 = z.prepare_ring_analysis(rings["M2(Z2)"])
-    with pytest.raises(ValueError):
-        z.check_matrix_diam_lower(m2, rings["M2(Z2)"], 2)
+    z6 = z.prepare_ring_analysis(rings["Z6"])
+    for check in (z.check_matrix_diam_lower, z.check_matrix_girth):
+        with pytest.raises(ValueError, match="not built by make_matrix_ring"):
+            check(z6)
+    with pytest.raises(ValueError, match="not built by make_matrix_ring"):
+        z.check_matrix_diam_monotone(z6, z6)
+    noncommutative = z.prepare_ring_analysis(z.make_matrix_ring(rings["M2(Z2)"], 1))
+    with pytest.raises(ValueError, match="not commutative"):
+        z.check_matrix_diam_lower(noncommutative)
     m1 = z.prepare_ring_analysis(z.make_matrix_ring(rings["Z6"], 1))
-    with pytest.raises(ValueError):
-        z.check_matrix_girth(m1, rings["Z6"], 1)
+    with pytest.raises(ValueError, match="dimension below 2"):
+        z.check_matrix_girth(m1)
+    m2 = z.prepare_ring_analysis(rings["M2(Z2)"])
+    with pytest.raises(ValueError, match="base"):
+        z.check_matrix_diam_monotone(m2, z.prepare_ring_analysis(rings["Z3"]))
 
 
 def test_matrix_checks_over_the_zero_ring(rings):
     z1 = rings["Z1"]
     m = z.make_matrix_ring(z1, 2)
-    report = z.run_all(m, matrix=(z1, 2))
+    report = z.run_all(m)
     assert [(c.check_name, c.status, c.witness) for c in report.checks[-3:]] == [
         (name, "not-applicable", {"unmet": "ring has one == zero"})
         for name in ("matrix_diam_lower", "matrix_diam_monotone", "matrix_girth")
     ]
     a = z.prepare_ring_analysis(m)
     with pytest.raises(ValueError, match="one == zero"):
-        z.check_matrix_diam_lower(a, z1, 2)
+        z.check_matrix_diam_lower(a)
     with pytest.raises(ValueError, match="one == zero"):
-        z.check_matrix_diam_monotone(a, z.prepare_ring_analysis(z1), 2)
+        z.check_matrix_diam_monotone(a, z.prepare_ring_analysis(z1))
     with pytest.raises(ValueError, match="one == zero"):
-        z.check_matrix_girth(a, z1, 2)
+        z.check_matrix_girth(a)
 
 
 def test_ag_graph_matches_ipo_graph(rings):
@@ -277,12 +284,17 @@ def test_run_all_reports(rings):
     assert rep.directed_diameter == 3 and rep.girth == INF
     assert rep.left_ideal_count == rep.right_ideal_count == 6
 
-    rep = z.run_all(rings["M2(Z2)"], matrix=(rings["Z2"], 2))
+    # a matrix ring knows its base: no argument turns the matrix checks on
+    rep = z.run_all(z.make_matrix_ring(z.make_cyclic_ring(2), 2))
     names = [c.check_name for c in rep.checks]
     assert names[-3:] == ["matrix_diam_lower", "matrix_diam_monotone", "matrix_girth"]
     assert all(c.status == "pass" for c in rep.checks[-3:])
 
+    # and no other ring gets them, a product with a matrix factor included
+    for ring in (rings["Z12"], z.make_product_ring(rings["M2(Z2)"], rings["Z3"])):
+        assert not any(c.check_name.startswith("matrix_") for c in z.run_all(ring).checks)
+
 
 def test_run_all_noncommutative_matrix_base(rings):
-    rep = z.run_all(z.make_matrix_ring(rings["M2(Z2)"], 1), matrix=(rings["M2(Z2)"], 1))
+    rep = z.run_all(z.make_matrix_ring(rings["M2(Z2)"], 1))
     assert {c.status for c in rep.checks[-3:]} == {"not-applicable"}
