@@ -169,19 +169,28 @@ def unparse(e: RingExpr) -> str:
     raise TypeError(f"not a ring expression: {e!r}")
 
 
-def expr_order(e: RingExpr, cap: int | None = None) -> int:
+def _table_text(path: str, texts: dict[str, str]) -> str:
+    if path not in texts:
+        texts[path] = Path(path).read_text()
+    return texts[path]
+
+
+def expr_order(e: RingExpr, cap: int | None = None, texts: dict[str, str] | None = None) -> int:
     """The order of the ring an expression names, found without building it
-    (a table file is read only for its declared order).  Raises CapacityError
-    once a subexpression exceeds `cap`; none is larger than the whole ring."""
+    (of a table file, only the declared order is parsed).  Raises CapacityError
+    once a subexpression exceeds `cap`; none is larger than the whole ring.
+    `texts` maps each table file read so far to its contents, so that a build
+    that follows reads no file twice."""
     cap = DEFAULT_SIZE_CAP if cap is None else cap
+    texts = {} if texts is None else texts
     if isinstance(e, Cyclic):
         n = e.n
     elif isinstance(e, TableFile):
-        n = table_order(Path(e.path).read_text())
+        n = table_order(_table_text(e.path, texts))
     elif isinstance(e, Product):
-        n = math.prod(expr_order(f, cap) for f in e.factors)
+        n = math.prod(expr_order(f, cap, texts) for f in e.factors)
     elif isinstance(e, Matrix):
-        m, kk = expr_order(e.inner, cap), e.k * e.k
+        m, kk = expr_order(e.inner, cap, texts), e.k * e.k
         if m > 1 and kk >= cap.bit_length():  # m**kk >= 2**kk > cap; never compute it
             raise CapacityError(f"ring of order {m}**{kk} exceeds the size cap of {cap}")
         n = m**kk
@@ -192,18 +201,19 @@ def expr_order(e: RingExpr, cap: int | None = None) -> int:
 
 
 def build_ring(e: RingExpr, cap: int | None = None) -> FiniteRing:
-    """Construct the ring an expression names (reading table files from disk).
+    """Construct the ring an expression names, reading each table file once.
     The whole ring's order is checked against `cap` before anything is built."""
-    expr_order(e, cap)
-    return _build(e, cap)
+    texts: dict[str, str] = {}
+    expr_order(e, cap, texts)
+    return _build(e, cap, texts)
 
 
-def _build(e: RingExpr, cap: int | None) -> FiniteRing:
+def _build(e: RingExpr, cap: int | None, texts: dict[str, str]) -> FiniteRing:
     if isinstance(e, Cyclic):
         return make_cyclic_ring(e.n)
     if isinstance(e, Matrix):
-        return make_matrix_ring(_build(e.inner, cap), e.k, cap)
+        return make_matrix_ring(_build(e.inner, cap, texts), e.k, cap)
     if isinstance(e, TableFile):
-        return load_table_ring(Path(e.path).read_text(), cap)
-    rings = [_build(f, cap) for f in e.factors]
+        return load_table_ring(_table_text(e.path, texts), cap)
+    rings = [_build(f, cap, texts) for f in e.factors]
     return reduce(lambda a, b: make_product_ring(a, b, cap), rings)

@@ -15,9 +15,13 @@ DEFAULT_SIZE_CAP = 25_000
 # large tables (keeps peak memory of vectorised passes at a few hundred MB)
 _BLOCK_ELEMS = 4_000_000
 
+# entries per block of an associativity scan; a scan runs while a parsed
+# table file is still in memory, so its blocks stay small (about 1 MB)
+_ASSOC_BLOCK = 1 << 18
+
 
 class RingValidationError(ValueError):
-    """A ring axiom failed; carries the axiom name and the first witness."""
+    """A ring axiom failed; carries the axiom name and a witness that fails it."""
 
     def __init__(self, axiom: str, witness: tuple | None, message: str):
         super().__init__(message)
@@ -180,22 +184,86 @@ def _first_bad_pair(bad: np.ndarray) -> tuple[int, int]:
     return int(i), int(j)
 
 
-def _first_non_associative(t: np.ndarray) -> tuple[int, int, int] | None:
-    """The first triple (a, b, c), in row-major order, where the operation
-    with Cayley table t is not associative: t[t[a,b],c] != t[a,t[b,c]]."""
-    for a in range(t.shape[0]):
-        lhs = t[t[a]]            # (a*b)*c
-        rhs = t[a][t]            # a*(b*c)
+def _first_non_associative(t: np.ndarray, middles) -> tuple[int, int, int] | None:
+    """A triple (x, g, y) with g in `middles` where the operation with Cayley
+    table t fails t[t[x,g],y] == t[x,t[g,y]], or None.  Costs O(n^2) lookups
+    per middle, in blocks of about _ASSOC_BLOCK entries."""
+    n = t.shape[0]
+    middles = np.asarray(middles, dtype=np.intp)
+    per = max(1, min(len(middles), _ASSOC_BLOCK // (n * n)))
+    rows = max(1, _ASSOC_BLOCK // (n * per))
+    for i in range(0, len(middles), per):
+        gs = middles[i : i + per]
+        right = t[gs]                                # g*y, shape (k, n)
+        for lo in range(0, n, rows):
+            block = t[lo : lo + rows]
+            lhs = t[block[:, gs]]                    # (x*g)*y, shape (h, k, n)
+            rhs = block[:, right]                    # x*(g*y)
+            bad = lhs != rhs
+            if bad.any():
+                x, j, y = np.argwhere(bad)[0]
+                return lo + int(x), int(gs[j]), int(y)
+    return None
+
+
+def _reaching_generators(add: np.ndarray) -> list[int]:
+    """Greedy additive generators read off the table alone: the smallest
+    element not yet reachable from 0 by steps x -> x + g (g a generator so
+    far) becomes the next generator, until every element is reachable.
+
+    Nothing about the table is trusted beyond add[0, g] == g, which makes
+    each new generator reachable, so this ends after at most n - 1 picks.
+    """
+    reached = np.zeros(add.shape[0], dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            step = np.unique(add[frontier[:, None], gens])
+            frontier = step[~reached[step]]
+            reached[frontier] = True
+    return gens
+
+
+def _first_bad_distributive(mul: np.ndarray, add: np.ndarray, bs, side: str):
+    """A triple (a, b, c) with b in `bs` where a*(b+c) != a*b + a*c (side
+    "left") or (b+c)*a != b*a + c*a (side "right"), or None."""
+    m = mul if side == "left" else mul.T              # m[a, x] = a*x, or x*a
+    for b in bs:
+        lhs = m[:, add[b]]                            # a*(b+c)
+        rhs = add[m[:, b][:, None], m]                # a*b + a*c
         if not np.array_equal(lhs, rhs):
-            return (a, *_first_bad_pair(lhs != rhs))
+            a, c = _first_bad_pair(lhs != rhs)
+            return a, int(b), c
     return None
 
 
 def validate_ring(r: FiniteRing) -> None:
-    """Exhaustively check every ring axiom, reporting the first violation.
+    """Check every ring axiom, raising RingValidationError with a witness
+    that fails the named axiom (not necessarily the first in row-major order).
 
-    The checks run in O(n^3) table lookups (vectorised, blocked by rows),
-    so this is meant for constructor-sized and file-loaded rings.
+    Cost: O(n^2 |G|) table lookups, where G is a set of additive generators
+    found by `_reaching_generators`: every element is reachable from 0 by
+    steps x -> x + g with g in G (for the `table` ring of order 448, |G| = 6).
+    The O(n^2) axioms (range, commutative addition, identity 0, inverses)
+    are checked first.  Soundness of the rest, with each check run in order:
+
+    - add-associative is checked on (x, g, y) for g in G.  The set
+      {a : (x+a)+y = x+(a+y) for all x, y} contains the identity 0, contains
+      G, and is closed under + (Light's test: if a and b are in it, then
+      (x+(a+b))+y = ((x+a)+b)+y = (x+a)+(b+y) = x+(a+(b+y)) = x+((a+b)+y)).
+      So it holds every element reachable from 0, which is all of them.
+    - zero-annihilates and one-identity are checked on whole rows and columns.
+    - left- and right-distributive are checked with the middle summand b in
+      G, for all a, c.  The good set of b contains 0 (a*0 = 0) and is closed
+      under b -> b + g, since a*((b+g)+c) = a*(b+(g+c)) = a*b + (a*g + a*c)
+      = (a*b + a*g) + a*c = a*(b+g) + a*c; so it is everything.
+    - mul-associative is checked on G^3 only.  Both distributive laws make
+      (xy)z and x(yz) additive in each argument, and both vanish when any
+      argument is 0, so the set of x where they agree for fixed y, z contains
+      0 and is closed under x -> x + g; then the same holds for y, then z.
     """
     n, add, mul = r.order, r.add_table, r.mul_table
     ar = np.arange(n)
@@ -220,7 +288,8 @@ def validate_ring(r: FiniteRing) -> None:
         i = int(np.argwhere(~(add == 0).any(axis=1))[0][0])
         raise RingValidationError("add-inverse", (i,), f"element {i} has no additive inverse")
 
-    bad = _first_non_associative(add)
+    gens = _reaching_generators(add)
+    bad = _first_non_associative(add, gens)
     if bad is not None:
         raise RingValidationError(
             "add-associative", bad, "addition not associative at ({},{},{})".format(*bad)
@@ -233,27 +302,22 @@ def validate_ring(r: FiniteRing) -> None:
             "one-identity", (r.one,), f"element {r.one} is not a two-sided multiplicative identity"
         )
 
-    bad = _first_non_associative(mul)
-    if bad is not None:
-        raise RingValidationError(
-            "mul-associative", bad, "multiplication not associative at ({},{},{})".format(*bad)
-        )
+    for side in ("left", "right"):
+        bad = _first_bad_distributive(mul, add, gens, side)
+        if bad is not None:
+            raise RingValidationError(
+                f"{side}-distributive", bad, "{} distributivity fails at ({},{},{})".format(side, *bad)
+            )
 
-    for a in range(n):
-        lhs = mul[a][add]                            # a*(b+c)
-        rhs = add[np.ix_(mul[a], mul[a])]            # a*b + a*c
-        if not np.array_equal(lhs, rhs):
-            b, c = _first_bad_pair(lhs != rhs)
-            raise RingValidationError(
-                "left-distributive", (a, b, c), f"left distributivity fails at ({a},{b},{c})"
-            )
-        lhs = mul[:, a][add]                         # (b+c)*a
-        rhs = add[np.ix_(mul[:, a], mul[:, a])]      # b*a + c*a
-        if not np.array_equal(lhs, rhs):
-            b, c = _first_bad_pair(lhs != rhs)
-            raise RingValidationError(
-                "right-distributive", (a, b, c), f"right distributivity fails at ({a},{b},{c})"
-            )
+    g = np.asarray(gens, dtype=np.intp)
+    gg = mul[np.ix_(g, g)]
+    lhs = mul[gg[:, :, None], g]                      # (x*y)*z over G^3
+    rhs = mul[g[:, None, None], gg[None, :, :]]       # x*(y*z)
+    if not np.array_equal(lhs, rhs):
+        x, y, z = (int(g[i]) for i in np.argwhere(lhs != rhs)[0])
+        raise RingValidationError(
+            "mul-associative", (x, y, z), f"multiplication not associative at ({x},{y},{z})"
+        )
 
 
 # -- constructors ------------------------------------------------------------
@@ -424,12 +488,17 @@ def load_table_ring(text: str, cap: int | None = None) -> FiniteRing:
 
 
 def _cyclic_chain(add_table: np.ndarray, g: int) -> list[int]:
+    """The nonzero multiples g, 2g, ... up to the first that is 0.  In a group
+    of order n that takes at most n steps; a table whose chain runs longer
+    is not a group, and raises RuntimeError instead of looping forever."""
     mults = []
     m = g
-    while m != 0:
+    for _ in range(add_table.shape[0]):
+        if m == 0:
+            return mults
         mults.append(m)
         m = int(add_table[m, g])
-    return mults
+    raise RuntimeError(f"the multiples of {g} never return to 0: the addition table is not a group")
 
 
 def _additive_span(add_table: np.ndarray, seed, n: int) -> tuple[np.ndarray, list[int]]:

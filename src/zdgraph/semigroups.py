@@ -55,8 +55,18 @@ class FiniteSemigroupWithZero:
         return f"FiniteSemigroupWithZero(order={self.order})"
 
 
-def validate_semigroup(s: FiniteSemigroupWithZero) -> None:
-    """Check associativity (naming the first bad triple) and absorbing zero."""
+def validate_semigroup(s: FiniteSemigroupWithZero, generators=None) -> None:
+    """Check the absorbing zero and associativity, naming a bad triple.
+
+    Associativity is checked as (x*g)*y == x*(g*y) for every g in a set G
+    and all x, y: O(m^2 |G|) lookups.  G is `generators` (indices; None
+    means every element), plus every element that the table does not show
+    to be 0, a member of G, or a product t[p, q] with p, q in G.  This is
+    sound (Light's test): the set {a : (x*a)*y = x*(a*y) for all x, y}
+    contains 0, which absorbs, and G, and is closed under the product, since
+    for a, b in it (x*(ab))*y = ((xa)*b)*y = (xa)*(by) = x*(a*(by)) =
+    x*((ab)*y); so it holds every element.
+    """
     m, t = s.order, s.table
     if t.shape != (m, m):
         raise SemigroupValidationError("shape", None, "Cayley table must be square")
@@ -64,7 +74,16 @@ def validate_semigroup(s: FiniteSemigroupWithZero) -> None:
         raise SemigroupValidationError("range", None, "Cayley table entry out of range")
     if not (np.array_equal(t[0], np.zeros(m, t.dtype)) and np.array_equal(t[:, 0], np.zeros(m, t.dtype))):
         raise SemigroupValidationError("zero", None, "element 0 is not absorbing")
-    bad = _first_non_associative(t)
+    if generators is None:
+        gens = np.arange(m)
+    else:
+        gens = np.asarray(generators, dtype=np.intp)
+        covered = np.zeros(m, dtype=bool)
+        covered[0] = True
+        covered[gens] = True
+        covered[t[gens][:, gens]] = True
+        gens = np.concatenate((gens, np.flatnonzero(~covered)))
+    bad = _first_non_associative(t, gens)
     if bad is not None:
         raise SemigroupValidationError(
             "associativity", bad, "not associative: ({0}*{1})*{2} != {0}*({1}*{2})".format(*bad)
@@ -137,8 +156,10 @@ def build_ipo(
     set {g} of A, a fold over the right-ideal join table, and A*B = (A*K)*L
     is an already-computed pool-pair product.  Every intermediate value must
     be a collected element or ideal, which machine-checks multiplicative
-    closure; the assembled table is then re-validated for associativity and a
-    test cross-checks it against directly computed products on mid-size rings.
+    closure; the assembled table is then re-validated for associativity, with
+    the pool as generators (every element is a product of two pool members),
+    and a test cross-checks it against directly computed products on mid-size
+    rings.
     """
     left = left if left is not None else enumerate_one_sided_ideals(r, "left")
     right = right if right is not None else enumerate_one_sided_ideals(r, "right")
@@ -245,7 +266,7 @@ def build_ipo(
         table[:, j] = pp_eidx[rpool_pidx[fold_column(kb)], pool_idx[lb]]
 
     s = FiniteSemigroupWithZero(table, labels=ordered)
-    validate_semigroup(s)
+    validate_semigroup(s, [_lookup(e_idx, bits, "a pool member") for bits in pool_bits])
     return s
 
 

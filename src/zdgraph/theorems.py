@@ -510,8 +510,10 @@ def run_all(
     them.  Every check shares r's `analysis` (prepared here if not given).
     When make_matrix_ring built r = M_k(base) (`r.matrix_of`), the matrix
     checks run too, on r's analysis and the base ring's, prepared here only
-    when they apply.
+    when they apply.  An `analysis` of another ring raises ValueError.
     """
+    if analysis is not None and analysis.ring is not r:
+        raise ValueError(f"the analysis given to run_all is of {analysis.ring.name}, not {r.name}")
     a = analysis if analysis is not None else prepare_ring_analysis(r)
     metrics = a.graph.metrics
     checks = [

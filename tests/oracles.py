@@ -7,6 +7,8 @@ with the library paths it checks.
 
 from itertools import permutations
 
+import numpy as np
+
 import zdgraph as z
 
 
@@ -127,3 +129,63 @@ def ring_isomorphism(a, b):
         ):
             return p
     return None
+
+
+def first_non_associative(t):
+    """The first triple (a, b, c), in row-major order, where the operation
+    with Cayley table t is not associative: t[t[a,b],c] != t[a,t[b,c]]."""
+    for a in range(t.shape[0]):
+        lhs = t[t[a]]            # (a*b)*c
+        rhs = t[a][t]            # a*(b*c)
+        if not np.array_equal(lhs, rhs):
+            b, c = np.argwhere(lhs != rhs)[0]
+            return a, int(b), int(c)
+    return None
+
+
+def exhaustive_validate_semigroup(s):
+    """Absorbing zero and every triple's associativity, by the O(m^3) scan."""
+    m, t = s.order, s.table
+    if t.min() < 0 or t.max() >= m:
+        raise z.SemigroupValidationError("range", None, "Cayley table entry out of range")
+    if t[0].any() or t[:, 0].any():
+        raise z.SemigroupValidationError("zero", None, "element 0 is not absorbing")
+    bad = first_non_associative(t)
+    if bad is not None:
+        raise z.SemigroupValidationError("associativity", bad, "not associative")
+
+
+def exhaustive_validate_ring(r):
+    """Every ring axiom over every pair or triple of elements, O(n^3), with
+    the first row-major witness (mul-associative before distributivity)."""
+    n, add, mul = r.order, r.add_table, r.mul_table
+    ar = np.arange(n)
+
+    def fail(axiom, witness=None):
+        raise z.RingValidationError(axiom, witness, axiom)
+
+    if min(add.min(), mul.min()) < 0 or max(add.max(), mul.max()) >= n:
+        fail("range")
+    if (add != add.T).any():
+        fail("add-commutative", tuple(int(i) for i in np.argwhere(add != add.T)[0]))
+    if not np.array_equal(add[0], ar):
+        fail("add-identity", (0, int(np.argwhere(add[0] != ar)[0][0])))
+    if not (add == 0).any(axis=1).all():
+        fail("add-inverse", (int(np.argwhere(~(add == 0).any(axis=1))[0][0]),))
+    bad = first_non_associative(add)
+    if bad is not None:
+        fail("add-associative", bad)
+    if mul[0].any() or mul[:, 0].any():
+        fail("zero-annihilates")
+    if not (np.array_equal(mul[r.one], ar) and np.array_equal(mul[:, r.one], ar)):
+        fail("one-identity", (r.one,))
+    bad = first_non_associative(mul)
+    if bad is not None:
+        fail("mul-associative", bad)
+    for a in range(n):
+        for side, m in (("left", mul), ("right", mul.T)):  # m[a, x] = a*x, or x*a
+            lhs = m[a][add]                           # a*(b+c)
+            rhs = add[np.ix_(m[a], m[a])]             # a*b + a*c
+            if not np.array_equal(lhs, rhs):
+                b, c = np.argwhere(lhs != rhs)[0]
+                fail(f"{side}-distributive", (a, int(b), int(c)))

@@ -295,6 +295,15 @@ def test_run_all_reports(rings):
         assert not any(c.check_name.startswith("matrix_") for c in z.run_all(ring).checks)
 
 
+def test_run_all_rejects_the_analysis_of_another_ring(rings):
+    z12 = z.prepare_ring_analysis(rings["Z12"])
+    with pytest.raises(ValueError, match="analysis given to run_all is of Z12, not Z6"):
+        z.run_all(rings["Z6"], analysis=z12)
+    with pytest.raises(ValueError):  # equal tables, but another ring object
+        z.run_all(z.make_cyclic_ring(12), analysis=z12)
+    assert z.run_all(rings["Z12"], analysis=z12).ipo_size == 6
+
+
 def test_run_all_noncommutative_matrix_base(rings):
     rep = z.run_all(z.make_matrix_ring(rings["M2(Z2)"], 1))
     assert {c.status for c in rep.checks[-3:]} == {"not-applicable"}
