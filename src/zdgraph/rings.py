@@ -417,19 +417,15 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int | None = None) -> Finite
     return FiniteRing(add, mul, one=one, name=name, matrix_of=(base, k))
 
 
-def _table_ints(tokens: list[str]) -> list[int]:
-    try:
-        return [int(t) for t in tokens]
-    except ValueError as exc:
-        raise TableFormatError(f"non-integer token in table file: {exc}") from None
-
-
 def table_order(text: str) -> int:
     """The order a table file declares: its first integer, which must be positive."""
     head = text.split(maxsplit=1)
     if not head:
         raise TableFormatError("empty table file")
-    (n,) = _table_ints(head[:1])
+    try:
+        n = int(head[0])
+    except ValueError as exc:
+        raise TableFormatError(f"non-integer token in table file: {exc}") from None
     if n < 1:
         raise TableFormatError("declared order must be a positive integer")
     return n
@@ -446,16 +442,17 @@ def load_table_ring(text: str, cap: int | None = None) -> FiniteRing:
     """
     n = table_order(text)
     _check_cap(n, cap)
-    values = _table_ints(text.split()[1:])
-    expected = 2 * n * n
-    if len(values) != expected:
-        raise TableFormatError(
-            f"expected {1 + expected} integers for order {n} (got {1 + len(values)})"
-        )
+    rest = text.split(maxsplit=1)[1:]
     try:
-        body = np.array(values, dtype=np.int64)
-    except OverflowError:  # a token beyond int64 is out of range for any order
-        raise TableFormatError("table entry out of range for declared order") from None
+        # a token beyond int64 saturates, and the range check below rejects it
+        body = np.fromstring(rest[0] if rest else "", dtype=np.int64, sep=" ")
+    except ValueError:
+        raise TableFormatError("non-integer token in table file") from None
+    expected = 2 * n * n
+    if body.size != expected:
+        raise TableFormatError(
+            f"expected {1 + expected} integers for order {n} (got {1 + body.size})"
+        )
     if body.min() < 0 or body.max() >= n:
         raise TableFormatError("table entry out of range for declared order")
     add = body[: n * n].reshape(n, n)

@@ -10,7 +10,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ideals import OneSidedIdeal, additive_generators, enumerate_one_sided_ideals
-from .rings import ElementSet, FiniteRing, _additive_span, _first_non_associative, _freeze
+from .rings import (
+    ElementSet,
+    FiniteRing,
+    _additive_span,
+    _first_bad_pair,
+    _first_non_associative,
+    _freeze,
+)
+
+
+_CANDIDATE_BLOCK = 256  # candidate tables tested per block by enumerate_semigroups_with_zero
 
 
 class SemigroupValidationError(ValueError):
@@ -129,11 +139,15 @@ def ann_sets(s: FiniteSemigroupWithZero) -> AnnSets:
     return AnnSets(a_left | a_right, a_left, a_right)
 
 
-def _lookup(index: dict, key, what: str) -> int:
-    hit = index.get(key)
-    if hit is None:
-        raise ClosureViolationError(f"{what} is not among the collected ideal products")
-    return hit
+def _in_pool(pidx: np.ndarray, what: str) -> np.ndarray:
+    """`pidx` (pool indices per IPO element pair), or ClosureViolationError
+    naming the first pair whose `what` is not a pool member (index -1)."""
+    if (pidx < 0).any():
+        a, b = _first_bad_pair(pidx < 0)
+        raise ClosureViolationError(
+            f"{what} for IPO elements {a} and {b} is not among the enumerated one-sided ideals"
+        )
+    return pidx
 
 
 def build_ipo(
@@ -142,63 +156,51 @@ def build_ipo(
     """The semigroup of all products I*J over one-sided ideals I, J of r.
 
     Elements are the distinct product sets over every ordered pair drawn
-    from the union of the left- and right-ideal enumerations; the zero
-    ideal sits at index 0 and labels carry the underlying element subsets.
-    `left` and `right`, when given, must be r's full left and right
+    from the pool, the union of the left- and right-ideal enumerations; the
+    zero ideal sits at index 0 and labels carry the underlying element
+    subsets.  `left` and `right`, when given, must be r's full left and right
     enumerations from `enumerate_one_sided_ideals`; they are trusted, not
     re-checked.  A side that is not given is enumerated here.
 
-    The Cayley table is filled algebraically rather than by one closure per
-    entry, one column B at a time by one rule.  B is written as K*L with K a
-    right ideal: B*R for a right ideal B, R*B for a left-only one, otherwise
-    the pool pair that produced B (K is then necessarily a right ideal and L
-    a left ideal).  A*K is the join of the right ideals g*K over a generating
-    set {g} of A, a fold over the right-ideal join table, and A*B = (A*K)*L
-    is an already-computed pool-pair product.  Every intermediate value must
-    be a collected element or ideal, which machine-checks multiplicative
-    closure; the assembled table is then re-validated for associativity, with
-    the pool as generators (every element is a product of two pool members),
-    and a test cross-checks it against directly computed products on mid-size
-    rings.
+    The Cayley table is read off the pool x pool product table.  Each element
+    A is written as K*L with K a right and L a left ideal of the pool: A*R for
+    a right ideal A, R*A for a left-only one, otherwise the pool pair that
+    produced A.  Then every entry is three lookups:
+
+        (K1*L1)*(K2*L2) = K1*((L1*K2)*L2).
+
+    Proof: the product of additive subgroups is associative, since (AB)C
+    and A(BC) are both the subgroup generated by all abc; so the identity
+    holds for any decomposition.  L1*K2 is a two-sided ideal and
+    (L1*K2)*L2 a left ideal, so complete enumerations contain both, and
+    a lookup that misses raises ClosureViolationError.  The producing pair
+    of an element outside the pool is a right K and a left L, because I*J
+    is a left ideal when I is one and a right ideal when J is one; a
+    sided product outside the pool also raises ClosureViolationError.  The
+    assembled table is then re-validated for associativity, with the pool as
+    generators (every element is a product of two pool members), and a test
+    cross-checks it against directly computed products on mid-size rings.
     """
     left = left if left is not None else enumerate_one_sided_ideals(r, "left")
     right = right if right is not None else enumerate_one_sided_ideals(r, "right")
-    pool: dict[int, ElementSet] = {}
-    is_right_flag: dict[int, bool] = {}
-    for ideal in itertools.chain(left, right):
-        pool.setdefault(ideal.bits, ideal.set)
-        is_right_flag[ideal.bits] = is_right_flag.get(ideal.bits, False) or ideal.is_right
-    gens = {
-        bits: np.asarray(additive_generators(r, s), dtype=np.intp)
-        for bits, s in pool.items()
-    }
+    pool = list({ideal.bits: ideal for ideal in itertools.chain(left, right)}.values())
+    pool_idx = {ideal.bits: i for i, ideal in enumerate(pool)}
+    gens = [np.asarray(additive_generators(r, ideal.set), dtype=np.intp) for ideal in pool]
     add_tbl, mul_tbl = r.add_table, r.mul_table
     n = r.order
-    full_bits = (1 << n) - 1
-
-    def raw_product(a_bits: int, b_bits: int) -> int:
-        ga, gb = gens[a_bits], gens[b_bits]
-        if len(ga) == 0 or len(gb) == 0:
-            return 1  # zero ideal
-        seed = np.unique(mul_tbl[ga[:, None], gb])
-        s = ElementSet.from_mask(r, _additive_span(add_tbl, seed, n)[0])
-        if s.bits not in gens:
-            gens[s.bits] = np.asarray(additive_generators(r, s), dtype=np.intp)
-        return s.bits
 
     # discovery: every ordered pool pair, by direct span computation
-    pool_bits = list(pool)
-    pool_idx = {bits: i for i, bits in enumerate(pool_bits)}
     elements: dict[int, ElementSet] = {}
     decomp: dict[int, tuple[int, int]] = {}
     pair_product: list[list[int]] = []
-    for kb in pool_bits:
+    for i, ga in enumerate(gens):
         row = []
-        for lb in pool_bits:
-            bits = raw_product(kb, lb)
+        for j, gb in enumerate(gens):
+            seed = np.unique(mul_tbl[ga[:, None], gb])
+            bits = ElementSet.from_mask(r, _additive_span(add_tbl, seed, n)[0]).bits
             if bits not in elements:
                 elements[bits] = ElementSet(r, bits)
-                decomp[bits] = (kb, lb)
+                decomp[bits] = (i, j)
             row.append(bits)
         pair_product.append(row)
 
@@ -206,67 +208,31 @@ def build_ipo(
     assert ordered[0].bits == 1, "zero ideal must sort first"
     m = len(ordered)
     e_idx = {s.bits: i for i, s in enumerate(ordered)}
-    pp_eidx = np.array(
-        [[_lookup(e_idx, b, "a pool-pair product") for b in row] for row in pair_product],
-        dtype=np.int64,
-    )
-
-    # join table of the right-ideal lattice (sums of right ideals)
-    rpool = [bits for bits in pool_bits if is_right_flag[bits]]
-    r_idx = {bits: i for i, bits in enumerate(rpool)}
-    nr = len(rpool)
-    join = np.zeros((nr, nr), dtype=np.int64)
-    for i, ib in enumerate(rpool):
-        for j, jb in enumerate(rpool):
-            s = ElementSet.from_mask(
-                r, _additive_span(add_tbl, np.concatenate((gens[ib], gens[jb])), n)[0]
-            )
-            join[i, j] = _lookup(r_idx, s.bits, "a sum of right ideals")
-
-    # padded generator matrix over the generator universe; pad slot is the
-    # ring element 0, whose image ideal is always the zero ideal (join unit)
-    universe = sorted({0} | {int(g) for s in ordered for g in gens[s.bits]})
-    g_slot = {g: i for i, g in enumerate(universe)}
-    width = max((len(gens[s.bits]) for s in ordered), default=0)
-    pad = np.zeros((m, max(width, 1)), dtype=np.intp)
-    for i, s in enumerate(ordered):
-        for w, g in enumerate(gens[s.bits]):
-            pad[i, w] = g_slot[int(g)]
-
-    fold_cache: dict[int, np.ndarray] = {}
-
-    def fold_column(k_bits: int) -> np.ndarray:
-        """Right-pool index of A*K for every element A, K a right ideal."""
-        if k_bits in fold_cache:
-            return fold_cache[k_bits]
-        k_indices = np.asarray(pool[k_bits].indices(), dtype=np.intp)
-        images = np.empty(len(universe), dtype=np.int64)
-        for slot, g in enumerate(universe):
-            img = np.zeros(n, dtype=bool)
-            img[0] = True
-            img[mul_tbl[g, k_indices]] = True
-            images[slot] = _lookup(
-                r_idx, ElementSet.from_mask(r, img).bits, f"the right ideal {g}*K"
-            )
-        acc = np.full(m, r_idx[1], dtype=np.int64)  # start from the zero ideal
-        for w in range(pad.shape[1]):
-            acc = join[acc, images[pad[:, w]]]
-        fold_cache[k_bits] = acc
-        return acc
-
-    # a pool member B as K*L: B*R for a right ideal B, R*B for a left-only one
-    for b in pool_bits:
-        decomp[b] = (b, full_bits) if is_right_flag[b] else (full_bits, b)
-    rpool_pidx = np.array([pool_idx[b] for b in rpool], dtype=np.int64)
-
     dtype = np.uint16 if m < 2**16 else np.uint32
-    table = np.zeros((m, m), dtype=dtype)
-    for j, b in enumerate(ordered):
-        kb, lb = decomp[b.bits]  # A*B = (A*K)*L
-        table[:, j] = pp_eidx[rpool_pidx[fold_column(kb)], pool_idx[lb]]
+    pp_eidx = np.array([[e_idx[b] for b in row] for row in pair_product], dtype=dtype)
+    pp_pidx = np.array([[pool_idx.get(b, -1) for b in row] for row in pair_product], dtype=np.int32)
 
-    s = FiniteSemigroupWithZero(table, labels=ordered)
-    validate_semigroup(s, [_lookup(e_idx, bits, "a pool member") for bits in pool_bits])
+    # a pool member A as K*L: A*R for a right ideal A, R*A for a left-only one
+    full = pool_idx[(1 << n) - 1]
+    for i, ideal in enumerate(pool):
+        decomp[ideal.bits] = (i, full) if ideal.is_right else (full, i)
+    k, l = np.array([decomp[s.bits] for s in ordered], dtype=np.intp).T
+
+    t = _in_pool(pp_pidx[l[:, None], k], "L*K")
+    u = _in_pool(pp_pidx[t, l], "(L*K)*L")
+    is_left = np.array([ideal.is_left for ideal in pool])
+    is_right = np.array([ideal.is_right for ideal in pool])
+    pool_e = np.array([e_idx[ideal.bits] for ideal in pool], dtype=np.intp)
+    escaped = (pp_pidx < 0) & (is_left[:, None] | is_right[None, :])
+    if escaped.any():
+        a, b = _first_bad_pair(escaped)
+        raise ClosureViolationError(
+            f"IPO element {pool_e[a]} * {pool_e[b]} has a left first or a right second factor, "
+            "but is not among the enumerated one-sided ideals"
+        )
+
+    s = FiniteSemigroupWithZero(pp_eidx[k[:, None], u], labels=ordered)
+    validate_semigroup(s, pool_e)
     return s
 
 
@@ -274,29 +240,22 @@ def enumerate_semigroups_with_zero(order: int):
     """Every associative Cayley table on {0..order-1} with 0 forced absorbing,
     in lexicographic order of the free entries (row-major over the nonzero
     block).  Capped at order 4: the order-4 sweep already filters 4^9
-    candidate tables."""
+    candidate tables.  Candidates are decoded from their rank in mixed radix,
+    _CANDIDATE_BLOCK at a time, and each block is tested for associativity
+    by one fancy-index comparison over its nonzero triples."""
     if order < 2 or order > 4:
         raise ValueError("exhaustive generation supports orders 2 through 4")
     k = order - 1
-    rng = range(order)
-    nz = range(1, order)
-    for free in itertools.product(rng, repeat=k * k):
-        t = [[0] * order]
-        for i in range(k):
-            t.append([0, *free[i * k : (i + 1) * k]])
-        ok = True
-        for x in nz:
-            tx = t[x]
-            for y in nz:
-                txy = t[tx[y]]
-                ty = t[y]
-                for z in nz:
-                    if txy[z] != tx[ty[z]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            yield FiniteSemigroupWithZero(np.array(t, dtype=np.int64))
+    total = order ** (k * k)
+    weights = order ** np.arange(k * k - 1, -1, -1)  # the first free entry varies slowest
+    nz = np.arange(1, order)
+    for lo in range(0, total, _CANDIDATE_BLOCK):
+        rank = np.arange(lo, min(lo + _CANDIDATE_BLOCK, total))
+        t = np.zeros((len(rank), order, order), dtype=np.int64)
+        t[:, 1:, 1:] = (rank[:, None] // weights % order).reshape(-1, k, k)
+        flat, block = t.ravel(), t[:, 1:, 1:]
+        b = (np.arange(len(rank)) * order * order)[:, None, None, None]
+        lhs = flat[b + block[..., None] * order + nz]  # [b, x, y, z] = (x*y)*z, x, y, z nonzero
+        rhs = flat[b + nz[:, None, None] * order + block[:, None]]  # x*(y*z)
+        for table in t[(lhs == rhs).all(axis=(1, 2, 3))]:
+            yield FiniteSemigroupWithZero(table)

@@ -386,13 +386,11 @@ def check_not_tournament(a: RingAnalysis) -> CheckResult:
     g = a.graph
     if g.metrics.tournament:
         return CheckResult(name, FAIL, {"tournament": True})
-    for x in g.vertices:
-        for y in g.vertices:
-            if x < y and (y in g.out_adj[x]) == (x in g.out_adj[y]):
-                kind = "mutual_pair" if y in g.out_adj[x] else "non_adjacent_pair"
-                return CheckResult(
-                    name, PASS, {kind: [g.label_of(x), g.label_of(y)]}
-                )
+    same = np.triu(g.adj == g.adj.T, 1)  # pairs i < j that are both or neither arcs
+    if same.any():
+        i, j = np.argwhere(same)[0]
+        kind = "mutual_pair" if g.adj[i, j] else "non_adjacent_pair"
+        return CheckResult(name, PASS, {kind: [str(g.labels[i]), str(g.labels[j])]})
     raise RuntimeError("internal: tournament test and witness scan disagree")
 
 

@@ -5,7 +5,7 @@ elements, all subsets, all permutations), deliberately sharing no machinery
 with the library paths it checks.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -153,6 +153,20 @@ def exhaustive_validate_semigroup(s):
     bad = first_non_associative(t)
     if bad is not None:
         raise z.SemigroupValidationError("associativity", bad, "not associative")
+
+
+def naive_semigroups_with_zero(order):
+    """Every associative Cayley table (as nested lists) on 0..order-1 with 0
+    absorbing, by a triple loop over each candidate in itertools.product order
+    of the free entries (row-major over the nonzero block)."""
+    k = order - 1
+    nz = range(1, order)
+    found = []
+    for free in product(range(order), repeat=k * k):
+        t = [[0] * order] + [[0, *free[i * k : (i + 1) * k]] for i in range(k)]
+        if all(t[t[x][y]][w] == t[x][t[y][w]] for x in nz for y in nz for w in nz):
+            found.append(t)
+    return found
 
 
 def exhaustive_validate_ring(r):

@@ -85,6 +85,31 @@ def test_internal_invariant_failure_exits_three(monkeypatch, capsys, error):
     assert main(["verify", "zn", "--max", "3"]) == 3
 
 
+@pytest.mark.parametrize(
+    "size, two_sided, message",
+    [(16, True, "L*K for IPO elements"), (4, False, "a right second factor")],
+    ids=["two-sided-L*K", "minimal-right"],
+)
+def test_incomplete_ideal_enumeration_exits_three(monkeypatch, capsys, size, two_sided, message):
+    # M2(Z2) x Z2 without its two-sided ideal M2(Z2) x 0, or without a minimal
+    # right ideal: build_ipo's closure checks raise, and that is an internal error
+    enumerate_ideals = zdgraph.theorems.enumerate_one_sided_ideals
+    ring = zdgraph.expr.build_ring(zdgraph.expr.parse_ring_expr("M2(Z2) x Z2"))
+    drop = next(
+        i.bits
+        for i in enumerate_ideals(ring, "right")
+        if len(i.set) == size and i.is_left == two_sided
+    )
+
+    def incomplete(r, side):
+        return [i for i in enumerate_ideals(r, side) if i.bits != drop]
+
+    monkeypatch.setattr(zdgraph.theorems, "enumerate_one_sided_ideals", incomplete)
+    assert main(["analyze", "M2(Z2) x Z2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("zdgraph: internal error:") and message in err
+
+
 def test_analyze_parse_error(capsys):
     assert main(["analyze", "Z2 y Z3"]) == 1
     assert "syntax error" in capsys.readouterr().err

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import zdgraph as z
-from zdgraph.semigroups import _lookup
+from oracles import naive_semigroups_with_zero
 
 
 def test_semigroup_from_table_valid():
@@ -50,13 +52,45 @@ def test_build_ipo_zero_ring(rings):
 
 def test_ipo_matches_pairwise_products(rings):
     # the algebraically filled Cayley table equals direct ideal products
-    for name in ("Z12", "M2(Z2)", "M2(Z3)", "Z2xZ4"):
-        ring = rings[name]
+    m2z2xz2 = z.make_product_ring(rings["M2(Z2)"], rings["Z2"])
+    cases = [rings[name] for name in ("Z12", "M2(Z2)", "M2(Z3)", "Z2xZ4")] + [m2z2xz2]
+    for ring in cases:
         ipo = z.build_ipo(ring)
         for i in range(ipo.order):
             for j in range(ipo.order):
                 direct = z.ideal_product(ring, ipo.labels[i], ipo.labels[j])
                 assert direct == ipo.labels[ipo.product(i, j)]
+
+
+# sha256 of the Cayley table bytes and of repr([label.bits ...]), recorded
+# from the IPO builder that filled columns by folding a right-ideal join table
+IPO_PINS = {
+    "M2(Z4)": (
+        "4a0360cc52a84b5ec09d2c8a8f1176b7e2b3d454a07b888eb1810aac600a7afd",
+        "5c25389fa71db90bf986a2f7fdaf07e695476eb8714361828b3d335e11aa79fe",
+    ),
+    "M3(Z2)": (
+        "e4639d9be986fcfbbb6c4c6b649e178746ecc561cf4198a4f539cfe1e66c5125",
+        "94119090c4ae20e4107294c6cd6af48c41def4ad52e0c008051f3c5ac18ffe2a",
+    ),
+    "M2(Z2 x Z2)": (
+        "1b5714bf6aa43db4dc25ff291ca7310bebef298a8036d2fb95f4a52ccca7f738",
+        "1a06a98444a2717018c67692bef0ad05db78506e10e91291a26a8c4ee9a77648",
+    ),
+    "M2(Z2) x Z2": (
+        "feb9a8f681c4ae2f11cfbce505d4ba8826801c098e3b033e26d162d5ba393607",
+        "c4acf46efdd80ba66e574bef3f1a8657e7b74eee724348874478e89621edb186",
+    ),
+}
+
+
+@pytest.mark.parametrize("expr", sorted(IPO_PINS))
+def test_ipo_bytes_are_pinned(expr):
+    ipo = z.build_ipo(z.build_ring(z.parse_ring_expr(expr)))
+    assert ipo.table.dtype == np.uint16
+    table_hash = hashlib.sha256(ipo.table.tobytes()).hexdigest()
+    label_hash = hashlib.sha256(repr([s.bits for s in ipo.labels]).encode()).hexdigest()
+    assert (table_hash, label_hash) == IPO_PINS[expr]
 
 
 def test_commutative_ipo_is_ideal_lattice(rings):
@@ -113,6 +147,13 @@ def test_enumerate_semigroups_order2():
     assert tables == [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]
 
 
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_enumerate_semigroups_matches_triple_loop(order):
+    found = list(z.enumerate_semigroups_with_zero(order))
+    assert {s.table.dtype for s in found} == {np.dtype(np.int64)}
+    assert [s.table.tolist() for s in found] == naive_semigroups_with_zero(order)
+
+
 def test_enumerate_semigroups_validate():
     for order in (2, 3):
         for s in z.enumerate_semigroups_with_zero(order):
@@ -126,9 +167,50 @@ def test_enumerate_semigroups_rejects_bad_order():
         list(z.enumerate_semigroups_with_zero(1))
 
 
-def test_closure_violation_raises():
-    with pytest.raises(z.ClosureViolationError):
-        _lookup({1: 0}, 99, "a pool-pair product")
+def _enumerations_without(ring, bits):
+    return [
+        [ideal for ideal in z.enumerate_one_sided_ideals(ring, side) if ideal.bits != bits]
+        for side in ("left", "right")
+    ]
+
+
+def test_closure_violation_raises(rings):
+    # M2(Z2) x Z2 has two nontrivial two-sided ideals, M2(Z2) x 0 and 0 x Z2,
+    # and each is some L*K; without it the L*K or (L*K)*L lookup misses
+    ring = z.make_product_ring(rings["M2(Z2)"], rings["Z2"])
+    left, right = (z.enumerate_one_sided_ideals(ring, side) for side in ("left", "right"))
+    trivial = {1, (1 << ring.order) - 1}
+    two_sided = [i.set for i in left if i.is_right and i.bits not in trivial]
+    assert sorted(len(x) for x in two_sided) == [2, 16]
+    for x in two_sided:
+        assert any(z.ideal_product(ring, l.set, k.set) == x for l in left for k in right)
+        with pytest.raises(z.ClosureViolationError, match=r"^(\(L\*K\)\*L|L\*K) for IPO elements"):
+            z.build_ipo(ring, *_enumerations_without(ring, x.bits))
+
+
+def test_sided_check_catches_a_missing_minimal_right_ideal(rings):
+    # without a minimal right ideal K x 0 of M2(Z2) x Z2 every L*K and
+    # (L*K)*L is still enumerated, so the table lookups pass; but
+    # (K x Z2) * (M2(Z2) x 0) = K x 0 is a product with a right second factor
+    # that is not, and only the sided check (which runs after them) sees it
+    ring = z.make_product_ring(rings["M2(Z2)"], rings["Z2"])
+    right = z.enumerate_one_sided_ideals(ring, "right")
+    minimal = [k.bits for k in right if not k.is_left and len(k.set) == 4]
+    assert len(minimal) == 3
+    for bits in minimal:
+        with pytest.raises(z.ClosureViolationError, match="left first or a right second factor"):
+            z.build_ipo(ring, *_enumerations_without(ring, bits))
+
+
+@pytest.mark.parametrize(
+    "expr, count", [("M2(Z3)", 6), ("M2(Z5)", 8), ("M3(Z2)", 16), ("M2(Z4)", 15)]
+)
+def test_left_ideal_counts_follow_morita(expr, count):
+    # left ideals of Mk(S) match the submodules of S^k: the subspaces of
+    # F3^2 (1 + 4 + 1), F5^2 (1 + 6 + 1) and F2^3 (1 + 7 + 7 + 1), and the
+    # 15 subgroups of Z4 x Z4
+    ring = z.build_ring(z.parse_ring_expr(expr))
+    assert len(z.enumerate_one_sided_ideals(ring, "left")) == count
 
 
 def test_build_ipo_never_violates_closure(rings):
