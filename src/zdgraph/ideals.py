@@ -26,6 +26,9 @@ class OneSidedIdeal:
     set: ElementSet
     is_left: bool
     is_right: bool
+    # the smallest x with set = Rx in a left enumeration (xR in a right one),
+    # None when the ideal is not principal
+    generator: int | None = None
 
     @property
     def bits(self) -> int:
@@ -72,55 +75,94 @@ def is_right_ideal(r: FiniteRing, s: ElementSet) -> bool:
     return _is_subgroup(r, s) and _absorbs(r, s, "right")
 
 
-def _flagged(r: FiniteRing, s: ElementSet, side: str) -> OneSidedIdeal:
-    if side == "left":
-        return OneSidedIdeal(s, True, _absorbs(r, s, "right"))
-    return OneSidedIdeal(s, _absorbs(r, s, "left"), True)
-
-
-def _principal_sets(r: FiniteRing, side: str) -> dict[int, ElementSet]:
-    """Distinct principal one-sided ideals, keyed by bits.
+def _principal_sets(r: FiniteRing, side: str) -> dict[int, tuple[int, bool]]:
+    """Distinct principal left (Rx) or right (xR) ideals, keyed by bits, each
+    with its smallest generator x and whether it absorbs the other side.
 
     { r*x } is already an additive subgroup (distributivity), so each
-    principal ideal is just the value set of a multiplication column/row.
-    Rows of a one-off transpose keep the scan cache-friendly, and sets are
-    deduplicated before any bit-vector is materialised.
+    principal ideal is the value set of a multiplication column (left) or
+    row (right).  A block of them is scattered into a boolean mask and
+    packed, so sets are compared as bytes and x runs in ascending order.
+    The other side takes one row test: Rx is a right ideal iff xR is in Rx
+    (one way take r = 1 in r*x*s; the other way r*(x*s) stays in the left
+    ideal Rx), and likewise xR is a left ideal iff Rx is in xR.
     """
-    n = r.order
-    src = r.mul_table if side == "right" else np.ascontiguousarray(r.mul_table.T)
-    seen: dict[bytes, ElementSet] = {}
-    for x in range(n):
-        vals = np.unique(src[x])
-        key = vals.tobytes()
-        if key not in seen:
-            mask = np.zeros(n, dtype=bool)
-            mask[vals] = True
-            seen[key] = ElementSet.from_mask(r, mask)
-    return {s.bits: s for s in seen.values()}
+    n, mul = r.order, r.mul_table
+    found: dict[bytes, tuple[int, bool]] = {}
+    step = max(1, _BLOCK_ELEMS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        vals = mul[lo:hi] if side == "right" else mul[:, lo:hi].T  # row i: xR or Rx, x = lo + i
+        mask = np.zeros((hi - lo, n), dtype=bool)
+        mask[np.arange(hi - lo)[:, None], vals] = True
+        for i, row in enumerate(np.packbits(mask, axis=1, bitorder="little")):
+            key = row.tobytes()
+            if key not in found:
+                x = lo + i
+                other = mul[x, :] if side == "left" else mul[:, x]
+                found[key] = (x, bool(mask[i, other].all()))
+    return {int.from_bytes(key, "little"): xf for key, xf in found.items()}
 
 
 def enumerate_one_sided_ideals(r: FiniteRing, side: str) -> list[OneSidedIdeal]:
-    """All left (resp. right) ideals: principal ideals closed under pairwise sum."""
+    """All left (resp. right) ideals: principal ideals closed under pairwise sum.
+
+    Every one-sided ideal is a sum of principal ones.  A sum A+B is read off
+    the ideals known so far when it is among them: it is the known C that
+    contains A and B and has |C| = |A||B| / |A & B|.  Proof: C is an additive
+    subgroup containing A and B, so it contains A+B, and the product formula
+    for subgroups of an abelian group gives |A+B| = |A||B| / |A & B|; equal
+    sizes make them equal.  Only a sum that no known ideal matches (one that
+    is not principal) is computed as an additive span, and only then are the
+    additive generators of its summands computed.  Each ideal keeps one-sided
+    generators x (its principal summands), so the other-side flag of a sum
+    is a row test as for a principal ideal.
+    """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    known = _principal_sets(r, side)
-    gens = {bits: additive_generators(r, s) for bits, s in known.items()}
-    frontier = list(known.values())
+    n, mul = r.order, r.mul_table
+    principal = _principal_sets(r, side)
+    seeds = {bits: [x] for bits, (x, _) in principal.items()}
+    by_size: dict[int, list[int]] = {}
+    for bits in seeds:
+        by_size.setdefault(bits.bit_count(), []).append(bits)
+    add_gens: dict[int, list[int]] = {}
+
+    def gens_of(bits: int) -> list[int]:
+        if bits not in add_gens:
+            add_gens[bits] = additive_generators(r, ElementSet(r, bits))
+        return add_gens[bits]
+
+    frontier = list(seeds)
     while frontier:
-        new: list[ElementSet] = []
-        snapshot = list(known.values())
+        new: list[int] = []
+        snapshot = list(seeds)
         for a in frontier:
             for b in snapshot:
-                if a.bits | b.bits in (a.bits, b.bits):
+                union = a | b
+                if union in (a, b):
                     continue  # one contains the other: sum is the larger
-                s = additive_closure(r, gens[a.bits] + gens[b.bits])
-                if s.bits not in known:
-                    known[s.bits] = s
-                    gens[s.bits] = additive_generators(r, s)
-                    new.append(s)
+                size = a.bit_count() * b.bit_count() // (a & b).bit_count()
+                if any(union | c == c for c in by_size.get(size, ())):
+                    continue
+                mask, gens = _additive_span(r.add_table, gens_of(a) + gens_of(b), n)
+                s = ElementSet.from_mask(r, mask).bits
+                seeds[s], add_gens[s] = seeds[a] + seeds[b], gens
+                by_size.setdefault(s.bit_count(), []).append(s)
+                new.append(s)
         frontier = new
-    ordered = sorted(known.values(), key=ElementSet.sort_key)
-    return [_flagged(r, s, side) for s in ordered]
+
+    ideals = []
+    for bits, xs in seeds.items():
+        s = ElementSet(r, bits)
+        if bits in principal:
+            x, other = principal[bits]
+        else:
+            img = mul[xs, :] if side == "left" else mul[:, xs]
+            x, other = None, bool(s.mask()[img].all())
+        left, right = (True, other) if side == "left" else (other, True)
+        ideals.append(OneSidedIdeal(s, left, right, x))
+    return sorted(ideals, key=lambda ideal: ideal.set.sort_key())
 
 
 def ideal_product(r: FiniteRing, a: ElementSet, b: ElementSet) -> ElementSet:

@@ -70,7 +70,6 @@ class FiniteRing:
         self.one = int(one)
         self.name = name or f"ring-of-order-{n}"
         self.matrix_of = matrix_of
-        self._neg: np.ndarray | None = None
 
     # -- elementwise access ------------------------------------------------
 
@@ -81,9 +80,7 @@ class FiniteRing:
         return int(self.mul_table[i, j])
 
     def neg(self, i: int) -> int:
-        if self._neg is None:
-            self._neg = _freeze(np.argmax(self.add_table == 0, axis=1))
-        return int(self._neg[i])
+        return int(np.argmax(self.add_table[i] == 0))
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
@@ -92,7 +89,11 @@ class FiniteRing:
         return self.one == self.zero
 
     def is_commutative(self) -> bool:
-        return bool(np.array_equal(self.mul_table, self.mul_table.T))
+        # row blocks against column blocks, never a whole n x n comparison
+        n, mul = self.order, self.mul_table
+        step = max(1, _BLOCK_ELEMS // n)
+        blocks = range(0, n, step)
+        return all(np.array_equal(mul[lo : lo + step], mul[:, lo : lo + step].T) for lo in blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteRing):
@@ -517,14 +518,16 @@ def _additive_span(add_table: np.ndarray, seed, n: int) -> tuple[np.ndarray, lis
     return mask, gens
 
 
-def _row_any_blocked(table: np.ndarray, predicate) -> np.ndarray:
-    """Per-row `any` of predicate(block) over row blocks of a big table."""
+def _any_blocked(table: np.ndarray, predicate, axis: int) -> np.ndarray:
+    """predicate(block).any(axis) per row (axis 1) or per column (axis 0) of a
+    big table, over blocks of its rows or columns, never a copy of it."""
     n = table.shape[0]
     out = np.zeros(n, dtype=bool)
     step = max(1, _BLOCK_ELEMS // n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        out[lo:hi] = predicate(table[lo:hi]).any(axis=1)
+        block = table[lo:hi] if axis == 1 else table[:, lo:hi]
+        out[lo:hi] = predicate(block).any(axis=axis)
     return out
 
 
@@ -534,8 +537,8 @@ def _row_any_blocked(table: np.ndarray, predicate) -> np.ndarray:
 def units_mask(r: FiniteRing) -> np.ndarray:
     """Boolean mask of the two-sided units."""
     one = r.one
-    right = _row_any_blocked(r.mul_table, lambda blk: blk == one)
-    left = _row_any_blocked(np.ascontiguousarray(r.mul_table.T), lambda blk: blk == one)
+    right = _any_blocked(r.mul_table, lambda blk: blk == one, axis=1)
+    left = _any_blocked(r.mul_table, lambda blk: blk == one, axis=0)
     return right & left
 
 
@@ -544,8 +547,8 @@ def element_zero_divisors(r: FiniteRing) -> ElementSet:
     n = r.order
     if n == 1:
         return ElementSet(r, 0)
-    rows = _row_any_blocked(r.mul_table, lambda blk: blk[:, 1:] == 0)
-    cols = _row_any_blocked(np.ascontiguousarray(r.mul_table.T), lambda blk: blk[:, 1:] == 0)
+    rows = _any_blocked(r.mul_table, lambda blk: blk[:, 1:] == 0, axis=1)
+    cols = _any_blocked(r.mul_table, lambda blk: blk[1:] == 0, axis=0)
     return ElementSet.from_mask(r, rows | cols)
 
 

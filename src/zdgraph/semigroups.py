@@ -4,6 +4,7 @@ closure is machine-checked, never assumed)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -11,6 +12,7 @@ import numpy as np
 
 from .ideals import OneSidedIdeal, additive_generators, enumerate_one_sided_ideals
 from .rings import (
+    _BLOCK_ELEMS,
     ElementSet,
     FiniteRing,
     _additive_span,
@@ -150,6 +152,40 @@ def _in_pool(pidx: np.ndarray, what: str) -> np.ndarray:
     return pidx
 
 
+def _images(r: FiniteRing, pool: list[OneSidedIdeal], right_gen: dict) -> list[list]:
+    """The pool x pool product bits A*B that are one image x*B, None elsewhere.
+
+    When A is a right ideal with a right generator x (A = xR, from
+    `right_gen`) and B is a left ideal, A*B = x*B = { x*b : b in B }.  Proof:
+    span{x*r*b} = x*span{r*b} = x*(RB) = x*B, since left multiplication by x
+    is additive and RB = B for a left ideal B of a unital ring; and x*B is
+    already an additive subgroup.  The images of every left B under a block
+    of generators x are scattered into one boolean mask, in blocks of about
+    _BLOCK_ELEMS entries.
+    """
+    n, mul = r.order, r.mul_table
+    out: list[list] = [[None] * len(pool) for _ in pool]
+    firsts = [(i, right_gen.get(a.bits)) for i, a in enumerate(pool) if a.is_right]
+    firsts = [(i, x) for i, x in firsts if x is not None]
+    seconds = [j for j, b in enumerate(pool) if b.is_left]
+    if not firsts or not seconds:
+        return out
+    members = [np.flatnonzero(pool[j].set.mask()) for j in seconds]
+    flat = np.concatenate(members)
+    owner = np.repeat(np.arange(len(seconds)), [len(m) for m in members])
+    per = max(1, _BLOCK_ELEMS // max(len(flat), len(seconds) * n))
+    for lo in range(0, len(firsts), per):
+        block = firsts[lo : lo + per]
+        xs = np.array([x for _, x in block], dtype=np.intp)
+        mask = np.zeros((len(block), len(seconds), n), dtype=bool)
+        mask[np.arange(len(block))[:, None], owner, mul[xs[:, None], flat]] = True
+        packed = np.packbits(mask, axis=2, bitorder="little")
+        for (i, _), rows in zip(block, packed):
+            for j, row in zip(seconds, rows):
+                out[i][j] = int.from_bytes(row.tobytes(), "little")
+    return out
+
+
 def build_ipo(
     r: FiniteRing, left: list[OneSidedIdeal] | None = None, right: list[OneSidedIdeal] | None = None
 ) -> FiniteSemigroupWithZero:
@@ -161,6 +197,10 @@ def build_ipo(
     subsets.  `left` and `right`, when given, must be r's full left and right
     enumerations from `enumerate_one_sided_ideals`; they are trusted, not
     re-checked.  A side that is not given is enumerated here.
+
+    A pool-pair product A*B is one image x*B when A has a right generator x
+    in `right` and B is a left ideal (see `_images`), and an additive span
+    of the products of their additive generators otherwise.
 
     The Cayley table is read off the pool x pool product table.  Each element
     A is written as K*L with K a right and L a left ideal of the pool: A*R for
@@ -185,24 +225,25 @@ def build_ipo(
     right = right if right is not None else enumerate_one_sided_ideals(r, "right")
     pool = list({ideal.bits: ideal for ideal in itertools.chain(left, right)}.values())
     pool_idx = {ideal.bits: i for i, ideal in enumerate(pool)}
-    gens = [np.asarray(additive_generators(r, ideal.set), dtype=np.intp) for ideal in pool]
-    add_tbl, mul_tbl = r.add_table, r.mul_table
+    right_gen = {ideal.bits: ideal.generator for ideal in right}
     n = r.order
 
-    # discovery: every ordered pool pair, by direct span computation
+    @functools.cache
+    def gens(p: int) -> np.ndarray:
+        return np.asarray(additive_generators(r, pool[p].set), dtype=np.intp)
+
+    # discovery: every ordered pool pair, x*B where possible, else by a span
+    pair_product = _images(r, pool, right_gen)
     elements: dict[int, ElementSet] = {}
     decomp: dict[int, tuple[int, int]] = {}
-    pair_product: list[list[int]] = []
-    for i, ga in enumerate(gens):
-        row = []
-        for j, gb in enumerate(gens):
-            seed = np.unique(mul_tbl[ga[:, None], gb])
-            bits = ElementSet.from_mask(r, _additive_span(add_tbl, seed, n)[0]).bits
+    for i, row in enumerate(pair_product):
+        for j, bits in enumerate(row):
+            if bits is None:
+                seed = np.unique(r.mul_table[gens(i)[:, None], gens(j)])
+                bits = row[j] = ElementSet.from_mask(r, _additive_span(r.add_table, seed, n)[0]).bits
             if bits not in elements:
                 elements[bits] = ElementSet(r, bits)
                 decomp[bits] = (i, j)
-            row.append(bits)
-        pair_product.append(row)
 
     ordered = sorted(elements.values(), key=ElementSet.sort_key)
     assert ordered[0].bits == 1, "zero ideal must sort first"

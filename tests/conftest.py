@@ -2,6 +2,7 @@ import pytest
 from hypothesis import settings
 
 import zdgraph as z
+from table_rings import nonprincipal_rings
 
 settings.register_profile("ci", max_examples=60, derandomize=True, deadline=None)
 settings.load_profile("ci")
@@ -20,3 +21,9 @@ def rings():
     pool["M2(Z2)"] = z.make_matrix_ring(z2, 2)
     pool["M2(Z3)"] = z.make_matrix_ring(z3, 2)
     return pool
+
+
+@pytest.fixture(scope="session")
+def nonprincipal():
+    """Validated rings with a one-sided ideal that is not principal."""
+    return nonprincipal_rings()

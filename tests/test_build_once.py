@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import zdgraph as z
+from table_rings import draw_permutation, f2_xy, relabelled_table_text
 from zdgraph import graphs
 from zdgraph.cli import main
 
@@ -91,6 +92,27 @@ def test_each_graph_is_measured_once(rings, monkeypatch):
     assert girths == metrics
     # only the M2(Z2) graph has two vertices: one expansion per view
     assert levels == {report.vertex_count: 2}
+
+
+def test_principal_ideals_take_no_span(monkeypatch):
+    # every one-sided ideal of these rings is principal, so each sum is read
+    # off the known ideals by the product formula and each product of a
+    # right ideal xR with a left ideal B is x*B; an additive span is computed
+    # only for a sum no known ideal matches, as in F2[x,y]/(x,y)^2
+    cases = {e: z.build_ring(z.parse_ring_expr(e)) for e in ("M2(Z4)", "Z60", "Z2 x Z2 x Z2 x Z2")}
+    z2_6xz7 = z.build_ring(z.parse_ring_expr("Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z7"))
+    cases["table"] = z.load_table_ring(relabelled_table_text(z2_6xz7, draw_permutation(448, 7)))
+    spans = _count_calls(monkeypatch, "_additive_span", lambda *a: "span", home=z.rings)
+    for name, ring in cases.items():
+        spans.clear()
+        left, right = (z.enumerate_one_sided_ideals(ring, side) for side in ("left", "right"))
+        assert spans["span"] == 0, name
+        if name in ("Z60", "Z2 x Z2 x Z2 x Z2"):
+            z.build_ipo(ring, left, right)
+            assert spans["span"] == 0, name
+    spans.clear()
+    z.enumerate_one_sided_ideals(f2_xy(), "left")
+    assert spans["span"] >= 1
 
 
 def test_verify_semigroups_computes_ann_sets_once_each(monkeypatch, capsys):

@@ -74,12 +74,44 @@ def test_enumerate_ideals_examples(rings):
     assert len(z.enumerate_one_sided_ideals(rings["Z5"], "left")) == 2
 
 
-def test_enumerate_matches_subset_scan(rings):
-    for name in ("Z6", "Z8", "Z9", "M2(Z2)", "Z2xZ4"):
-        ring = rings[name]
+ORDER_8_NONPRINCIPAL = ("F2[x,y]/(x,y)^2", "Z4[x]/(2x,x^2)")
+
+
+def _naive_generators(ring, side):
+    """Each principal ideal, as the frozenset of a column (left) or row
+    (right) of products, mapped to the smallest x giving it."""
+    found = {}
+    for x in reversed(range(ring.order)):
+        image = {ring.mul(y, x) if side == "left" else ring.mul(x, y) for y in range(ring.order)}
+        found[frozenset(image)] = x
+    return found
+
+
+def test_enumerate_matches_subset_scan(rings, nonprincipal):
+    # sets, flags and generators: the smallest x giving the ideal as a
+    # column (left) or row (right) of products, None if none does
+    cases = [rings[name] for name in ("Z6", "Z8", "Z9", "M2(Z2)", "Z2xZ4")]
+    cases += [nonprincipal[name] for name in ORDER_8_NONPRINCIPAL]
+    for ring in cases:
+        scans = {side: subset_scan_ideals(ring, side) for side in ("left", "right")}
         for side in ("left", "right"):
-            enumerated = [i.set for i in z.enumerate_one_sided_ideals(ring, side)]
-            assert enumerated == subset_scan_ideals(ring, side)
+            ideals = z.enumerate_one_sided_ideals(ring, side)
+            assert [i.set for i in ideals] == scans[side]
+            generators = _naive_generators(ring, side)
+            for ideal in ideals:
+                assert ideal.generator == generators.get(frozenset(ideal.set.indices()))
+                assert ideal.is_left == (ideal.set in scans["left"])
+                assert ideal.is_right == (ideal.set in scans["right"])
+
+
+def test_generators_on_larger_nonprincipal_rings(nonprincipal):
+    for name, ring in nonprincipal.items():
+        for side in ("left", "right"):
+            generators = _naive_generators(ring, side)
+            ideals = z.enumerate_one_sided_ideals(ring, side)
+            for ideal in ideals:
+                assert ideal.generator == generators.get(frozenset(ideal.set.indices()))
+            assert any(ideal.generator is None for ideal in ideals), (name, side)
 
 
 def test_commutative_sides_coincide(rings):

@@ -50,10 +50,12 @@ def test_build_ipo_zero_ring(rings):
     assert ipo.order == 1
 
 
-def test_ipo_matches_pairwise_products(rings):
-    # the algebraically filled Cayley table equals direct ideal products
+def test_ipo_matches_pairwise_products(rings, nonprincipal):
+    # the algebraically filled Cayley table equals direct ideal products,
+    # also on rings whose products take the span path (non-principal ideals)
     m2z2xz2 = z.make_product_ring(rings["M2(Z2)"], rings["Z2"])
     cases = [rings[name] for name in ("Z12", "M2(Z2)", "M2(Z3)", "Z2xZ4")] + [m2z2xz2]
+    cases += list(nonprincipal.values())
     for ring in cases:
         ipo = z.build_ipo(ring)
         for i in range(ipo.order):
@@ -91,6 +93,50 @@ def test_ipo_bytes_are_pinned(expr):
     table_hash = hashlib.sha256(ipo.table.tobytes()).hexdigest()
     label_hash = hashlib.sha256(repr([s.bits for s in ipo.labels]).encode()).hexdigest()
     assert (table_hash, label_hash) == IPO_PINS[expr]
+
+
+# U2(Z4), with 14 non-principal one-sided ideals: sha256 of
+# repr([(bits, is_left, is_right) ...]) of each enumeration, and of the IPO's
+# table bytes and label bits, recorded from the enumeration that spanned
+# every sum and the IPO builder that spanned every pool pair
+U2Z4_PINS = {
+    "left": "d57d5a6016717036507e20ea8535978d3e4de8343cf98e9b75a6ed5d7a0f3328",
+    "right": "1adc696daf455b27b11543201f233c409cd71090a1e66a1244d67b504be7dbf2",
+    "table": "98834239a33ed5b60d3d7d15a86e092f6e8446d35942e8dae8b633cea6fcc6e8",
+    "labels": "63f7fc03cb0c5bd321d9fc61bb28a2dd2b87ccc5958e094cbc96d2f0afb21a41",
+}
+
+
+def test_nonprincipal_ring_bytes_are_pinned(nonprincipal):
+    ring = nonprincipal["U2(Z4)"]
+    left, right = (z.enumerate_one_sided_ideals(ring, side) for side in ("left", "right"))
+    ipo = z.build_ipo(ring, left, right)
+    assert ipo.table.dtype == np.uint16
+    got = {
+        side: hashlib.sha256(repr([(i.bits, i.is_left, i.is_right) for i in ideals]).encode()).hexdigest()
+        for side, ideals in (("left", left), ("right", right))
+    }
+    got["table"] = hashlib.sha256(ipo.table.tobytes()).hexdigest()
+    got["labels"] = hashlib.sha256(repr([s.bits for s in ipo.labels]).encode()).hexdigest()
+    assert got == U2Z4_PINS
+    assert (len(left), len(right), ipo.order) == (26, 26, 42)
+
+
+def test_small_blocks_give_the_same_ideals_and_ipo(rings, nonprincipal, monkeypatch):
+    # principal sets and x*B images are scattered in blocks of _BLOCK_ELEMS
+    # entries; blocks of a few rows or a single generator give the same result
+    cases = [rings["M2(Z3)"], nonprincipal["U2(Z4)"], nonprincipal["F2[x,y]/(x,y)^2 x M2(Z2)"]]
+    expected = []
+    for ring in cases:
+        left, right = (z.enumerate_one_sided_ideals(ring, side) for side in ("left", "right"))
+        expected.append((left, right, z.build_ipo(ring, left, right)))
+    monkeypatch.setattr(z.ideals, "_BLOCK_ELEMS", 200)
+    monkeypatch.setattr(z.semigroups, "_BLOCK_ELEMS", 200)
+    for ring, (left, right, ipo) in zip(cases, expected):
+        assert z.enumerate_one_sided_ideals(ring, "left") == left
+        assert z.enumerate_one_sided_ideals(ring, "right") == right
+        small = z.build_ipo(ring, left, right)
+        assert np.array_equal(small.table, ipo.table) and small.labels == ipo.labels
 
 
 def test_commutative_ipo_is_ideal_lattice(rings):
