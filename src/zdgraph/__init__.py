@@ -16,12 +16,8 @@ from .graphs import (
     GraphMetrics,
     ZdGraph,
     compute_graph_metrics,
-    directed_connectivity,
     directed_zd_graph,
     export_dot,
-    is_complete,
-    is_tournament,
-    undirected_diameter,
 )
 from .ideals import (
     OneSidedIdeal,

@@ -20,6 +20,7 @@ from .rings import (
     CapacityError,
     RingValidationError,
     TableFormatError,
+    _check_cap,
     make_cyclic_ring,
 )
 from .semigroups import ann_sets, enumerate_semigroups_with_zero
@@ -112,6 +113,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_verify_zn(args) -> int:
     if args.max < 2:
         raise _UsageError("--max must be at least 2")
+    _check_cap(args.max, _resolve_cap(None))  # Zmax is the largest ring built
     total_failed = 0
     for n in range(2, args.max + 1):
         report = run_all(make_cyclic_ring(n), expr=f"Z{n}")

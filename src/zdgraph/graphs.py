@@ -22,27 +22,20 @@ INF = math.inf
 
 class ZdGraph:
     """Zero-divisor graph: vertex a points at b when a*b = 0 (a != b),
-    measured once when built (`metrics`); nothing re-measures it."""
+    measured once when built (`metrics`); nothing re-measures it.
+
+    The graph is its vertex labels and two frozen boolean matrices over the
+    vertex list: `adj` (directed) and its symmetrization `und`."""
 
     def __init__(self, vertices, labels, adj_matrix):
         self.vertices = tuple(int(v) for v in vertices)
         self.labels = tuple(labels)
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        adj = np.asarray(adj_matrix, dtype=bool).copy()
-        np.fill_diagonal(adj, False)
-        adj.flags.writeable = False
-        self.adj = adj
-        und = adj | adj.T
-        und.flags.writeable = False
-        self.und = und
-        self.out_adj = {
-            v: tuple(self.vertices[j] for j in np.nonzero(adj[i])[0])
-            for i, v in enumerate(self.vertices)
-        }
-        self.und_adj = {
-            v: tuple(self.vertices[j] for j in np.nonzero(und[i])[0])
-            for i, v in enumerate(self.vertices)
-        }
+        self.adj = np.asarray(adj_matrix, dtype=bool).copy()
+        np.fill_diagonal(self.adj, False)
+        self.und = self.adj | self.adj.T
+        for frozen in (self.adj, self.und):
+            frozen.flags.writeable = False
         self.metrics = compute_graph_metrics(self)
 
     @property
@@ -56,13 +49,15 @@ class ZdGraph:
         return self.labels[self._index[v]]
 
     def directed_edges(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in self.vertices for b in self.out_adj[a]]
+        vs = self.vertices
+        return [(vs[i], vs[j]) for i, j in np.argwhere(self.adj).tolist()]
 
     def undirected_edges(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in self.vertices for b in self.und_adj[a] if a < b]
+        vs = self.vertices
+        return [(vs[i], vs[j]) for i, j in np.argwhere(self.und).tolist() if vs[i] < vs[j]]
 
     def __repr__(self) -> str:
-        return f"ZdGraph({self.n_vertices} vertices, {len(self.directed_edges())} arcs)"
+        return f"ZdGraph({self.n_vertices} vertices, {int(self.adj.sum())} arcs)"
 
 
 def directed_zd_graph(s: FiniteSemigroupWithZero, ann: AnnSets) -> ZdGraph:
@@ -76,58 +71,25 @@ def directed_zd_graph(s: FiniteSemigroupWithZero, ann: AnnSets) -> ZdGraph:
 # -- invariants ---------------------------------------------------------------
 
 
-def _matrix_levels(adj: np.ndarray):
-    """Pairwise distance matrix via boolean level expansion (-1 = unreachable)."""
-    v = adj.shape[0]
-    dist = np.full((v, v), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    dist[adj] = 1
-    frontier = adj
-    adj_f = adj.astype(np.float32)
-    level = 1
-    while True:
-        reached = (frontier.astype(np.float32) @ adj_f) > 0
-        new = reached & (dist < 0)
-        if not new.any():
-            return dist
-        level += 1
-        dist[new] = level
-        frontier = new
-
-
-def _diameter_from(adj: np.ndarray):
+def _diameter(adj: np.ndarray):
+    """Largest distance over ordered pairs of distinct vertices, by boolean
+    level expansion: None below two vertices, INF when some pair is
+    unreachable."""
     v = adj.shape[0]
     if v < 2:
         return None
-    dist = _matrix_levels(adj)
-    off = ~np.eye(v, dtype=bool)
-    if (dist[off] < 0).any():
-        return INF
-    return int(dist[off].max())
-
-
-def directed_connectivity(g: ZdGraph) -> tuple[bool, float | int | None]:
-    """(connected, diameter) over directed paths for every ordered pair."""
-    d = _diameter_from(g.adj)
-    return d is not INF, d
-
-
-def undirected_diameter(g: ZdGraph):
-    return _diameter_from(g.und)
-
-
-def _bfs_dists(adj, source, skip_edge=None):
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if skip_edge is not None and {u, w} == skip_edge:
-                continue
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+    adj_f = adj.astype(np.float32)
+    reached = adj | np.eye(v, dtype=bool)
+    frontier = adj
+    level = 1
+    while not reached.all():
+        new = ((frontier.astype(np.float32) @ adj_f) > 0) & ~reached
+        if not new.any():
+            return INF
+        reached |= new
+        frontier = new
+        level += 1
+    return level
 
 
 def girth_with_cycle(g: ZdGraph):
@@ -136,59 +98,50 @@ def girth_with_cycle(g: ZdGraph):
     Triangles and 4-cycles are detected by counting common neighbours; the
     general case falls back to shortest-cycle-through-each-edge BFS.
     """
-    v = g.n_vertices
-    if v == 0 or not g.und.any():
+    if not g.und.any():
         return INF, None
     und_f = g.und.astype(np.float32)
     common = und_f @ und_f  # walks of length 2
     tri = g.und & (common >= 1)
     if tri.any():
-        a, b = map(int, np.argwhere(tri)[0])
+        a, b = divmod(int(tri.argmax()), g.n_vertices)  # first pair, row-major
         x = int(np.nonzero(g.und[a] & g.und[b])[0][0])
-        cyc = [g.vertices[a], g.vertices[x], g.vertices[b]]
-        return 3, cyc
-    off_diag = ~np.eye(v, dtype=bool)
-    quad = (common >= 2) & off_diag
+        return 3, [g.vertices[a], g.vertices[x], g.vertices[b]]
+    quad = (common >= 2) & ~np.eye(g.n_vertices, dtype=bool)
     if quad.any():
-        a, b = map(int, np.argwhere(quad)[0])
+        a, b = divmod(int(quad.argmax()), g.n_vertices)  # first pair, row-major
         x, y = (int(i) for i in np.nonzero(g.und[a] & g.und[b])[0][:2])
-        cyc = [g.vertices[a], g.vertices[x], g.vertices[b], g.vertices[y]]
-        return 4, cyc
+        return 4, [g.vertices[a], g.vertices[x], g.vertices[b], g.vertices[y]]
     return _girth_bfs(g)
 
 
 def _girth_bfs(g: ZdGraph):
+    """Shortest cycle through each edge (u, v), u the smaller vertex, edges in
+    vertex-list order: a BFS from u that never takes the edge itself."""
+    vs = g.vertices
+    nbrs = [np.nonzero(row)[0].tolist() for row in g.und]
     best = INF
     best_cycle = None
-    for u, v in g.undirected_edges():
-        dist = _bfs_dists(g.und_adj, u, skip_edge={u, v})
-        if v in dist and dist[v] + 1 < best:
-            best = dist[v] + 1
-            path = [v]
-            while path[-1] != u:
-                here = path[-1]
-                for w in g.und_adj[here]:
-                    if {here, w} != {u, v} and dist.get(w) == dist[here] - 1:
-                        path.append(w)
-                        break
-            best_cycle = path
+    for u in range(len(vs)):
+        for v in nbrs[u]:
+            if vs[u] > vs[v]:
+                continue
+            dist = {u: 0}
+            queue = deque([u])
+            while queue:
+                here = queue.popleft()
+                for w in nbrs[here]:
+                    if w not in dist and (here, w) != (u, v):
+                        dist[w] = dist[here] + 1
+                        queue.append(w)
+            if v in dist and dist[v] + 1 < best:
+                best = dist[v] + 1
+                path = [v]
+                while path[-1] != u:
+                    here = path[-1]
+                    path.append(next(w for w in nbrs[here] if dist.get(w) == dist[here] - 1))
+                best_cycle = [vs[i] for i in path]
     return best, best_cycle
-
-
-def is_complete(g: ZdGraph) -> bool:
-    v = g.n_vertices
-    return bool((g.und.sum(axis=1) == v - 1).all()) if v else True
-
-
-def is_tournament(g: ZdGraph) -> bool:
-    """Exactly one direction per vertex pair; vacuously true below 2 vertices."""
-    v = g.n_vertices
-    if v < 2:
-        return True
-    off_diag = ~np.eye(v, dtype=bool)
-    mutual = g.adj & g.adj.T
-    missing = ~(g.adj | g.adj.T) & off_diag
-    return not mutual.any() and not missing.any()
 
 
 @dataclass(frozen=True)
@@ -199,20 +152,20 @@ class GraphMetrics:
     girth: float | int
     girth_cycle: tuple[int, ...] | None  # a shortest cycle, None when acyclic
     complete: bool
-    tournament: bool
+    tournament: bool  # exactly one arc per vertex pair; vacuous below 2 vertices
 
 
 def compute_graph_metrics(g: ZdGraph) -> GraphMetrics:
-    connected, ddiam = directed_connectivity(g)
+    ddiam = _diameter(g.adj)
     girth_value, cycle = girth_with_cycle(g)
     return GraphMetrics(
-        directed_connected=connected,
+        directed_connected=ddiam is not INF,
         directed_diameter=ddiam,
-        undirected_diameter=undirected_diameter(g),
+        undirected_diameter=_diameter(g.und),
         girth=girth_value,
         girth_cycle=None if cycle is None else tuple(cycle),
-        complete=is_complete(g),
-        tournament=is_tournament(g),
+        complete=bool((g.und.sum(axis=1) == g.n_vertices - 1).all()),
+        tournament=not np.triu(g.adj == g.adj.T, 1).any(),
     )
 
 

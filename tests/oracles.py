@@ -84,6 +84,12 @@ def floyd_warshall(vertices, edges):
     return dist
 
 
+def neighbours(g, mode="directed"):
+    """Neighbour list of each vertex of g, read off g.adj or (undirected) g.und."""
+    rows = g.adj if mode == "directed" else g.und
+    return {v: [g.vertices[j] for j in np.nonzero(row)[0]] for v, row in zip(g.vertices, rows)}
+
+
 def naive_girth(vertices, und_edges):
     """Minimum cycle length by DFS over all simple cycles (small graphs only)."""
     adj = {v: set() for v in vertices}

@@ -16,7 +16,7 @@ import pytest
 import zdgraph as z
 from zdgraph.cli import main as cli_main
 
-from oracles import subset_scan_ideals
+from oracles import neighbours, subset_scan_ideals
 
 INF = math.inf
 
@@ -148,7 +148,7 @@ def test_criterion_07_stretch_m2_z12(rings):
     started = time.monotonic()
     r12 = rings["Z12"]
     base = z.prepare_ring_analysis(r12)
-    ag_diam = z.undirected_diameter(z.annihilating_ideal_graph(base))
+    ag_diam = z.annihilating_ideal_graph(base).metrics.undirected_diameter
     assert ag_diam == 3
     monotone = z.check_matrix_diam_monotone(
         z.prepare_ring_analysis(z.make_matrix_ring(r12, 2)), base
@@ -167,8 +167,8 @@ def test_criterion_08_constructive_paths(rings, semigroup_corpus):
         g = z.directed_zd_graph(s, ann)
         directed_ok = ann.a_left == ann.a_right
         for a in sorted(ann.d_star):
-            dist_d = _bfs(g.out_adj, a)
-            dist_u = _bfs(g.und_adj, a)
+            dist_d = _bfs(neighbours(g, "directed"), a)
+            dist_u = _bfs(neighbours(g, "undirected"), a)
             for b in sorted(ann.d_star):
                 if a == b:
                     continue

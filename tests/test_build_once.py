@@ -82,7 +82,7 @@ def test_each_graph_is_measured_once(rings, monkeypatch):
     ann = _count_calls(monkeypatch, "ann_sets", lambda s: s.order)
     metrics = _count_calls(monkeypatch, "compute_graph_metrics", id)
     girths = _count_calls(monkeypatch, "girth_with_cycle", id, home=graphs)
-    levels = _count_calls(monkeypatch, "_matrix_levels", lambda adj: len(adj), home=graphs)
+    levels = _count_calls(monkeypatch, "_diameter", lambda adj: len(adj), home=graphs)
     report = z.run_all(rings["M2(Z2)"])
     assert [c.status for c in report.checks[-3:]] == ["pass"] * 3
     # one IPO each for M2(Z2) and Z2
@@ -90,8 +90,10 @@ def test_each_graph_is_measured_once(rings, monkeypatch):
     # three graphs: both IPO graphs and Z2's annihilating-ideal graph
     assert list(metrics.values()) == [1, 1, 1]
     assert girths == metrics
-    # only the M2(Z2) graph has two vertices: one expansion per view
-    assert levels == {report.vertex_count: 2}
+    # one diameter per view of each graph; only the M2(Z2) graph has two
+    # vertices, so only its two views are expanded
+    assert sum(levels.values()) == 2 * sum(metrics.values())
+    assert {n: c for n, c in levels.items() if n >= 2} == {report.vertex_count: 2}
 
 
 def test_principal_ideals_take_no_span(monkeypatch):

@@ -44,6 +44,22 @@ def test_analyze_cap_applies_to_cyclic_ring(capsys):
     assert "size cap" in capsys.readouterr().err
 
 
+def test_verify_zn_checks_the_cap_before_building(monkeypatch, capsys):
+    monkeypatch.setenv("ZDGRAPH_CAP", "10")
+    assert main(["verify", "zn", "--max", "10"]) == 0
+    assert capsys.readouterr().out.endswith("9 instances, 0 failing checks\n")
+
+    def no_build(n):
+        raise AssertionError(f"make_cyclic_ring({n}) called for an over-cap --max")
+
+    monkeypatch.setattr(zdgraph.cli, "make_cyclic_ring", no_build)
+    assert main(["verify", "zn", "--max", "12"]) == 1
+    assert "size cap" in capsys.readouterr().err
+    monkeypatch.delenv("ZDGRAPH_CAP")
+    assert main(["verify", "zn", "--max", "30000"]) == 1
+    assert "size cap" in capsys.readouterr().err
+
+
 def test_analyze_cap_applies_to_table_file(tmp_path, capsys):
     path = tmp_path / "z2.txt"
     path.write_text("2\n0 1\n1 0\n0 0\n0 1\n")

@@ -5,7 +5,7 @@ import pytest
 
 import zdgraph as z
 
-from oracles import floyd_warshall, naive_girth
+from oracles import floyd_warshall, naive_girth, neighbours
 
 INF = math.inf
 
@@ -56,24 +56,28 @@ def test_element_graphs(rings):
     assert _element_graph(rings["Z5"]).n_vertices == 0
 
 
+def _directed(g):
+    return g.metrics.directed_connected, g.metrics.directed_diameter
+
+
 def test_directed_connectivity(rings):
     g = _ipo_graph(rings, "Z12")
-    connected, diam = z.directed_connectivity(g)
+    connected, diam = _directed(g)
     assert connected and diam == 3
 
     single = z.ZdGraph([1], ["1"], np.zeros((1, 1), bool))
-    assert z.directed_connectivity(single) == (True, None)
+    assert _directed(single) == (True, None)
 
     one_way = z.ZdGraph([1, 2], ["1", "2"], np.array([[False, True], [False, False]]))
-    connected, diam = z.directed_connectivity(one_way)
+    connected, diam = _directed(one_way)
     assert not connected and diam == INF
 
 
 def test_undirected_metrics_z12(rings):
     g = _ipo_graph(rings, "Z12")
-    assert z.undirected_diameter(g) == 3
+    assert g.metrics.undirected_diameter == 3
     assert g.metrics.girth == INF
-    assert not z.is_complete(g)
+    assert not g.metrics.complete
 
 
 def test_girth_three_on_triple_product(rings):
@@ -84,16 +88,16 @@ def test_girth_three_on_triple_product(rings):
 def test_complete_two_vertices(rings):
     g = _ipo_graph(rings, "Z6")
     assert g.n_vertices == 2
-    assert z.is_complete(g)
-    assert z.undirected_diameter(g) == 1
+    assert g.metrics.complete
+    assert g.metrics.undirected_diameter == 1
 
 
 def test_is_tournament(rings):
-    assert not z.is_tournament(_ipo_graph(rings, "Z6"))
+    assert not _ipo_graph(rings, "Z6").metrics.tournament
     single = z.ZdGraph([1], ["1"], np.zeros((1, 1), bool))
-    assert z.is_tournament(single)
+    assert single.metrics.tournament
     one_way = z.ZdGraph([1, 2], ["1", "2"], np.array([[False, True], [False, False]]))
-    assert z.is_tournament(one_way)
+    assert one_way.metrics.tournament
 
 
 def _all_test_graphs(rings):
@@ -109,27 +113,29 @@ def _all_test_graphs(rings):
 def test_symmetrization_law(rings):
     for g in _all_test_graphs(rings):
         directed = set(g.directed_edges())
+        und_adj = neighbours(g, "undirected")
         for a in g.vertices:
             for b in g.vertices:
                 if a == b:
                     continue
                 expected = (a, b) in directed or (b, a) in directed
-                assert (b in g.und_adj[a]) == expected
+                assert (b in und_adj[a]) == expected
+
+
+def _naive_connectivity(vertices, edges):
+    """(connected, diameter) over directed edges, from floyd_warshall."""
+    dist = floyd_warshall(vertices, edges)
+    pairs = [(a, b) for a in vertices for b in vertices if a != b]
+    connected = all(dist[p] is not None for p in pairs)
+    return connected, (None if not pairs else (INF if not connected else max(dist[p] for p in pairs)))
 
 
 def test_connectivity_matches_floyd_warshall(rings):
     for g in _all_test_graphs(rings):
         if g.n_vertices > 12:
             continue
-        dist = floyd_warshall(g.vertices, g.directed_edges())
-        pairs = [(a, b) for a in g.vertices for b in g.vertices if a != b]
-        naive_connected = all(dist[p] is not None for p in pairs)
-        naive_diam = (
-            None
-            if not pairs
-            else (INF if not naive_connected else max(dist[p] for p in pairs))
-        )
-        connected, diam = z.directed_connectivity(g)
+        naive_connected, naive_diam = _naive_connectivity(g.vertices, g.directed_edges())
+        connected, diam = _directed(g)
         assert connected == naive_connected
         if g.n_vertices >= 2:
             assert diam == naive_diam
@@ -144,8 +150,60 @@ def test_girth_matches_naive_enumeration(rings):
 
 def test_complete_implies_diameter_at_most_one(rings):
     for g in _all_test_graphs(rings):
-        if z.is_complete(g) and g.n_vertices >= 2:
-            assert z.undirected_diameter(g) <= 1
+        if g.metrics.complete and g.n_vertices >= 2:
+            assert g.metrics.undirected_diameter <= 1
+
+
+def _symmetric(n, edges):
+    adj = np.zeros((n, n), bool)
+    for a, b in edges:
+        adj[a, b] = adj[b, a] = True
+    return adj
+
+
+def _hand_made_graphs():
+    """Graphs no ring in the corpus gives: a directed diameter above 3, finite
+    girths above 4 (found only by the BFS fallback), and a path."""
+    c6 = np.zeros((6, 6), bool)
+    c6[range(6), [1, 2, 3, 4, 5, 0]] = True
+    c5 = _symmetric(5, [(i, (i + 1) % 5) for i in range(5)])
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+    order = [7, 2, 9, 0, 4, 1, 8, 3, 6, 5]  # vertices listed out of order
+    at = {v: i for i, v in enumerate(order)}
+    return {
+        "C6": z.ZdGraph(range(6), map(str, range(6)), c6),
+        "C5": z.ZdGraph(range(5), map(str, range(5)), c5),
+        "Petersen": z.ZdGraph(order, map(str, order), _symmetric(10, [(at[a], at[b]) for a, b in petersen])),
+        "P4": z.ZdGraph(range(4), map(str, range(4)), _symmetric(4, [(0, 1), (1, 2), (2, 3)])),
+    }
+
+
+# every field, witness cycles included, as recorded before the metrics were
+# read off the two boolean matrices alone
+HAND_MADE_METRICS = {
+    "C6": z.GraphMetrics(True, 5, 3, 6, (1, 2, 3, 4, 5, 0), False, False),
+    "C5": z.GraphMetrics(True, 2, 2, 5, (1, 2, 3, 4, 0), False, False),
+    "Petersen": z.GraphMetrics(True, 2, 2, 5, (9, 4, 0, 5, 7), False, False),
+    "P4": z.GraphMetrics(True, 3, 3, INF, None, False, False),
+}
+
+
+@pytest.mark.parametrize("name", list(HAND_MADE_METRICS))
+def test_hand_made_graphs(name):
+    g = _hand_made_graphs()[name]
+    m = g.metrics
+    assert m == HAND_MADE_METRICS[name]
+    assert (m.directed_connected, m.directed_diameter) == _naive_connectivity(
+        g.vertices, g.directed_edges()
+    )
+    both_ways = [(a, b) for e in g.undirected_edges() for a, b in (e, e[::-1])]
+    assert m.undirected_diameter == _naive_connectivity(g.vertices, both_ways)[1]
+    assert m.girth == naive_girth(g.vertices, g.undirected_edges())
+    if m.girth_cycle is not None:
+        at = [g.vertices.index(v) for v in m.girth_cycle]
+        assert len(set(at)) == len(at) == m.girth
+        assert all(g.und[a, b] for a, b in zip(at, at[1:] + at[:1]))
 
 
 def test_export_dot(rings):

@@ -39,3 +39,27 @@ def test_report_survives_relabelling(name, seed):
         assert _ideals(getattr(plain, side), perm) == _ideals(getattr(moved, side), identity)
     renamed = sorted(sorted(int(perm[x]) for x in s.indices()) for s in plain.ipo.labels)
     assert renamed == sorted(sorted(s.indices()) for s in moved.ipo.labels)
+
+
+def _product(left, right):
+    ring = z.build_ring(z.parse_ring_expr(f"{left} x {right}"))
+    analysis = z.prepare_ring_analysis(ring)
+    return analysis, z.run_all(ring, analysis=analysis).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "a, b", [("Z4", "Z3"), ("M2(Z2)", "Z3"), ("(Z2 x Z2)", "Z3"), ("M2(Z2)", "Z2"), ("Z8", "Z2")]
+)
+def test_report_survives_product_reordering(a, b):
+    ab, ab_report = _product(a, b)
+    ba, ba_report = _product(b, a)
+    assert {k: v for k, v in ab_report.items() if k not in ("expr", "checks")} == {
+        k: v for k, v in ba_report.items() if k not in ("expr", "checks")
+    }
+    assert [(c["check_name"], c["status"]) for c in ab_report["checks"]] == [
+        (c["check_name"], c["status"]) for c in ba_report["checks"]
+    ]
+    # (x, y) is i*|B| + j in A x B and j*|A| + i in B x A
+    na, nb = (z.build_ring(z.parse_ring_expr(e)).order for e in (a, b))
+    swapped = sorted(sorted((x % nb) * na + x // nb for x in s.indices()) for s in ab.ipo.labels)
+    assert swapped == sorted(sorted(s.indices()) for s in ba.ipo.labels)
