@@ -37,9 +37,6 @@ from .rings import (
     FiniteRing,
     RingValidationError,
     TableFormatError,
-    central_idempotents,
-    element_zero_divisors,
-    is_local_ring,
     load_table_ring,
     make_cyclic_ring,
     make_matrix_ring,

@@ -79,12 +79,6 @@ class FiniteRing:
     def mul(self, i: int, j: int) -> int:
         return int(self.mul_table[i, j])
 
-    def neg(self, i: int) -> int:
-        return int(np.argmax(self.add_table[i] == 0))
-
-    def sub(self, i: int, j: int) -> int:
-        return self.add(i, self.neg(j))
-
     def is_zero_ring(self) -> bool:
         return self.one == self.zero
 
@@ -516,62 +510,3 @@ def _additive_span(add_table: np.ndarray, seed, n: int) -> tuple[np.ndarray, lis
         mask[block.ravel()] = True
         members = np.flatnonzero(mask)
     return mask, gens
-
-
-def _any_blocked(table: np.ndarray, predicate, axis: int) -> np.ndarray:
-    """predicate(block).any(axis) per row (axis 1) or per column (axis 0) of a
-    big table, over blocks of its rows or columns, never a copy of it."""
-    n = table.shape[0]
-    out = np.zeros(n, dtype=bool)
-    step = max(1, _BLOCK_ELEMS // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        block = table[lo:hi] if axis == 1 else table[:, lo:hi]
-        out[lo:hi] = predicate(block).any(axis=axis)
-    return out
-
-
-# -- element-level predicates -------------------------------------------------
-
-
-def units_mask(r: FiniteRing) -> np.ndarray:
-    """Boolean mask of the two-sided units."""
-    one = r.one
-    right = _any_blocked(r.mul_table, lambda blk: blk == one, axis=1)
-    left = _any_blocked(r.mul_table, lambda blk: blk == one, axis=0)
-    return right & left
-
-
-def element_zero_divisors(r: FiniteRing) -> ElementSet:
-    """All a with ab = 0 or ba = 0 for some nonzero b (one-sided zero-divisors)."""
-    n = r.order
-    if n == 1:
-        return ElementSet(r, 0)
-    rows = _any_blocked(r.mul_table, lambda blk: blk[:, 1:] == 0, axis=1)
-    cols = _any_blocked(r.mul_table, lambda blk: blk[1:] == 0, axis=0)
-    return ElementSet.from_mask(r, rows | cols)
-
-
-def central_idempotents(r: FiniteRing) -> list[int]:
-    """All e with e*e = e commuting with every element, ascending."""
-    n, mul = r.order, r.mul_table
-    idem = np.nonzero(mul[np.arange(n), np.arange(n)] == np.arange(n))[0]
-    return [int(e) for e in idem if np.array_equal(mul[e], mul[:, e])]
-
-
-def is_local_ring(r: FiniteRing) -> tuple[bool, ElementSet | None]:
-    """Local iff the non-units form an additive subgroup absorbing both-sided
-    multiplication; returns that maximal ideal when they do."""
-    if r.is_zero_ring():
-        raise ValueError("the zero ring is not eligible for the local-ring predicate")
-    n = r.order
-    nonunit = ~units_mask(r)
-    closure, gens = _additive_span(r.add_table, np.nonzero(nonunit)[0], n)
-    if not np.array_equal(closure, nonunit):
-        return False, None
-    if gens:
-        left_img = r.mul_table[:, gens]
-        right_img = r.mul_table[gens, :]
-        if not (nonunit[left_img].all() and nonunit[right_img].all()):
-            return False, None
-    return True, ElementSet.from_mask(r, nonunit)

