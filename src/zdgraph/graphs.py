@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rings import _BLOCK_ELEMS
 from .semigroups import AnnSets, FiniteSemigroupWithZero
 
 INF = math.inf
@@ -74,7 +75,8 @@ def directed_zd_graph(s: FiniteSemigroupWithZero, ann: AnnSets) -> ZdGraph:
 def _diameter(adj: np.ndarray):
     """Largest distance over ordered pairs of distinct vertices, by boolean
     level expansion: None below two vertices, INF when some pair is
-    unreachable."""
+    unreachable.  Each level is expanded in row blocks of about _BLOCK_ELEMS
+    entries, so only a block of the frontier is ever cast to float32."""
     v = adj.shape[0]
     if v < 2:
         return None
@@ -82,8 +84,12 @@ def _diameter(adj: np.ndarray):
     reached = adj | np.eye(v, dtype=bool)
     frontier = adj
     level = 1
+    step = max(1, _BLOCK_ELEMS // v)
     while not reached.all():
-        new = ((frontier.astype(np.float32) @ adj_f) > 0) & ~reached
+        new = np.empty_like(reached)
+        for lo in range(0, v, step):
+            np.greater(frontier[lo : lo + step].astype(np.float32) @ adj_f, 0, out=new[lo : lo + step])
+            new[lo : lo + step] &= ~reached[lo : lo + step]
         if not new.any():
             return INF
         reached |= new

@@ -7,12 +7,15 @@ pure function of its inputs.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 DEFAULT_SIZE_CAP = 25_000
 
-# target number of temporary entries per block when building / scanning
-# large tables (keeps peak memory of vectorised passes at a few hundred MB)
+# temporary entries per block of a pass over an n x n table (a few hundred MB at
+# most), used by make_cyclic_ring, is_commutative, the ideal layer's principal
+# sets and annihilators, build_ipo's x*B images and the graphs' _diameter
 _BLOCK_ELEMS = 4_000_000
 
 # entries per block of an associativity scan; a scan runs while a parsed
@@ -339,76 +342,64 @@ def _check_cap(n: int, cap: int | None) -> None:
         raise CapacityError(f"ring of order {n} exceeds the size cap of {cap}")
 
 
+def _stack_rows(p: np.ndarray, q: np.ndarray, w: int) -> np.ndarray:
+    """The table t[i·|q| + j] = p[i]·w + q[j], the rows of p and q broadcast
+    over their trailing axes and flattened: one block of |q| rows per row of
+    p, written straight into the smallest index dtype that holds |p|·w."""
+    tail = np.broadcast_shapes(p.shape[1:], q.shape[1:])
+    out = np.empty((len(p), len(q)) + tail, dtype=_index_dtype(len(p) * w))
+    for i, row in enumerate(p):
+        np.add(row.astype(out.dtype) * w, q, out=out[i], casting="unsafe")
+    return out.reshape(len(p) * len(q), -1)
+
+
+def _kron_sum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The Kronecker sum t[(i,j), (i',j')] = p[i,i']·|q| + q[j,j'] of two square
+    tables: the table of their operations done componentwise on row-major pairs."""
+    return _stack_rows(p[:, :, None], q[:, None, :], len(q))
+
+
 def make_product_ring(a: FiniteRing, b: FiniteRing, cap: int | None = None) -> FiniteRing:
-    """Direct product with row-major pair indexing: index = i*|b| + j."""
-    n = a.order * b.order
-    _check_cap(n, cap)
-    dtype = _index_dtype(n)
-    ia = (np.arange(n) // b.order).astype(np.int64)
-    jb = (np.arange(n) % b.order).astype(np.int64)
-    add = np.empty((n, n), dtype=dtype)
-    mul = np.empty((n, n), dtype=dtype)
-    step = max(1, _BLOCK_ELEMS // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        add[lo:hi] = (
-            a.add_table[ia[lo:hi, None], ia[None, :]].astype(np.int64) * b.order
-            + b.add_table[jb[lo:hi, None], jb[None, :]]
-        )
-        mul[lo:hi] = (
-            a.mul_table[ia[lo:hi, None], ia[None, :]].astype(np.int64) * b.order
-            + b.mul_table[jb[lo:hi, None], jb[None, :]]
-        )
-    one = a.one * b.order + b.one
-    return FiniteRing(add, mul, one=one, name=f"{a.name} x {b.name}")
+    """Direct product, pairs indexed row-major (i*|b| + j): both tables are Kronecker sums."""
+    _check_cap(a.order * b.order, cap)
+    add = _kron_sum(a.add_table, b.add_table)
+    mul = _kron_sum(a.mul_table, b.mul_table)
+    return FiniteRing(add, mul, one=a.one * b.order + b.one, name=f"{a.name} x {b.name}")
 
 
 def make_matrix_ring(base: FiniteRing, k: int, cap: int | None = None) -> FiniteRing:
     """k-by-k matrices over `base`, indexed as mixed-radix tuples row-major.
 
     The entry tuple (m00, m01, ..., m(k-1)(k-1)) is read as digits of the
-    element index, most significant first.
+    element index, most significant first.  With V = m^k row vectors over a
+    base of order m, index(A) = Σ_i row_i(A)·V^(k−1−i), and the tables are
+    composed from small ones, never entry by entry:
+
+    - the addition of M_k is the Kronecker sum of k copies of vadd, the
+      addition on row vectors, which is itself the Kronecker sum of k copies
+      of the base's addition;
+    - row i of A·B is row_i(A)·B, so mul[A, B] = Σ_i rm[row_i(A), B]·V^(k−1−i),
+      where rm[u, B] = u·B is a V x n table of row vectors;
+    - rm[u, B] = Σ_l u_l·row_l(B): each term is a lookup in the table of
+      scalar multiples s·v of row vectors v, and the sum is taken in vadd.
     """
     if k < 1:
         raise ValueError("matrix dimension must be at least 1")
     name = f"M{k}({base.name})"
     if base.order == 1:  # matrices over the zero ring: the zero ring again
         return FiniteRing(base.add_table, base.mul_table, one=0, name=name, matrix_of=(base, k))
-    m = base.order
-    n = m ** (k * k)
+    m, v = base.order, base.order**k
+    n = v**k
     _check_cap(n, cap)
-    kk = k * k
-    dtype = _index_dtype(n)
-
-    digits = np.empty((n, kk), dtype=np.int64)
-    rem = np.arange(n, dtype=np.int64)
-    for p in range(kk - 1, -1, -1):
-        digits[:, p] = rem % m
-        rem //= m
-    weights = np.array([m ** (kk - 1 - p) for p in range(kk)], dtype=np.int64)
-    dmat = digits.reshape(n, k, k)
-
-    badd = base.add_table
-    bmul = base.mul_table
-    add = np.empty((n, n), dtype=dtype)
-    mul = np.empty((n, n), dtype=dtype)
-    step = max(1, _BLOCK_ELEMS // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        comp = badd[digits[lo:hi, None, :], digits[None, :, :]].astype(np.int64)
-        add[lo:hi] = comp @ weights
-        acc_idx = np.zeros((hi - lo, n), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                acc = bmul[dmat[lo:hi, i, 0][:, None], dmat[None, :, 0, j][0]]
-                for l in range(1, k):
-                    term = bmul[dmat[lo:hi, i, l][:, None], dmat[None, :, l, j][0]]
-                    acc = badd[acc, term]
-                acc_idx += acc.astype(np.int64) * weights[i * k + j]
-        mul[lo:hi] = acc_idx
-
-    one_digits = [base.one if i == j else 0 for i in range(k) for j in range(k)]
-    one = int(sum(d * w for d, w in zip(one_digits, weights)))
+    vadd = reduce(_kron_sum, [base.add_table] * k)
+    # scaled[r, s] = s·r, the row vector r multiplied on the left by the scalar s
+    scaled = reduce(lambda p, q: _stack_rows(p, q, m), [base.mul_table.T] * k)
+    # terms[l][s, B] = s·row_l(B), so rm[u, B] = u·B = Σ_l terms[l][u_l, B], summed in vadd
+    terms = [np.repeat(np.tile(scaled.T, v**l), v ** (k - 1 - l), axis=1) for l in range(k)]
+    rm = reduce(lambda acc, term: vadd[acc[:, None], term].reshape(-1, n), terms)
+    mul = reduce(lambda p, q: _stack_rows(p, q, v), [rm] * k)
+    add = reduce(_kron_sum, [vadd] * k)
+    one = sum(base.one * (m * v) ** i for i in range(k))
     return FiniteRing(add, mul, one=one, name=name, matrix_of=(base, k))
 
 

@@ -10,7 +10,7 @@ from itertools import permutations, product
 import numpy as np
 
 import zdgraph as z
-from zdgraph.rings import _BLOCK_ELEMS, _additive_span
+from zdgraph.rings import _BLOCK_ELEMS, _additive_span, _check_cap, _index_dtype
 
 
 def naive_additive_closure(ring, seed):
@@ -330,3 +330,82 @@ def table_completeness_branches(a):
         if {lab.bits for lab in a.ipo.labels} == target:
             branches.append("local_ideal_chain")
     return branches, detail
+
+
+# -- composite rings, entry by entry ---------------------------------------------
+# The product and matrix constructors as they were before the tables were
+# composed as Kronecker sums: every entry is assembled from its factor or
+# base digits.  The library's constructors must give the same bytes.
+
+
+def pairwise_product_ring(a: z.FiniteRing, b: z.FiniteRing, cap: int | None = None) -> z.FiniteRing:
+    """Direct product with row-major pair indexing: index = i*|b| + j."""
+    n = a.order * b.order
+    _check_cap(n, cap)
+    dtype = _index_dtype(n)
+    ia = (np.arange(n) // b.order).astype(np.int64)
+    jb = (np.arange(n) % b.order).astype(np.int64)
+    add = np.empty((n, n), dtype=dtype)
+    mul = np.empty((n, n), dtype=dtype)
+    step = max(1, _BLOCK_ELEMS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        add[lo:hi] = (
+            a.add_table[ia[lo:hi, None], ia[None, :]].astype(np.int64) * b.order
+            + b.add_table[jb[lo:hi, None], jb[None, :]]
+        )
+        mul[lo:hi] = (
+            a.mul_table[ia[lo:hi, None], ia[None, :]].astype(np.int64) * b.order
+            + b.mul_table[jb[lo:hi, None], jb[None, :]]
+        )
+    one = a.one * b.order + b.one
+    return z.FiniteRing(add, mul, one=one, name=f"{a.name} x {b.name}")
+
+
+def digit_matrix_ring(base: z.FiniteRing, k: int, cap: int | None = None) -> z.FiniteRing:
+    """k-by-k matrices over `base`, indexed as mixed-radix tuples row-major.
+
+    The entry tuple (m00, m01, ..., m(k-1)(k-1)) is read as digits of the
+    element index, most significant first.
+    """
+    if k < 1:
+        raise ValueError("matrix dimension must be at least 1")
+    name = f"M{k}({base.name})"
+    if base.order == 1:  # matrices over the zero ring: the zero ring again
+        return z.FiniteRing(base.add_table, base.mul_table, one=0, name=name, matrix_of=(base, k))
+    m = base.order
+    n = m ** (k * k)
+    _check_cap(n, cap)
+    kk = k * k
+    dtype = _index_dtype(n)
+
+    digits = np.empty((n, kk), dtype=np.int64)
+    rem = np.arange(n, dtype=np.int64)
+    for p in range(kk - 1, -1, -1):
+        digits[:, p] = rem % m
+        rem //= m
+    weights = np.array([m ** (kk - 1 - p) for p in range(kk)], dtype=np.int64)
+    dmat = digits.reshape(n, k, k)
+
+    badd = base.add_table
+    bmul = base.mul_table
+    add = np.empty((n, n), dtype=dtype)
+    mul = np.empty((n, n), dtype=dtype)
+    step = max(1, _BLOCK_ELEMS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        comp = badd[digits[lo:hi, None, :], digits[None, :, :]].astype(np.int64)
+        add[lo:hi] = comp @ weights
+        acc_idx = np.zeros((hi - lo, n), dtype=np.int64)
+        for i in range(k):
+            for j in range(k):
+                acc = bmul[dmat[lo:hi, i, 0][:, None], dmat[None, :, 0, j][0]]
+                for l in range(1, k):
+                    term = bmul[dmat[lo:hi, i, l][:, None], dmat[None, :, l, j][0]]
+                    acc = badd[acc, term]
+                acc_idx += acc.astype(np.int64) * weights[i * k + j]
+        mul[lo:hi] = acc_idx
+
+    one_digits = [base.one if i == j else 0 for i in range(k) for j in range(k)]
+    one = int(sum(d * w for d, w in zip(one_digits, weights)))
+    return z.FiniteRing(add, mul, one=one, name=name, matrix_of=(base, k))

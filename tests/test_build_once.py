@@ -1,6 +1,7 @@
 """Each artifact is built once per ring, and reports match the committed
 golden bytes (each generated by the code before the refactor it guards)."""
 
+import hashlib
 import sys
 from collections import Counter
 from pathlib import Path
@@ -140,6 +141,8 @@ def test_verify_semigroups_computes_ann_sets_once_each(monkeypatch, capsys):
         ("M2_Z1", "M2(Z1)"),
         # a product with a matrix factor gets no matrix checks
         ("M2_Z2xZ3", "M2(Z2) x Z3"),
+        # a product whose second factor is noncommutative
+        ("Z8xM2_Z2", "Z8 x M2(Z2)"),
     ],
 )
 def test_analyze_matches_golden_bytes(stem, expr, tmp_path, capsys):
@@ -147,3 +150,18 @@ def test_analyze_matches_golden_bytes(stem, expr, tmp_path, capsys):
     assert main(["analyze", expr, "--json", "-", "--dot", str(dot)]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{stem}.json").read_bytes()
     assert dot.read_bytes() == (GOLDEN / f"{stem}.dot").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "stem, expr, dot_sha256",
+    [
+        # their DOT files (1.0 MB and 0.39 MB) are pinned by hash only
+        ("M2_Z6", "M2(Z6)", "564096aaa18785c25277d8ae393fe3180f30a6db1052d1e1a54deae6518f557b"),
+        ("M3_Z2", "M3(Z2)", "a3c9ecc297102d517004e53c8c373d633927bc7f17b1792ff73ee725c62db9ab"),
+    ],
+)
+def test_analyze_matches_golden_json_and_dot_hash(stem, expr, dot_sha256, tmp_path, capsys):
+    dot = tmp_path / "graph.dot"
+    assert main(["analyze", expr, "--json", "-", "--dot", str(dot)]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{stem}.json").read_bytes()
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_sha256

@@ -206,6 +206,17 @@ def test_hand_made_graphs(name):
         assert all(g.und[a, b] for a, b in zip(at, at[1:] + at[:1]))
 
 
+def test_diameter_in_row_blocks_matches_floyd_warshall(monkeypatch, rings):
+    # 8-entry blocks: every level of the expansion runs in several row blocks
+    monkeypatch.setattr(z.graphs, "_BLOCK_ELEMS", 8)
+    for g in _all_test_graphs(rings) + list(_hand_made_graphs().values()):
+        if not 2 <= g.n_vertices <= 12:
+            continue
+        both_ways = [(a, b) for e in g.undirected_edges() for a, b in (e, e[::-1])]
+        assert _directed(g) == _naive_connectivity(g.vertices, g.directed_edges())
+        assert g.metrics.undirected_diameter == _naive_connectivity(g.vertices, both_ways)[1]
+
+
 def test_export_dot(rings):
     empty = z.export_dot(_ipo_graph(rings, "Z5"))
     assert empty == "digraph zd {\n}\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,9 +9,11 @@ import zdgraph as z
 
 from oracles import (
     central_idempotents,
+    digit_matrix_ring,
     element_zero_divisors,
     is_local_ring,
     naive_is_division_ring,
+    pairwise_product_ring,
     ring_isomorphism,
 )
 
@@ -96,6 +100,55 @@ def test_matrix_ring_capacity():
         z.make_matrix_ring(inner, 3)
     with pytest.raises(z.CapacityError):
         z.make_product_ring(inner, inner, cap=100)
+
+
+def _composite_cases():
+    """(library constructor, oracle constructor, arguments) per composite
+    ring, with the ring's name as the id; composite factors come from the
+    oracles."""
+    zn = z.make_cyclic_ring
+    z2z2 = pairwise_product_ring(zn(2), zn(2))
+    m2z2 = digit_matrix_ring(zn(2), 2)
+    matrices = [(zn(2), 1), (zn(6), 1), *((zn(m), 2) for m in range(2, 6)), (zn(2), 3), (z2z2, 2)]
+    # Z2 x Z300 and Z300 x Z2: two tall row blocks, and 300 short ones
+    products = [(zn(4), zn(3)), (m2z2, zn(3)), (z2z2, zn(2)), (zn(8), m2z2), (zn(2), zn(300)), (zn(300), zn(2))]
+    for base, k in matrices:
+        yield pytest.param(z.make_matrix_ring, digit_matrix_ring, (base, k), id=f"M{k}({base.name})")
+    for a, b in products:
+        yield pytest.param(z.make_product_ring, pairwise_product_ring, (a, b), id=f"{a.name} x {b.name}")
+
+
+@pytest.mark.parametrize("build, oracle, args", _composite_cases())
+def test_composite_constructors_match_entrywise_oracles(build, oracle, args):
+    ring, ref = build(*args), oracle(*args)
+    assert ring.name == ref.name
+    for table, expected in ((ring.add_table, ref.add_table), (ring.mul_table, ref.mul_table)):
+        assert table.dtype == expected.dtype
+        assert table.tobytes() == expected.tobytes()
+    assert ring.one == ref.one
+    assert ring.matrix_of == ref.matrix_of
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (z.make_matrix_ring, lambda: (z.make_cyclic_ring(6), 2)),
+        (z.make_matrix_ring, lambda: (z.make_cyclic_ring(2), 3)),
+        (z.make_product_ring, lambda: (z.make_matrix_ring(z.make_cyclic_ring(2), 2), z.make_cyclic_ring(3))),
+    ],
+    ids=["M2(Z6)", "M3(Z2)", "M2(Z2) x Z3"],
+)
+def test_composite_constructors_allocate_little_beyond_their_tables(build, args):
+    # the tables are written block by block in their final dtype, with no
+    # per-entry digits and no int64 temporaries as wide as a table
+    args = args()
+    tracemalloc.start()
+    try:
+        ring = build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (ring.add_table.nbytes + ring.mul_table.nbytes)
 
 
 def test_validate_accepts_all_constructors(rings):
