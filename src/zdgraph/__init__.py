@@ -27,7 +27,6 @@ from .ideals import (
     ideal_product,
     is_left_ideal,
     is_right_ideal,
-    left_annihilator,
 )
 from .report import AnalysisReport, CheckResult, write_report_json
 from .rings import (

@@ -21,7 +21,6 @@ from .rings import (
     RingValidationError,
     TableFormatError,
     _check_cap,
-    make_cyclic_ring,
 )
 from .semigroups import ann_sets, enumerate_semigroups_with_zero
 from .theorems import RingAnalysis, prepare_ring_analysis, run_all, semigroup_checks
@@ -84,10 +83,8 @@ def _resolve_cap(flag_value: int | None) -> int:
 
 
 def _tally(report) -> tuple[int, int, int]:
-    passed = sum(1 for c in report.checks if c.status == "pass")
-    failed = sum(1 for c in report.checks if c.status == "fail")
-    na = sum(1 for c in report.checks if c.status == "not-applicable")
-    return passed, failed, na
+    statuses = [c.status for c in report.checks]
+    return statuses.count("pass"), statuses.count("fail"), statuses.count("not-applicable")
 
 
 def _analyze_expr(text: str, cap: int) -> tuple[AnalysisReport, RingAnalysis]:
@@ -110,18 +107,24 @@ def _cmd_analyze(args) -> int:
     return 2 if report.failed_checks() else 0
 
 
+def _verify(exprs: list[str], cap: int) -> int:
+    """Analyze each ring expression in turn: one line each, then a summary."""
+    total_failed = 0
+    for text in exprs:
+        report = _analyze_expr(text, cap)[0]  # drop the analysis before the next ring
+        passed, failed, na = _tally(report)
+        total_failed += failed
+        print(f"{report.expr}: {passed} passed, {failed} failed, {na} n/a")
+    print(f"{len(exprs)} instances, {total_failed} failing checks")
+    return 2 if total_failed else 0
+
+
 def _cmd_verify_zn(args) -> int:
     if args.max < 2:
         raise _UsageError("--max must be at least 2")
-    _check_cap(args.max, _resolve_cap(None))  # Zmax is the largest ring built
-    total_failed = 0
-    for n in range(2, args.max + 1):
-        report = run_all(make_cyclic_ring(n), expr=f"Z{n}")
-        passed, failed, na = _tally(report)
-        total_failed += failed
-        print(f"Z{n}: {passed} passed, {failed} failed, {na} n/a")
-    print(f"{args.max - 1} instances, {total_failed} failing checks")
-    return 2 if total_failed else 0
+    cap = _resolve_cap(None)
+    _check_cap(args.max, cap)  # Zmax is the largest ring built
+    return _verify([f"Z{n}" for n in range(2, args.max + 1)], cap)
 
 
 def _cmd_verify_semigroups(args) -> int:
@@ -145,14 +148,7 @@ def _cmd_verify_list(args) -> int:
         for ln in Path(args.file).read_text().splitlines()
         if ln.strip() and not ln.strip().startswith("#")
     ]
-    total_failed = 0
-    for line in lines:
-        report = _analyze_expr(line, cap)[0]  # drop the analysis before the next ring
-        passed, failed, na = _tally(report)
-        total_failed += failed
-        print(f"{report.expr}: {passed} passed, {failed} failed, {na} n/a")
-    print(f"{len(lines)} instances, {total_failed} failing checks")
-    return 2 if total_failed else 0
+    return _verify(lines, cap)
 
 
 def _print_tree(e, indent: int = 0) -> None:
@@ -194,10 +190,7 @@ def main(argv=None) -> int:
                 return _cmd_verify_semigroups(args)
             return _cmd_verify_list(args)
         return _cmd_parse(args)
-    except _UsageError as exc:
-        print(f"zdgraph: error: {exc}", file=sys.stderr)
-        return 1
-    except _CONSTRUCTION_ERRORS as exc:
+    except (_UsageError, *_CONSTRUCTION_ERRORS) as exc:
         print(f"zdgraph: error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError) as exc:  # closure, validation or other invariant failure

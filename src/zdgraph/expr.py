@@ -9,16 +9,15 @@ whitespace around tokens is insignificant; 'Z', 'M', 'T' are case-sensitive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
 
 from .rings import (
     DEFAULT_SIZE_CAP,
-    CapacityError,
     FiniteRing,
     _check_cap,
+    _power_order,
     load_table_ring,
     make_cyclic_ring,
     make_matrix_ring,
@@ -90,7 +89,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self._fail("an unsigned integer")
-        value = int(self.text[start : self.pos])
+        try:
+            value = int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ParseError(start, ("a shorter integer",), f"{self.pos - start} digits") from None
         if value == 0:
             raise ParseError(start, ("a positive integer",), "0")
         return value
@@ -188,12 +190,12 @@ def expr_order(e: RingExpr, cap: int | None = None, texts: dict[str, str] | None
     elif isinstance(e, TableFile):
         n = table_order(_table_text(e.path, texts))
     elif isinstance(e, Product):
-        n = math.prod(expr_order(f, cap, texts) for f in e.factors)
+        n = 1
+        for f in e.factors:  # the running product stays below cap**2
+            n *= expr_order(f, cap, texts)
+            _check_cap(n, cap)
     elif isinstance(e, Matrix):
-        m, kk = expr_order(e.inner, cap, texts), e.k * e.k
-        if m > 1 and kk >= cap.bit_length():  # m**kk >= 2**kk > cap; never compute it
-            raise CapacityError(f"ring of order {m}**{kk} exceeds the size cap of {cap}")
-        n = m**kk
+        n = _power_order(expr_order(e.inner, cap, texts), e.k * e.k, cap)
     else:
         raise TypeError(f"not a ring expression: {e!r}")
     _check_cap(n, cap)

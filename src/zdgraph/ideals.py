@@ -1,4 +1,4 @@
-"""Additive subgroups, one-sided ideals, ideal products and annihilators.
+"""Additive subgroups, one-sided ideals and ideal products.
 
 All subsets are bit-vector ElementSets over a fixed ring.  Ideal lists are
 canonically sorted by bit-vector lexicographic order, so enumeration output
@@ -178,17 +178,3 @@ def ideal_product(r: FiniteRing, a: ElementSet, b: ElementSet) -> ElementSet:
     mul = r.mul_table
     prods = sorted({int(mul[x, y]) for x in ga for y in gb})
     return additive_closure(r, prods)
-
-
-def left_annihilator(r: FiniteRing, x: ElementSet) -> ElementSet:
-    """{ a : a*y = 0 for all y in x }; always a left ideal."""
-    n = r.order
-    cand = np.ones(n, dtype=bool)
-    cols = list(x.indices())
-    step = max(1, _BLOCK_ELEMS // max(1, n))
-    for lo in range(0, len(cols), step):
-        cand &= (r.mul_table[:, cols[lo : lo + step]] == 0).all(axis=1)
-    out = ElementSet.from_mask(r, cand)
-    assert is_left_ideal(r, out)
-    return out
-

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 def serialize_extent(value):
@@ -23,11 +23,7 @@ class CheckResult:
     witness: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "status": self.status,
-            "witness": self.witness,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -50,21 +46,12 @@ class AnalysisReport:
         return [c for c in self.checks if c.status == "fail"]
 
     def to_json_dict(self) -> dict:
-        return {
-            "expr": self.expr,
-            "ring_order": self.ring_order,
-            "left_ideal_count": self.left_ideal_count,
-            "right_ideal_count": self.right_ideal_count,
-            "ipo_size": self.ipo_size,
-            "vertex_count": self.vertex_count,
-            "directed_connected": self.directed_connected,
-            "directed_diameter": serialize_extent(self.directed_diameter),
-            "undirected_diameter": serialize_extent(self.undirected_diameter),
-            "girth": serialize_extent(self.girth),
-            "complete": self.complete,
-            "tournament": self.tournament,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
+        """The fields in declaration order, which is the JSON key order."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("directed_diameter", "undirected_diameter", "girth"):
+            out[name] = serialize_extent(out[name])
+        out["checks"] = [c.to_json_dict() for c in self.checks]
+        return out
 
 
 def write_report_json(report: AnalysisReport) -> str:

@@ -219,8 +219,9 @@ def _reaching_generators(add: np.ndarray) -> list[int]:
         gens.append(int(np.argmin(reached)))
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            step = np.unique(add[frontier[:, None], gens])
-            frontier = step[~reached[step]]
+            step = np.zeros_like(reached)
+            step[add[frontier[:, None], gens]] = True
+            frontier = np.flatnonzero(step & ~reached)
             reached[frontier] = True
     return gens
 
@@ -336,10 +337,28 @@ def make_cyclic_ring(n: int) -> FiniteRing:
     return FiniteRing(add, mul, one=1 % n, name=f"Z{n}")
 
 
+def _decimal(v: int) -> str:
+    """v in decimal, or a power of 2 below it when str() refuses that many digits."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"at least 2**{v.bit_length() - 1}"
+
+
 def _check_cap(n: int, cap: int | None) -> None:
     cap = DEFAULT_SIZE_CAP if cap is None else cap
     if n > cap:
-        raise CapacityError(f"ring of order {n} exceeds the size cap of {cap}")
+        raise CapacityError(f"ring of order {_decimal(n)} exceeds the size cap of {_decimal(cap)}")
+
+
+def _power_order(m: int, e: int, cap: int | None) -> int:
+    """m**e, the order of e-tuples over a ring of order m, checked against `cap`
+    without computing a power above 4*cap**2 (m**e >= 2**(e*(bits(m)-1)))."""
+    cap = DEFAULT_SIZE_CAP if cap is None else cap
+    if m > 1 and e * (m.bit_length() - 1) >= cap.bit_length():
+        raise CapacityError(f"ring of order {_decimal(m)}**{e} exceeds the size cap of {_decimal(cap)}")
+    _check_cap(m**e, cap)
+    return m**e
 
 
 def _stack_rows(p: np.ndarray, q: np.ndarray, w: int) -> np.ndarray:
@@ -388,9 +407,8 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int | None = None) -> Finite
     name = f"M{k}({base.name})"
     if base.order == 1:  # matrices over the zero ring: the zero ring again
         return FiniteRing(base.add_table, base.mul_table, one=0, name=name, matrix_of=(base, k))
-    m, v = base.order, base.order**k
-    n = v**k
-    _check_cap(n, cap)
+    m, n = base.order, _power_order(base.order, k * k, cap)
+    v = m**k
     vadd = reduce(_kron_sum, [base.add_table] * k)
     # scaled[r, s] = s·r, the row vector r multiplied on the left by the scalar s
     scaled = reduce(lambda p, q: _stack_rows(p, q, m), [base.mul_table.T] * k)

@@ -5,12 +5,11 @@ closure is machine-checked, never assumed)."""
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ideals import OneSidedIdeal, additive_generators, enumerate_one_sided_ideals
+from .ideals import OneSidedIdeal, additive_generators
 from .rings import (
     _BLOCK_ELEMS,
     ElementSet,
@@ -19,6 +18,7 @@ from .rings import (
     _first_bad_pair,
     _first_non_associative,
     _freeze,
+    _index_dtype,
 )
 
 
@@ -141,22 +141,11 @@ def ann_sets(s: FiniteSemigroupWithZero) -> AnnSets:
     return AnnSets(a_left | a_right, a_left, a_right)
 
 
-def _in_pool(pidx: np.ndarray, what: str) -> np.ndarray:
-    """`pidx` (pool indices per IPO element pair), or ClosureViolationError
-    naming the first pair whose `what` is not a pool member (index -1)."""
-    if (pidx < 0).any():
-        a, b = _first_bad_pair(pidx < 0)
-        raise ClosureViolationError(
-            f"{what} for IPO elements {a} and {b} is not among the enumerated one-sided ideals"
-        )
-    return pidx
-
-
-def _images(r: FiniteRing, pool: list[OneSidedIdeal], right_gen: dict) -> list[list]:
+def _images(r: FiniteRing, pool: list[OneSidedIdeal]) -> list[list]:
     """The pool x pool product bits A*B that are one image x*B, None elsewhere.
 
-    When A is a right ideal with a right generator x (A = xR, from
-    `right_gen`) and B is a left ideal, A*B = x*B = { x*b : b in B }.  Proof:
+    When A is a right ideal with a right generator x (A = xR, its
+    `generator`) and B is a left ideal, A*B = x*B = { x*b : b in B }.  Proof:
     span{x*r*b} = x*span{r*b} = x*(RB) = x*B, since left multiplication by x
     is additive and RB = B for a left ideal B of a unital ring; and x*B is
     already an additive subgroup.  The images of every left B under a block
@@ -165,8 +154,7 @@ def _images(r: FiniteRing, pool: list[OneSidedIdeal], right_gen: dict) -> list[l
     """
     n, mul = r.order, r.mul_table
     out: list[list] = [[None] * len(pool) for _ in pool]
-    firsts = [(i, right_gen.get(a.bits)) for i, a in enumerate(pool) if a.is_right]
-    firsts = [(i, x) for i, x in firsts if x is not None]
+    firsts = [(i, a.generator) for i, a in enumerate(pool) if a.is_right and a.generator is not None]
     seconds = [j for j, b in enumerate(pool) if b.is_left]
     if not firsts or not seconds:
         return out
@@ -187,45 +175,43 @@ def _images(r: FiniteRing, pool: list[OneSidedIdeal], right_gen: dict) -> list[l
 
 
 def build_ipo(
-    r: FiniteRing, left: list[OneSidedIdeal] | None = None, right: list[OneSidedIdeal] | None = None
+    r: FiniteRing, left: list[OneSidedIdeal], right: list[OneSidedIdeal]
 ) -> FiniteSemigroupWithZero:
     """The semigroup of all products I*J over one-sided ideals I, J of r.
 
     Elements are the distinct product sets over every ordered pair drawn
-    from the pool, the union of the left- and right-ideal enumerations; the
-    zero ideal sits at index 0 and labels carry the underlying element
-    subsets.  `left` and `right`, when given, must be r's full left and right
-    enumerations from `enumerate_one_sided_ideals`; they are trusted, not
-    re-checked.  A side that is not given is enumerated here.
+    from the pool, the union of `left` and `right`: r's full left and right
+    enumerations from `enumerate_one_sided_ideals`, trusted, not re-checked.
+    The zero ideal sits at index 0 and labels carry the element subsets.  A
+    two-sided ideal keeps its right-list entry, so the `generator` of every
+    right pool member is a right generator.
 
     A pool-pair product A*B is one image x*B when A has a right generator x
-    in `right` and B is a left ideal (see `_images`), and an additive span
-    of the products of their additive generators otherwise.
+    and B is a left ideal (see `_images`), and an additive span of the
+    products of their additive generators otherwise.
 
-    The Cayley table is read off the pool x pool product table.  Each element
-    A is written as K*L with K a right and L a left ideal of the pool: A*R for
-    a right ideal A, R*A for a left-only one, otherwise the pool pair that
-    produced A.  Then every entry is three lookups:
+    Closure is checked once, right after discovery: I*J is a left ideal when
+    I is one and a right ideal when J is one, so every pool-pair product with
+    a left first or a right second factor must be a pool member, and one
+    that is not raises ClosureViolationError.  The Cayley table is then read
+    off the pool x pool product table.  Each element A is written as K*L with
+    K a right and L a left ideal of the pool: A*R for a right ideal A, R*A
+    for a left-only one, otherwise the first pool pair that produced A, which
+    after the check is a right-only K and a left-only L.  Then every entry is
+    three lookups:
 
         (K1*L1)*(K2*L2) = K1*((L1*K2)*L2).
 
     Proof: the product of additive subgroups is associative, since (AB)C
     and A(BC) are both the subgroup generated by all abc; so the identity
-    holds for any decomposition.  L1*K2 is a two-sided ideal and
-    (L1*K2)*L2 a left ideal, so complete enumerations contain both, and
-    a lookup that misses raises ClosureViolationError.  The producing pair
-    of an element outside the pool is a right K and a left L, because I*J
-    is a left ideal when I is one and a right ideal when J is one; a
-    sided product outside the pool also raises ClosureViolationError.  The
+    holds for any decomposition.  L1*K2 and (L1*K2)*L2 both have a left
+    first factor, so the check has already proven them pool members.  The
     assembled table is then re-validated for associativity, with the pool as
     generators (every element is a product of two pool members), and a test
     cross-checks it against directly computed products on mid-size rings.
     """
-    left = left if left is not None else enumerate_one_sided_ideals(r, "left")
-    right = right if right is not None else enumerate_one_sided_ideals(r, "right")
-    pool = list({ideal.bits: ideal for ideal in itertools.chain(left, right)}.values())
+    pool = list(({i.bits: i for i in left} | {i.bits: i for i in right}).values())
     pool_idx = {ideal.bits: i for i, ideal in enumerate(pool)}
-    right_gen = {ideal.bits: ideal.generator for ideal in right}
     n = r.order
 
     @functools.cache
@@ -233,37 +219,26 @@ def build_ipo(
         return np.asarray(additive_generators(r, pool[p].set), dtype=np.intp)
 
     # discovery: every ordered pool pair, x*B where possible, else by a span
-    pair_product = _images(r, pool, right_gen)
+    pair_product = _images(r, pool)
     elements: dict[int, ElementSet] = {}
     decomp: dict[int, tuple[int, int]] = {}
     for i, row in enumerate(pair_product):
         for j, bits in enumerate(row):
             if bits is None:
-                seed = np.unique(r.mul_table[gens(i)[:, None], gens(j)])
-                bits = row[j] = ElementSet.from_mask(r, _additive_span(r.add_table, seed, n)[0]).bits
+                seed = np.zeros(n, dtype=bool)
+                seed[r.mul_table[gens(i)[:, None], gens(j)]] = True
+                span = _additive_span(r.add_table, np.flatnonzero(seed), n)[0]
+                bits = row[j] = ElementSet.from_mask(r, span).bits
             if bits not in elements:
                 elements[bits] = ElementSet(r, bits)
                 decomp[bits] = (i, j)
 
     ordered = sorted(elements.values(), key=ElementSet.sort_key)
     assert ordered[0].bits == 1, "zero ideal must sort first"
-    m = len(ordered)
     e_idx = {s.bits: i for i, s in enumerate(ordered)}
-    dtype = np.uint16 if m < 2**16 else np.uint32
-    pp_eidx = np.array([[e_idx[b] for b in row] for row in pair_product], dtype=dtype)
-    pp_pidx = np.array([[pool_idx.get(b, -1) for b in row] for row in pair_product], dtype=np.int32)
-
-    # a pool member A as K*L: A*R for a right ideal A, R*A for a left-only one
-    full = pool_idx[(1 << n) - 1]
-    for i, ideal in enumerate(pool):
-        decomp[ideal.bits] = (i, full) if ideal.is_right else (full, i)
-    k, l = np.array([decomp[s.bits] for s in ordered], dtype=np.intp).T
-
-    t = _in_pool(pp_pidx[l[:, None], k], "L*K")
-    u = _in_pool(pp_pidx[t, l], "(L*K)*L")
-    is_left = np.array([ideal.is_left for ideal in pool])
-    is_right = np.array([ideal.is_right for ideal in pool])
     pool_e = np.array([e_idx[ideal.bits] for ideal in pool], dtype=np.intp)
+    pp_pidx = np.array([[pool_idx.get(b, -1) for b in row] for row in pair_product], dtype=np.int32)
+    is_left, is_right = np.array([(ideal.is_left, ideal.is_right) for ideal in pool]).T
     escaped = (pp_pidx < 0) & (is_left[:, None] | is_right[None, :])
     if escaped.any():
         a, b = _first_bad_pair(escaped)
@@ -272,6 +247,14 @@ def build_ipo(
             "but is not among the enumerated one-sided ideals"
         )
 
+    # a pool member A as K*L: A*R for a right ideal A, R*A for a left-only one
+    full = pool_idx[(1 << n) - 1]
+    for i, ideal in enumerate(pool):
+        decomp[ideal.bits] = (i, full) if ideal.is_right else (full, i)
+    k, l = np.array([decomp[s.bits] for s in ordered], dtype=np.intp).T
+    dtype = _index_dtype(len(ordered))
+    pp_eidx = np.array([[e_idx[b] for b in row] for row in pair_product], dtype=dtype)
+    u = pp_pidx[pp_pidx[l[:, None], k], l]  # (L*K)*L: a pool member, by the check
     s = FiniteSemigroupWithZero(pp_eidx[k[:, None], u], labels=ordered)
     validate_semigroup(s, pool_e)
     return s

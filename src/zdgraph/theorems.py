@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import INF, ZdGraph, directed_zd_graph
-from .ideals import OneSidedIdeal, enumerate_one_sided_ideals, ideal_product, left_annihilator
+from .ideals import OneSidedIdeal, additive_generators, enumerate_one_sided_ideals
 from .rings import ElementSet, FiniteRing
 from .report import AnalysisReport, CheckResult, serialize_extent
 from .semigroups import AnnSets, FiniteSemigroupWithZero, ann_sets, build_ipo
@@ -380,18 +380,21 @@ def check_not_tournament(a: RingAnalysis) -> CheckResult:
 def annihilating_ideal_graph(a: RingAnalysis) -> ZdGraph:
     """Commutative annihilating-ideal graph: nonzero ideals with a nonzero
     annihilator, adjacent when their product is the zero ideal.  It reads only
-    the ring and its ideal list, never the IPO."""
+    the ring's table and its ideal list, never the IPO.
+
+    By bilinearity, I*J = 0 exactly when every product of an additive
+    generator of I and one of J is 0, and Ann(I) != 0 exactly when some
+    nonzero x kills every additive generator of I.
+    """
     r = a.ring
     if not r.is_commutative():
         raise ValueError("the annihilating-ideal graph is defined for commutative rings")
-    vsets = [i.set for i in a.left if i.bits != 1 and left_annihilator(r, i.set).bits != 1]
-    m = len(vsets)
-    adj = np.zeros((m, m), dtype=bool)
-    for i, x in enumerate(vsets):
-        for j, y in enumerate(vsets):
-            if i != j:
-                adj[i, j] = ideal_product(r, x, y).bits == 1
-    return ZdGraph(range(m), vsets, adj)
+    mul = r.mul_table
+    gens = [np.asarray(additive_generators(r, i.set), dtype=np.intp) for i in a.left]
+    keep = [v for v, i in enumerate(a.left) if i.bits != 1 and (mul[1:, gens[v]] == 0).all(1).any()]
+    # adjacency: I*J = 0, read for I = J too, since ZdGraph drops the diagonal
+    zero = [[not mul[gens[v][:, None], gens[w]].any() for w in keep] for v in keep]
+    return ZdGraph(range(len(keep)), [a.left[v].set for v in keep], np.reshape(zero, (len(keep),) * 2))
 
 
 _MATRIX_CHECKS = ("matrix_diam_lower", "matrix_diam_monotone", "matrix_girth")

@@ -69,6 +69,22 @@ def naive_ideal_product(ring, a, b):
     return z.ElementSet.from_indices(ring, naive_additive_closure(ring, prods))
 
 
+def naive_annihilating_ideal_graph(ring, ideals):
+    """Vertex bits and adjacency matrix of the commutative annihilating-ideal
+    graph over `ideals`: the nonzero I with a nonzero a such that a*y = 0 for
+    every element y of I, and I, J adjacent (I != J) when naive_ideal_product
+    gives the zero ideal."""
+    def has_annihilator(s):
+        return any(all(ring.mul(a, y) == 0 for y in s.indices()) for a in range(1, ring.order))
+
+    vsets = [i.set for i in ideals if i.bits != 1 and has_annihilator(i.set)]
+    adj = np.zeros((len(vsets), len(vsets)), dtype=bool)
+    for i, x in enumerate(vsets):
+        for j, y in enumerate(vsets):
+            adj[i, j] = i != j and naive_ideal_product(ring, x, y).bits == 1
+    return [x.bits for x in vsets], adj
+
+
 def floyd_warshall(vertices, edges):
     """All-pairs shortest path lengths over directed edges; None = unreachable."""
     dist = {(a, b): (0 if a == b else None) for a in vertices for b in vertices}

@@ -46,14 +46,14 @@ def test_criterion_02_ipo_closure(rings):
         family.setdefault(f"Z{n}", z.make_cyclic_ring(n))
     family["M2(Z3)"] = rings["M2(Z3)"]
     for name, ring in family.items():
-        z.build_ipo(ring)  # raises ClosureViolationError on any escape
+        z.prepare_ring_analysis(ring).ipo  # raises ClosureViolationError on any escape
     _report("2 ideal-product semigroups close multiplicatively")
 
 
 @pytest.fixture(scope="module")
 def semigroup_corpus(rings):
     """IPO-derived semigroups plus every order <= 4 semigroup with zero."""
-    ring_derived = [z.build_ipo(ring) for ring in rings.values()]
+    ring_derived = [z.prepare_ring_analysis(ring).ipo for ring in rings.values()]
     exhaustive = []
     for order in (2, 3, 4):
         exhaustive.extend(z.enumerate_semigroups_with_zero(order))

@@ -10,6 +10,8 @@ import zdgraph.semigroups
 import zdgraph.theorems
 from zdgraph.cli import main
 
+from table_rings import draw_permutation, relabelled_table_text, upper_triangular
+
 
 def test_analyze_json_stdout(capsys):
     assert main(["analyze", "Z12", "--json", "-"]) == 0
@@ -52,7 +54,7 @@ def test_verify_zn_checks_the_cap_before_building(monkeypatch, capsys):
     def no_build(n):
         raise AssertionError(f"make_cyclic_ring({n}) called for an over-cap --max")
 
-    monkeypatch.setattr(zdgraph.cli, "make_cyclic_ring", no_build)
+    monkeypatch.setattr(zdgraph.expr, "make_cyclic_ring", no_build)
     assert main(["verify", "zn", "--max", "12"]) == 1
     assert "size cap" in capsys.readouterr().err
     monkeypatch.delenv("ZDGRAPH_CAP")
@@ -103,12 +105,12 @@ def test_internal_invariant_failure_exits_three(monkeypatch, capsys, error):
 
 @pytest.mark.parametrize(
     "size, two_sided, message",
-    [(16, True, "L*K for IPO elements"), (4, False, "a right second factor")],
+    [(16, True, "a left first or a right second factor"), (4, False, "a right second factor")],
     ids=["two-sided-L*K", "minimal-right"],
 )
 def test_incomplete_ideal_enumeration_exits_three(monkeypatch, capsys, size, two_sided, message):
     # M2(Z2) x Z2 without its two-sided ideal M2(Z2) x 0, or without a minimal
-    # right ideal: build_ipo's closure checks raise, and that is an internal error
+    # right ideal: build_ipo's closure check raises, and that is an internal error
     enumerate_ideals = zdgraph.theorems.enumerate_one_sided_ideals
     ring = zdgraph.expr.build_ring(zdgraph.expr.parse_ring_expr("M2(Z2) x Z2"))
     drop = next(
@@ -277,3 +279,37 @@ def test_determinism_across_processes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         blobs.append((json_path.read_bytes(), dot_path.read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("command", ["analyze", "parse"])
+def test_an_over_long_literal_is_a_user_error(capsys, command):
+    # int() refuses a literal of over 4300 digits: bad input, not a bug
+    assert main([command, "Z" + "9" * 5000]) == 1
+    assert capsys.readouterr().err.startswith("zdgraph: error: syntax error at offset 1")
+
+
+def test_ten_thousand_factors_are_a_user_error(capsys):
+    # the order is checked factor by factor, not formatted at 4772 digits
+    assert main(["analyze", " x ".join(["Z3"] * 10000)]) == 1
+    assert capsys.readouterr().err == "zdgraph: error: ring of order 59049 exceeds the size cap of 25000\n"
+
+
+def test_analyze_does_not_import_numpy_ma(tmp_path):
+    # numpy imports numpy.ma lazily, at the first np.unique; the pipeline needs
+    # none of it, and a fresh process would pay for the import
+    probe = [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"]
+    if subprocess.run(probe, capture_output=True, text=True).stdout == "True\n":
+        pytest.skip("import numpy alone loads numpy.ma")
+    ring = upper_triangular(4)  # non-principal ideals: build_ipo takes spans
+    path = tmp_path / "u2z4.tbl"
+    path.write_text(relabelled_table_text(ring, draw_permutation(ring.order, 7)))
+    script = (
+        "import contextlib, io, sys\n"
+        "from zdgraph.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['analyze', e]) for e in sys.argv[1:]]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    args = [sys.executable, "-c", script, f"T({path})", "M2(Z6)"]
+    proc = subprocess.run(args, capture_output=True, text=True)
+    assert proc.stdout == "[0, 0] False\n", proc.stderr

@@ -108,6 +108,14 @@ def test_expr_order_reads_only_the_declared_order(tmp_path):
             expr_order(z.parse_ring_expr(text))
 
 
+def test_capacity_messages_print_any_order():
+    # under a cap of 3001 digits, Z(cap) x Z(cap) has more digits than str()
+    # converts; the message names a power of 2 below it instead
+    big = 10**3000
+    with pytest.raises(z.CapacityError, match=r"^ring of order at least 2\*\*19931 exceeds"):
+        expr_order(z.parse_ring_expr(f"Z{big} x Z{big} x Z2"), cap=big)
+
+
 def test_build_ring_capacity():
     with pytest.raises(z.CapacityError):
         z.build_ring(z.parse_ring_expr("M3(M2(Z7))"))

@@ -11,7 +11,7 @@ INF = math.inf
 
 
 def _ipo_graph(rings, name):
-    ipo = z.build_ipo(rings[name])
+    ipo = z.prepare_ring_analysis(rings[name]).ipo
     return z.directed_zd_graph(ipo, z.ann_sets(ipo))
 
 

@@ -184,17 +184,3 @@ def test_ideal_product_associative_on_ideals(rings):
                     bc = z.ideal_product(ring, b, c)
                     assert z.ideal_product(ring, ab, c) == z.ideal_product(ring, a, bc)
 
-
-def test_annihilators(rings):
-    r6 = rings["Z6"]
-    assert z.left_annihilator(r6, z.ElementSet.from_indices(r6, [3])).indices() == (0, 2, 4)
-    assert z.left_annihilator(r6, z.ElementSet.zero_set(r6)) == z.ElementSet.full(r6)
-    m = rings["M2(Z2)"]
-    ann = z.left_annihilator(m, z.ElementSet.from_indices(m, [E11]))
-    assert len(ann) == 4  # matrices with zero first column
-
-
-def test_annihilator_sides(rings):
-    m = rings["M2(Z2)"]
-    for ideal in z.enumerate_one_sided_ideals(m, "left"):
-        assert z.is_left_ideal(m, z.left_annihilator(m, ideal.set))

@@ -98,6 +98,9 @@ def test_matrix_ring_capacity():
     inner = z.make_matrix_ring(z.make_cyclic_ring(7), 2)
     with pytest.raises(z.CapacityError):
         z.make_matrix_ring(inner, 3)
+    # 2**4000000 elements: rejected before the order is computed or printed
+    with pytest.raises(z.CapacityError, match=r"^ring of order 2\*\*4000000 exceeds"):
+        z.make_matrix_ring(z.make_cyclic_ring(2), 2000)
     with pytest.raises(z.CapacityError):
         z.make_product_ring(inner, inner, cap=100)
 

@@ -38,15 +38,15 @@ def test_semigroup_from_table_zero_not_absorbing():
 
 
 def test_build_ipo_sizes(rings):
-    assert z.build_ipo(rings["Z4"]).order == 3
-    assert z.build_ipo(rings["Z8"]).order == 4
-    assert z.build_ipo(rings["Z5"]).order == 2
-    labels = [str(s) for s in z.build_ipo(rings["Z8"]).labels]
+    assert z.prepare_ring_analysis(rings["Z4"]).ipo.order == 3
+    assert z.prepare_ring_analysis(rings["Z8"]).ipo.order == 4
+    assert z.prepare_ring_analysis(rings["Z5"]).ipo.order == 2
+    labels = [str(s) for s in z.prepare_ring_analysis(rings["Z8"]).ipo.labels]
     assert labels == ["{0}", "{0,4}", "{0,2,4,6}", "{0,1,2,3,4,5,6,7}"]
 
 
 def test_build_ipo_zero_ring(rings):
-    ipo = z.build_ipo(rings["Z1"])
+    ipo = z.prepare_ring_analysis(rings["Z1"]).ipo
     assert ipo.order == 1
 
 
@@ -57,7 +57,7 @@ def test_ipo_matches_pairwise_products(rings, nonprincipal):
     cases = [rings[name] for name in ("Z12", "M2(Z2)", "M2(Z3)", "Z2xZ4")] + [m2z2xz2]
     cases += list(nonprincipal.values())
     for ring in cases:
-        ipo = z.build_ipo(ring)
+        ipo = z.prepare_ring_analysis(ring).ipo
         for i in range(ipo.order):
             for j in range(ipo.order):
                 direct = z.ideal_product(ring, ipo.labels[i], ipo.labels[j])
@@ -88,7 +88,7 @@ IPO_PINS = {
 
 @pytest.mark.parametrize("expr", sorted(IPO_PINS))
 def test_ipo_bytes_are_pinned(expr):
-    ipo = z.build_ipo(z.build_ring(z.parse_ring_expr(expr)))
+    ipo = z.prepare_ring_analysis(z.build_ring(z.parse_ring_expr(expr))).ipo
     assert ipo.table.dtype == np.uint16
     table_hash = hashlib.sha256(ipo.table.tobytes()).hexdigest()
     label_hash = hashlib.sha256(repr([s.bits for s in ipo.labels]).encode()).hexdigest()
@@ -144,13 +144,13 @@ def test_commutative_ipo_is_ideal_lattice(rings):
     # the two-sided ideals (I = I*R)
     for name in ("Z4", "Z6", "Z8", "Z9", "Z12", "Z2xZ4", "Z2xZ2xZ2", "Z3xZ3"):
         ring = rings[name]
-        ipo_bits = {s.bits for s in z.build_ipo(ring).labels}
+        ipo_bits = {s.bits for s in z.prepare_ring_analysis(ring).ipo.labels}
         ideal_bits = {i.bits for i in z.enumerate_one_sided_ideals(ring, "left")}
         assert ipo_bits == ideal_bits
 
 
 def test_ann_sets_examples(rings):
-    ipo12 = z.build_ipo(rings["Z12"])
+    ipo12 = z.prepare_ring_analysis(rings["Z12"]).ipo
     ann = z.ann_sets(ipo12)
     labels = {i: str(ipo12.labels[i]) for i in ann.d_star}
     assert sorted(labels.values()) == [
@@ -162,7 +162,7 @@ def test_ann_sets_examples(rings):
     assert ann.a_left == ann.a_right == ann.d_star
     assert ann.d_star == {1, 2, 3, 4}  # everything except the zero ideal and the ring
 
-    assert z.ann_sets(z.build_ipo(rings["Z5"])).d_star == frozenset()
+    assert z.ann_sets(z.prepare_ring_analysis(rings["Z5"]).ipo).d_star == frozenset()
 
     null3 = z.semigroup_from_table(np.zeros((3, 3), dtype=int), zero_index=0)
     ann3 = z.ann_sets(null3)
@@ -171,7 +171,7 @@ def test_ann_sets_examples(rings):
 
 def test_ann_sets_union_invariant(rings):
     for ring in rings.values():
-        ann = z.ann_sets(z.build_ipo(ring))
+        ann = z.ann_sets(z.prepare_ring_analysis(ring).ipo)
         assert ann.d_star == ann.a_left | ann.a_right
 
 
@@ -179,7 +179,7 @@ def test_ring_and_zero_never_vertices(rings):
     for ring in rings.values():
         if ring.is_zero_ring():
             continue
-        ipo = z.build_ipo(ring)
+        ipo = z.prepare_ring_analysis(ring).ipo
         ann = z.ann_sets(ipo)
         full_bits = (1 << ring.order) - 1
         for i in ann.d_star:
@@ -222,7 +222,8 @@ def _enumerations_without(ring, bits):
 
 def test_closure_violation_raises(rings):
     # M2(Z2) x Z2 has two nontrivial two-sided ideals, M2(Z2) x 0 and 0 x Z2,
-    # and each is some L*K; without it the L*K or (L*K)*L lookup misses
+    # and each is some L*K; without it that product of a left first factor
+    # escapes the pool, and the sided check raises
     ring = z.make_product_ring(rings["M2(Z2)"], rings["Z2"])
     left, right = (z.enumerate_one_sided_ideals(ring, side) for side in ("left", "right"))
     trivial = {1, (1 << ring.order) - 1}
@@ -230,15 +231,15 @@ def test_closure_violation_raises(rings):
     assert sorted(len(x) for x in two_sided) == [2, 16]
     for x in two_sided:
         assert any(z.ideal_product(ring, l.set, k.set) == x for l in left for k in right)
-        with pytest.raises(z.ClosureViolationError, match=r"^(\(L\*K\)\*L|L\*K) for IPO elements"):
+        with pytest.raises(z.ClosureViolationError, match="left first or a right second factor"):
             z.build_ipo(ring, *_enumerations_without(ring, x.bits))
 
 
 def test_sided_check_catches_a_missing_minimal_right_ideal(rings):
-    # without a minimal right ideal K x 0 of M2(Z2) x Z2 every L*K and
-    # (L*K)*L is still enumerated, so the table lookups pass; but
-    # (K x Z2) * (M2(Z2) x 0) = K x 0 is a product with a right second factor
-    # that is not, and only the sided check (which runs after them) sees it
+    # without a minimal right ideal K x 0 of M2(Z2) x Z2 every two-sided
+    # ideal is still enumerated; but (K x Z2) * (M2(Z2) x 0) = K x 0 is a
+    # product with a right second factor that is not, and the sided check
+    # sees it
     ring = z.make_product_ring(rings["M2(Z2)"], rings["Z2"])
     right = z.enumerate_one_sided_ideals(ring, "right")
     minimal = [k.bits for k in right if not k.is_left and len(k.set) == 4]
@@ -261,4 +262,4 @@ def test_left_ideal_counts_follow_morita(expr, count):
 
 def test_build_ipo_never_violates_closure(rings):
     for ring in rings.values():
-        z.build_ipo(ring)  # raises ClosureViolationError on any escape
+        z.prepare_ring_analysis(ring).ipo  # raises ClosureViolationError on any escape

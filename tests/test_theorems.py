@@ -8,7 +8,12 @@ import pytest
 import zdgraph as z
 from zdgraph import theorems
 
-from oracles import naive_ideal_product, neighbours, table_completeness_branches
+from oracles import (
+    naive_annihilating_ideal_graph,
+    naive_ideal_product,
+    neighbours,
+    table_completeness_branches,
+)
 from table_rings import draw_permutation, nonprincipal_rings, relabelled_table_text, upper_triangular
 
 INF = math.inf
@@ -21,24 +26,24 @@ def _directed_iff(s):
 
 def test_directed_iff_on_rings(rings):
     for name in ("Z4", "Z5", "Z6", "Z8", "Z12", "Z2xZ2", "M2(Z2)", "M2(Z3)"):
-        res = _directed_iff(z.build_ipo(rings[name]))
+        res = _directed_iff(z.prepare_ring_analysis(rings[name]).ipo)
         assert res.status == "pass", (name, res.witness)
 
 
 def test_directed_iff_z12_detail(rings):
-    res = _directed_iff(z.build_ipo(rings["Z12"]))
+    res = _directed_iff(z.prepare_ring_analysis(rings["Z12"]).ipo)
     assert res.witness == {"ann_sides_equal": True, "connected": True, "diameter": 3}
 
 
 def test_directed_iff_vacuous_on_fields(rings):
-    res = _directed_iff(z.build_ipo(rings["Z5"]))
+    res = _directed_iff(z.prepare_ring_analysis(rings["Z5"]).ipo)
     assert res.status == "pass"
     assert res.witness["diameter"] is None
 
 
 def test_undirected_and_girth_on_rings(rings):
     for name, ring in rings.items():
-        ipo = z.build_ipo(ring)
+        ipo = z.prepare_ring_analysis(ring).ipo
         g = z.directed_zd_graph(ipo, z.ann_sets(ipo))
         assert z.check_undirected_connectivity(g).status == "pass", name
         assert z.check_girth_bound(g).status == "pass", name
@@ -229,7 +234,7 @@ def test_ag_graph_matches_ipo_graph(rings):
     for name in ("Z4", "Z6", "Z8", "Z9", "Z12", "Z2xZ4", "Z2xZ2xZ2"):
         ring = rings[name]
         ag = z.annihilating_ideal_graph(z.prepare_ring_analysis(ring))
-        ipo = z.build_ipo(ring)
+        ipo = z.prepare_ring_analysis(ring).ipo
         apog = z.directed_zd_graph(ipo, z.ann_sets(ipo))
         ag_vertices = {str(ag.label_value(v)) for v in ag.vertices}
         apog_vertices = {str(apog.label_value(v)) for v in apog.vertices}
@@ -244,6 +249,21 @@ def test_ag_graph_matches_ipo_graph(rings):
         assert ag_edges == apog_edges, name
 
 
+
+def test_ag_graph_matches_the_element_oracle():
+    # the table form (generator products) against Ann(I) by elements and
+    # adjacency by literal ideal products, on Z2..Z200 and 36 products
+    bases = [z.make_cyclic_ring(n) for n in (2, 3, 4, 6, 8, 9)]
+    cases = [z.make_cyclic_ring(n) for n in range(2, 201)]
+    cases += [z.make_product_ring(a, b) for a in bases for b in bases]
+    assert len(cases) == 235
+    for ring in cases:
+        analysis = z.prepare_ring_analysis(ring)
+        ag = z.annihilating_ideal_graph(analysis)
+        bits, adj = naive_annihilating_ideal_graph(ring, analysis.left)
+        assert [x.bits for x in ag.labels] == bits, ring.name
+        assert np.array_equal(ag.adj, adj), ring.name
+
 def test_ag_rejects_noncommutative(rings):
     with pytest.raises(ValueError):
         z.annihilating_ideal_graph(z.prepare_ring_analysis(rings["M2(Z2)"]))
@@ -255,7 +275,7 @@ def test_ag_z12_diameter(rings):
 
 
 def test_constructive_path_z12(rings):
-    ipo = z.build_ipo(rings["Z12"])
+    ipo = z.prepare_ring_analysis(rings["Z12"]).ipo
     g = z.directed_zd_graph(ipo, z.ann_sets(ipo))
     by_label = {g.label_of(v): v for v in g.vertices}
     a, b = by_label["{0,2,4,6,8,10}"], by_label["{0,3,6,9}"]
@@ -269,7 +289,7 @@ def test_constructive_path_z12(rings):
 
 
 def test_constructive_path_adjacent_is_length_one(rings):
-    ipo = z.build_ipo(rings["Z6"])
+    ipo = z.prepare_ring_analysis(rings["Z6"]).ipo
     ann = z.ann_sets(ipo)
     a, b = sorted(ann.d_star)
     assert z.constructive_path(ipo, a, b, "directed") == [a, b]
@@ -289,7 +309,7 @@ def test_constructive_path_requires_hypothesis():
 
 
 def test_constructive_path_rejects_non_vertices(rings):
-    ipo = z.build_ipo(rings["Z12"])
+    ipo = z.prepare_ring_analysis(rings["Z12"]).ipo
     with pytest.raises(ValueError):
         z.constructive_path(ipo, 0, 1)
     with pytest.raises(ValueError):
@@ -309,7 +329,7 @@ def _bfs_distance(g, a, b, mode):
 
 
 def test_constructive_path_always_valid_and_short(rings):
-    corpus = [z.build_ipo(ring) for ring in rings.values()]
+    corpus = [z.prepare_ring_analysis(ring).ipo for ring in rings.values()]
     corpus += list(z.enumerate_semigroups_with_zero(3))
     for s in corpus:
         ann = z.ann_sets(s)

@@ -182,7 +182,7 @@ def test_semigroup_validator_agrees_with_oracle_on_order_four():
 
 def test_ipo_validator_agrees_with_oracle_with_pool_generators(rings):
     ring = rings["M2(Z2)"]
-    ipo = z.build_ipo(ring)
+    ipo = z.prepare_ring_analysis(ring).ipo
     index = {label.bits: i for i, label in enumerate(ipo.labels)}
     pool = sorted(
         {index[i.bits] for side in ("left", "right") for i in z.enumerate_one_sided_ideals(ring, side)}
