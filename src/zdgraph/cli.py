@@ -194,7 +194,7 @@ def main(argv=None) -> int:
         print(f"zdgraph: error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError) as exc:  # closure, validation or other invariant failure
-        print(f"zdgraph: internal error: {exc}", file=sys.stderr)
+        print(f"zdgraph: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -104,17 +104,33 @@ def _principal_sets(r: FiniteRing, side: str) -> dict[int, tuple[int, bool]]:
     return {int.from_bytes(key, "little"): xf for key, xf in found.items()}
 
 
+def _known_sum(a: int, b: int, by_size: dict[int, list[int]]) -> int | None:
+    """The bits of A+B for additive subgroups A and B (bits a, b), read off
+    the known subgroups `by_size` (bits, keyed by size), or None when no
+    known subgroup proves to be the sum.
+
+    When one of A, B contains the other, the sum is the larger.  Otherwise
+    it is the known C that contains A and B and has |C| = |A||B| / |A & B|.
+    Proof: C is an additive subgroup containing A and B, so it contains A+B,
+    and the product formula for subgroups of an abelian group gives
+    |A+B| = |A||B| / |A & B|; equal sizes make them equal.  A sum missing
+    from `by_size` is never mistaken for a larger known subgroup.
+    """
+    union = a | b
+    if union in (a, b):
+        return union
+    size = a.bit_count() * b.bit_count() // (a & b).bit_count()
+    return next((c for c in by_size.get(size, ()) if union | c == c), None)
+
+
 def enumerate_one_sided_ideals(r: FiniteRing, side: str) -> list[OneSidedIdeal]:
     """All left (resp. right) ideals: principal ideals closed under pairwise sum.
 
     Every one-sided ideal is a sum of principal ones.  A sum A+B is read off
-    the ideals known so far when it is among them: it is the known C that
-    contains A and B and has |C| = |A||B| / |A & B|.  Proof: C is an additive
-    subgroup containing A and B, so it contains A+B, and the product formula
-    for subgroups of an abelian group gives |A+B| = |A||B| / |A & B|; equal
-    sizes make them equal.  Only a sum that no known ideal matches (one that
-    is not principal) is computed as an additive span, and only then are the
-    additive generators of its summands computed.  Each ideal keeps one-sided
+    the ideals known so far when it is among them (see `_known_sum`).  Only a
+    sum that no known ideal matches (one that is not principal) is computed
+    as an additive span, and only then are the additive generators of its
+    summands computed.  Each ideal keeps one-sided
     generators x (its principal summands), so the other-side flag of a sum
     is a row test as for a principal ideal.
     """
@@ -139,11 +155,7 @@ def enumerate_one_sided_ideals(r: FiniteRing, side: str) -> list[OneSidedIdeal]:
         snapshot = list(seeds)
         for a in frontier:
             for b in snapshot:
-                union = a | b
-                if union in (a, b):
-                    continue  # one contains the other: sum is the larger
-                size = a.bit_count() * b.bit_count() // (a & b).bit_count()
-                if any(union | c == c for c in by_size.get(size, ())):
+                if _known_sum(a, b, by_size) is not None:
                     continue
                 mask, gens = _additive_span(r.add_table, gens_of(a) + gens_of(b), n)
                 s = ElementSet.from_mask(r, mask).bits

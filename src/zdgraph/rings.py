@@ -131,10 +131,6 @@ class ElementSet:
     def full(cls, ring: FiniteRing) -> "ElementSet":
         return cls(ring, (1 << ring.order) - 1)
 
-    @classmethod
-    def zero_set(cls, ring: FiniteRing) -> "ElementSet":
-        return cls(ring, 1)
-
     def mask(self) -> np.ndarray:
         n = self.ring.order
         raw = self.bits.to_bytes((n + 7) // 8, "little")

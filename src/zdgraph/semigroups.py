@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ideals import OneSidedIdeal, additive_generators
+from .ideals import OneSidedIdeal, _known_sum, additive_generators
 from .rings import (
     _BLOCK_ELEMS,
     ElementSet,
@@ -141,37 +141,74 @@ def ann_sets(s: FiniteSemigroupWithZero) -> AnnSets:
     return AnnSets(a_left | a_right, a_left, a_right)
 
 
-def _images(r: FiniteRing, pool: list[OneSidedIdeal]) -> list[list]:
-    """The pool x pool product bits A*B that are one image x*B, None elsewhere.
+def _images(r: FiniteRing, xs: list[int], targets: list[int]) -> list[list[int]]:
+    """The bits of every image x*T = { x*t : t in T }, one row per x in xs and
+    one column per target T (a bit-vector).
 
-    When A is a right ideal with a right generator x (A = xR, its
-    `generator`) and B is a left ideal, A*B = x*B = { x*b : b in B }.  Proof:
-    span{x*r*b} = x*span{r*b} = x*(RB) = x*B, since left multiplication by x
-    is additive and RB = B for a left ideal B of a unital ring; and x*B is
-    already an additive subgroup.  The images of every left B under a block
-    of generators x are scattered into one boolean mask, in blocks of about
-    _BLOCK_ELEMS entries.
+    `build_ipo` passes the right generators x of its right pool members and,
+    for each pool member B, the left ideal RB that B generates, because
+    xR * B = x*(RB); for a left ideal B, RB is B.  The images of each
+    distinct target under a block of x are scattered into one boolean mask,
+    in blocks of about _BLOCK_ELEMS entries.
     """
     n, mul = r.order, r.mul_table
-    out: list[list] = [[None] * len(pool) for _ in pool]
-    firsts = [(i, a.generator) for i, a in enumerate(pool) if a.is_right and a.generator is not None]
-    seconds = [j for j, b in enumerate(pool) if b.is_left]
-    if not firsts or not seconds:
-        return out
-    members = [np.flatnonzero(pool[j].set.mask()) for j in seconds]
+    distinct = {t: k for k, t in enumerate(dict.fromkeys(targets))}
+    members = [np.flatnonzero(ElementSet(r, t).mask()) for t in distinct]
     flat = np.concatenate(members)
-    owner = np.repeat(np.arange(len(seconds)), [len(m) for m in members])
-    per = max(1, _BLOCK_ELEMS // max(len(flat), len(seconds) * n))
-    for lo in range(0, len(firsts), per):
-        block = firsts[lo : lo + per]
-        xs = np.array([x for _, x in block], dtype=np.intp)
-        mask = np.zeros((len(block), len(seconds), n), dtype=bool)
-        mask[np.arange(len(block))[:, None], owner, mul[xs[:, None], flat]] = True
+    owner = np.repeat(np.arange(len(distinct)), [len(m) for m in members])
+    per = max(1, _BLOCK_ELEMS // max(len(flat), len(distinct) * n))
+    column = [distinct[t] for t in targets]
+    out: list[list[int]] = []
+    for lo in range(0, len(xs), per):
+        block = np.array(xs[lo : lo + per], dtype=np.intp)
+        mask = np.zeros((len(block), len(distinct), n), dtype=bool)
+        mask[np.arange(len(block))[:, None], owner, mul[block[:, None], flat]] = True
         packed = np.packbits(mask, axis=2, bitorder="little")
-        for (i, _), rows in zip(block, packed):
-            for j, row in zip(seconds, rows):
-                out[i][j] = int.from_bytes(row.tobytes(), "little")
+        for rows in packed:
+            images = [int.from_bytes(row.tobytes(), "little") for row in rows]
+            out.append([images[k] for k in column])
     return out
+
+
+class _LeftSums:
+    """Sums of principal left ideals R*y of a ring, as bits, memoised.
+
+    R*y is the value set of column y of the multiplication table, a subgroup
+    by distributivity.  A sum of two left ideals is read off the ring's left
+    enumeration by the size formula, which proves it (see `_known_sum`); a
+    sum the enumeration lacks is computed as an additive span.  Nothing is
+    indexed until the first sum is asked for.
+    """
+
+    def __init__(self, r: FiniteRing, left: list[OneSidedIdeal]):
+        self.r, self.left = r, left
+        self.principal: dict[int, int] = {}
+        self.sums: dict[tuple[int, int], int] = {}
+
+    @functools.cached_property
+    def by_size(self) -> dict[int, list[int]]:
+        by_size: dict[int, list[int]] = {}
+        for ideal in self.left:
+            by_size.setdefault(len(ideal.set), []).append(ideal.bits)
+        return by_size
+
+    def of(self, ys: list[int]) -> int:
+        """The sum of R*y over y in ys; {0} when ys is empty."""
+        r, acc = self.r, 1
+        for y in ys:
+            if y not in self.principal:
+                mask = np.zeros(r.order, dtype=bool)
+                mask[r.mul_table[:, y]] = True
+                self.principal[y] = ElementSet.from_mask(r, mask).bits
+            b = self.principal[y]
+            if (acc, b) not in self.sums:
+                bits = _known_sum(acc, b, self.by_size)
+                if bits is None:
+                    span = _additive_span(r.add_table, ElementSet(r, acc | b).indices(), r.order)[0]
+                    bits = ElementSet.from_mask(r, span).bits
+                self.sums[acc, b] = bits
+            acc = self.sums[acc, b]
+        return acc
 
 
 def build_ipo(
@@ -184,11 +221,32 @@ def build_ipo(
     enumerations from `enumerate_one_sided_ideals`, trusted, not re-checked.
     The zero ideal sits at index 0 and labels carry the element subsets.  A
     two-sided ideal keeps its right-list entry, so the `generator` of every
-    right pool member is a right generator.
+    right pool member is a right generator, and that of every left-only
+    member a left one.
 
-    A pool-pair product A*B is one image x*B when A has a right generator x
-    and B is a left ideal (see `_images`), and an additive span of the
-    products of their additive generators otherwise.
+    A pool-pair product A*B is read off the ideal lattice when A has a
+    one-sided generator x:
+
+    - A = xR (a right pool member), any B: A*B = x*(RB), the image of the
+      left ideal RB under left multiplication by x (see `_images`).  Proof:
+      A*B = span{x*r*b} = x*span{r*b} = x*(RB), since left multiplication by
+      x is additive (so the image x*(RB) is a subgroup).  RB is B when B is
+      a left ideal (r has a 1).  Otherwise RB is the sum of the principal left
+      ideals R*g over the additive generators g of B: each R*g lies in RB,
+      and r*b = sum of a_i*(r*g_i) for b = sum of a_i*g_i.
+    - A = Rx (a left-only pool member), any B: A*B = R*(xB), the sum of the
+      principal left ideals R*(x*g) over the additive generators g of B.
+      Proof: A*B = span{r*x*b} holds every r*x*g, and r*x*b = sum of
+      a_i*(r*x*g_i) lies in the sum of the R*(x*g_i).
+
+    Each sum of two left ideals is read off the left enumeration by the size
+    formula, which proves it (see `_LeftSums`); a sum the enumeration misses
+    is computed as an additive span, so a product outside the pool still
+    fails the closure check below.  A first factor with no one-sided
+    generator takes an additive span of the products of the two factors'
+    additive generators.  On a commutative ring every pool member is
+    two-sided, so a pair with a principal first factor is an image x*B and
+    no sum is formed.
 
     Closure is checked once, right after discovery: I*J is a left ideal when
     I is one and a right ideal when J is one, so every pool-pair product with
@@ -212,21 +270,36 @@ def build_ipo(
     """
     pool = list(({i.bits: i for i in left} | {i.bits: i for i in right}).values())
     pool_idx = {ideal.bits: i for i, ideal in enumerate(pool)}
-    n = r.order
+    n, mul = r.order, r.mul_table
 
     @functools.cache
     def gens(p: int) -> np.ndarray:
         return np.asarray(additive_generators(r, pool[p].set), dtype=np.intp)
 
-    # discovery: every ordered pool pair, x*B where possible, else by a span
-    pair_product = _images(r, pool)
+    sums = _LeftSums(r, left)
+    # discovery: every ordered pool pair, off the lattice when the first
+    # factor has a one-sided generator, else by a span
+    pair_product: list[list] = [[None] * len(pool) for _ in pool]
+    firsts = [i for i, a in enumerate(pool) if a.is_right and a.generator is not None]
+    if firsts:
+        targets = [b.bits if b.is_left else sums.of(gens(j).tolist()) for j, b in enumerate(pool)]
+        for i, row in zip(firsts, _images(r, [pool[i].generator for i in firsts], targets)):
+            pair_product[i] = row
+    lefts = [i for i, a in enumerate(pool) if not a.is_right and a.generator is not None]
+    if lefts:
+        # x*g for the generator x of each left-only A and every g in gens(0), gens(1), ...
+        cols = [gens(j) for j in range(len(pool))]
+        xg = mul[np.array([pool[i].generator for i in lefts])[:, None], np.concatenate(cols)].tolist()
+        ends = np.cumsum([len(c) for c in cols]).tolist()
+        for i, row in zip(lefts, xg):
+            pair_product[i] = [sums.of(row[hi - len(c) : hi]) for c, hi in zip(cols, ends)]
     elements: dict[int, ElementSet] = {}
     decomp: dict[int, tuple[int, int]] = {}
     for i, row in enumerate(pair_product):
         for j, bits in enumerate(row):
             if bits is None:
                 seed = np.zeros(n, dtype=bool)
-                seed[r.mul_table[gens(i)[:, None], gens(j)]] = True
+                seed[mul[gens(i)[:, None], gens(j)]] = True
                 span = _additive_span(r.add_table, np.flatnonzero(seed), n)[0]
                 bits = row[j] = ElementSet.from_mask(r, span).bits
             if bits not in elements:

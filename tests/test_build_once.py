@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import zdgraph as z
-from table_rings import draw_permutation, f2_xy, relabelled_table_text
+from table_rings import draw_permutation, f2_xy, relabelled_table_text, upper_triangular
 from zdgraph import graphs
 from zdgraph.cli import main
 
@@ -99,10 +99,14 @@ def test_each_graph_is_measured_once(rings, monkeypatch):
 
 def test_principal_ideals_take_no_span(monkeypatch):
     # every one-sided ideal of these rings is principal, so each sum is read
-    # off the known ideals by the product formula and each product of a
-    # right ideal xR with a left ideal B is x*B; an additive span is computed
-    # only for a sum no known ideal matches, as in F2[x,y]/(x,y)^2
-    cases = {e: z.build_ring(z.parse_ring_expr(e)) for e in ("M2(Z4)", "Z60", "Z2 x Z2 x Z2 x Z2")}
+    # off the known ideals by the product formula, and each pool-pair product
+    # off the ideal lattice: xR*B = x*(RB) and Rx*B = R*(xB); an additive
+    # span is computed only for a sum no known ideal matches, as in
+    # F2[x,y]/(x,y)^2, for a first factor with no one-sided generator, as in
+    # U2(Z4), and once per pool member of a noncommutative ring for its
+    # additive generators
+    exprs = ("M2(Z4)", "M2(Z6)", "Z60", "Z2 x Z2 x Z2 x Z2")
+    cases = {e: z.build_ring(z.parse_ring_expr(e)) for e in exprs}
     z2_6xz7 = z.build_ring(z.parse_ring_expr("Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z7"))
     cases["table"] = z.load_table_ring(relabelled_table_text(z2_6xz7, draw_permutation(448, 7)))
     spans = _count_calls(monkeypatch, "_additive_span", lambda *a: "span", home=z.rings)
@@ -113,9 +117,18 @@ def test_principal_ideals_take_no_span(monkeypatch):
         if name in ("Z60", "Z2 x Z2 x Z2 x Z2"):
             z.build_ipo(ring, left, right)
             assert spans["span"] == 0, name
+        elif name in ("M2(Z4)", "M2(Z6)"):
+            z.build_ipo(ring, left, right)
+            assert spans["span"] <= len({i.bits for i in left + right}), name
     spans.clear()
     z.enumerate_one_sided_ideals(f2_xy(), "left")
     assert spans["span"] >= 1
+    u2z4 = upper_triangular(4)
+    left, right = (z.enumerate_one_sided_ideals(u2z4, side) for side in ("left", "right"))
+    spans.clear()
+    z.build_ipo(u2z4, left, right)
+    # more spans than pool members: some pair product took the span path
+    assert spans["span"] > len({i.bits for i in left + right})
 
 
 def test_verify_semigroups_computes_ann_sets_once_each(monkeypatch, capsys):

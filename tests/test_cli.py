@@ -99,7 +99,7 @@ def test_internal_invariant_failure_exits_three(monkeypatch, capsys, error):
     monkeypatch.setattr(zdgraph.theorems, "build_ipo", broken_build_ipo)
     assert main(["analyze", "Z6"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("zdgraph: internal error:") and str(error) in err
+    assert err.startswith(f"zdgraph: internal error: {type(error).__name__}: {error}")
     assert main(["verify", "zn", "--max", "3"]) == 3
 
 
@@ -125,7 +125,7 @@ def test_incomplete_ideal_enumeration_exits_three(monkeypatch, capsys, size, two
     monkeypatch.setattr(zdgraph.theorems, "enumerate_one_sided_ideals", incomplete)
     assert main(["analyze", "M2(Z2) x Z2"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("zdgraph: internal error:") and message in err
+    assert err.startswith("zdgraph: internal error: ClosureViolationError:") and message in err
 
 
 def test_analyze_parse_error(capsys):

@@ -62,6 +62,18 @@ def test_ipo_matches_pairwise_products(rings, nonprincipal):
             for j in range(ipo.order):
                 direct = z.ideal_product(ring, ipo.labels[i], ipo.labels[j])
                 assert direct == ipo.labels[ipo.product(i, j)]
+    # larger rings whose pool pairs take both lattice rules, xR*B = x*(RB)
+    # with B right-only and Rx*B = R*(xB): pool pairs only, to stay fast
+    for expr in ("M2(Z4)", "M3(Z2)"):
+        ring = z.build_ring(z.parse_ring_expr(expr))
+        a = z.prepare_ring_analysis(ring)
+        pool = {i.bits: i for i in a.left + a.right}.values()
+        assert any(not i.is_left for i in pool) and any(not i.is_right for i in pool)
+        index = {label.bits: k for k, label in enumerate(a.ipo.labels)}
+        for x in pool:
+            for y in pool:
+                direct = z.ideal_product(ring, x.set, y.set)
+                assert direct == a.ipo.labels[a.ipo.product(index[x.bits], index[y.bits])], expr
 
 
 # sha256 of the Cayley table bytes and of repr([label.bits ...]), recorded
