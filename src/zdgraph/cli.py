@@ -173,6 +173,18 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+def _stage(exc: BaseException) -> str:
+    """' (in module.function)' for the innermost zdgraph frame that `exc`
+    passed through, or '' when it passed through none."""
+    stage, tb = "", exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        if Path(code.co_filename).parent == Path(__file__).parent:
+            stage = f" (in {Path(code.co_filename).stem}.{code.co_name})"
+        tb = tb.tb_next
+    return stage
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -194,7 +206,7 @@ def main(argv=None) -> int:
         print(f"zdgraph: error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError) as exc:  # closure, validation or other invariant failure
-        print(f"zdgraph: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"zdgraph: internal error: {type(exc).__name__}: {exc}{_stage(exc)}", file=sys.stderr)
         return 3
 
 

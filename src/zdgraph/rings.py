@@ -322,13 +322,16 @@ def make_cyclic_ring(n: int) -> FiniteRing:
     """Integers mod n; for n = 1 this is the zero ring (one == zero)."""
     if n <= 0:
         raise ValueError("cyclic ring order must be a positive integer")
-    ar = np.arange(n, dtype=np.int64)
+    # products are formed before the reduction, so (n-1)**2 must fit the type
+    ar = np.arange(n, dtype=np.uint32 if n <= 2**16 else np.uint64)
     add = np.empty((n, n), dtype=_index_dtype(n))
     mul = np.empty_like(add)
     step = max(1, _BLOCK_ELEMS // n)
     for lo in range(0, n, step):
         rows = ar[lo : lo + step, None]
-        add[lo : lo + step] = (rows + ar) % n
+        total = rows + ar
+        total[total >= n] -= n
+        add[lo : lo + step] = total
         mul[lo : lo + step] = rows * ar % n
     return FiniteRing(add, mul, one=1 % n, name=f"Z{n}")
 

@@ -5,6 +5,7 @@ closure is machine-checked, never assumed)."""
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,6 @@ from .rings import (
     _freeze,
     _index_dtype,
 )
-
-
-_CANDIDATE_BLOCK = 256  # candidate tables tested per block by enumerate_semigroups_with_zero
 
 
 class SemigroupValidationError(ValueError):
@@ -174,10 +172,12 @@ class _LeftSums:
     """Sums of principal left ideals R*y of a ring, as bits, memoised.
 
     R*y is the value set of column y of the multiplication table, a subgroup
-    by distributivity.  A sum of two left ideals is read off the ring's left
-    enumeration by the size formula, which proves it (see `_known_sum`); a
-    sum the enumeration lacks is computed as an additive span.  Nothing is
-    indexed until the first sum is asked for.
+    by distributivity.  The new columns a call needs are read in blocks, as
+    `ideals._principal_sets` reads its columns, not one strided column per
+    y, since many y share one pass over the table.  A sum of two left ideals
+    is read off the ring's left enumeration by the size formula, which
+    proves it (see `_known_sum`); a sum the enumeration lacks is computed as
+    an additive span.  Nothing is indexed until the first sum is asked for.
     """
 
     def __init__(self, r: FiniteRing, left: list[OneSidedIdeal]):
@@ -192,14 +192,22 @@ class _LeftSums:
             by_size.setdefault(len(ideal.set), []).append(ideal.bits)
         return by_size
 
-    def of(self, ys: list[int]) -> int:
-        """The sum of R*y over y in ys; {0} when ys is empty."""
+    def of(self, groups: list[list[int]]) -> list[int]:
+        """The sum of R*y over y in each group; {0} for an empty group."""
+        r = self.r
+        new = list(dict.fromkeys(y for ys in groups for y in ys if y not in self.principal))
+        step = max(1, _BLOCK_ELEMS // r.order)
+        for lo in range(0, len(new), step):
+            cols = new[lo : lo + step]
+            mask = np.zeros((len(cols), r.order), dtype=bool)
+            mask[np.arange(len(cols)), np.take(r.mul_table, cols, axis=1)] = True  # row j: R*cols[j]
+            for y, row in zip(cols, np.packbits(mask, axis=1, bitorder="little")):
+                self.principal[y] = int.from_bytes(row.tobytes(), "little")
+        return [self._sum(ys) for ys in groups]
+
+    def _sum(self, ys: list[int]) -> int:
         r, acc = self.r, 1
         for y in ys:
-            if y not in self.principal:
-                mask = np.zeros(r.order, dtype=bool)
-                mask[r.mul_table[:, y]] = True
-                self.principal[y] = ElementSet.from_mask(r, mask).bits
             b = self.principal[y]
             if (acc, b) not in self.sums:
                 bits = _known_sum(acc, b, self.by_size)
@@ -282,7 +290,8 @@ def build_ipo(
     pair_product: list[list] = [[None] * len(pool) for _ in pool]
     firsts = [i for i, a in enumerate(pool) if a.is_right and a.generator is not None]
     if firsts:
-        targets = [b.bits if b.is_left else sums.of(gens(j).tolist()) for j, b in enumerate(pool)]
+        rb = iter(sums.of([gens(j).tolist() for j, b in enumerate(pool) if not b.is_left]))
+        targets = [b.bits if b.is_left else next(rb) for b in pool]
         for i, row in zip(firsts, _images(r, [pool[i].generator for i in firsts], targets)):
             pair_product[i] = row
     lefts = [i for i, a in enumerate(pool) if not a.is_right and a.generator is not None]
@@ -291,8 +300,9 @@ def build_ipo(
         cols = [gens(j) for j in range(len(pool))]
         xg = mul[np.array([pool[i].generator for i in lefts])[:, None], np.concatenate(cols)].tolist()
         ends = np.cumsum([len(c) for c in cols]).tolist()
-        for i, row in zip(lefts, xg):
-            pair_product[i] = [sums.of(row[hi - len(c) : hi]) for c, hi in zip(cols, ends)]
+        products = sums.of([row[hi - len(c) : hi] for row in xg for c, hi in zip(cols, ends)])
+        for k, i in enumerate(lefts):
+            pair_product[i] = products[k * len(pool) : (k + 1) * len(pool)]
     elements: dict[int, ElementSet] = {}
     decomp: dict[int, tuple[int, int]] = {}
     for i, row in enumerate(pair_product):
@@ -336,23 +346,32 @@ def build_ipo(
 def enumerate_semigroups_with_zero(order: int):
     """Every associative Cayley table on {0..order-1} with 0 forced absorbing,
     in lexicographic order of the free entries (row-major over the nonzero
-    block).  Capped at order 4: the order-4 sweep already filters 4^9
-    candidate tables.  Candidates are decoded from their rank in mixed radix,
-    _CANDIDATE_BLOCK at a time, and each block is tested for associativity
-    by one fancy-index comparison over its nonzero triples."""
+    block).  Capped at order 4, the largest order the tests count against an
+    independent triple loop.
+
+    A frontier of partial tables is extended one free entry at a time, in
+    row-major order: each table is repeated `order` times with the values
+    0..order-1 written into the entry, which keeps the frontier in
+    lexicographic order.  A table is then dropped when some nonzero triple
+    has both (x*y)*z and x*(y*z) filled and they differ.  Filled entries never
+    change, so no completion of a dropped table is associative; after the
+    last entry every triple is filled and checked, so the survivors are
+    exactly the associative tables.  The tables carry one extra row and column
+    of -1, so an unfilled entry (-1) indexes them and reads -1 again.
+    """
     if order < 2 or order > 4:
         raise ValueError("exhaustive generation supports orders 2 through 4")
-    k = order - 1
-    total = order ** (k * k)
-    weights = order ** np.arange(k * k - 1, -1, -1)  # the first free entry varies slowest
+    frontier = np.full((1, order + 1, order + 1), -1, dtype=np.int64)
+    frontier[:, 0, :order] = frontier[:, :order, 0] = 0
     nz = np.arange(1, order)
-    for lo in range(0, total, _CANDIDATE_BLOCK):
-        rank = np.arange(lo, min(lo + _CANDIDATE_BLOCK, total))
-        t = np.zeros((len(rank), order, order), dtype=np.int64)
-        t[:, 1:, 1:] = (rank[:, None] // weights % order).reshape(-1, k, k)
-        flat, block = t.ravel(), t[:, 1:, 1:]
-        b = (np.arange(len(rank)) * order * order)[:, None, None, None]
-        lhs = flat[b + block[..., None] * order + nz]  # [b, x, y, z] = (x*y)*z, x, y, z nonzero
-        rhs = flat[b + nz[:, None, None] * order + block[:, None]]  # x*(y*z)
-        for table in t[(lhs == rhs).all(axis=(1, 2, 3))]:
-            yield FiniteSemigroupWithZero(table)
+    for i, j in itertools.product(nz, nz):
+        frontier = np.repeat(frontier, order, axis=0)
+        frontier[:, i, j] = np.tile(np.arange(order), len(frontier) // order)
+        b = np.arange(len(frontier))[:, None, None, None]
+        block = frontier[:, 1:order, 1:order]
+        lhs = frontier[b, block[..., None], nz]  # [b, x, y, z] = (x*y)*z, x, y, z nonzero
+        rhs = frontier[b, nz[:, None, None], block[:, None]]  # x*(y*z)
+        clash = (lhs != rhs) & (lhs >= 0) & (rhs >= 0)
+        frontier = frontier[~clash.any(axis=(1, 2, 3))]
+    for table in frontier[:, :order, :order]:
+        yield FiniteSemigroupWithZero(table)

@@ -100,7 +100,10 @@ def test_internal_invariant_failure_exits_three(monkeypatch, capsys, error):
     assert main(["analyze", "Z6"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"zdgraph: internal error: {type(error).__name__}: {error}")
+    # the stage is the innermost zdgraph frame: the caller of the patched-in function
+    assert err.endswith(" (in theorems.prepare_ring_analysis)\n")
     assert main(["verify", "zn", "--max", "3"]) == 3
+    assert capsys.readouterr().err.endswith(" (in theorems.prepare_ring_analysis)\n")
 
 
 @pytest.mark.parametrize(
@@ -126,6 +129,7 @@ def test_incomplete_ideal_enumeration_exits_three(monkeypatch, capsys, size, two
     assert main(["analyze", "M2(Z2) x Z2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("zdgraph: internal error: ClosureViolationError:") and message in err
+    assert err.endswith(" (in semigroups.build_ipo)\n")
 
 
 def test_analyze_parse_error(capsys):
@@ -205,6 +209,11 @@ def test_verify_semigroups(capsys):
     assert main(["verify", "semigroups", "--order", "3"]) == 0
     out = capsys.readouterr().out
     assert "20 semigroups with zero, 0 failing checks" in out
+
+
+def test_verify_semigroups_order_4_prints_only_the_summary(capsys):
+    assert main(["verify", "semigroups", "--order", "4"]) == 0
+    assert capsys.readouterr().out == "order 4: 442 semigroups with zero, 0 failing checks\n"
 
 
 def test_verify_semigroups_order_cap(capsys):

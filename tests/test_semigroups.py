@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -210,6 +211,22 @@ def test_enumerate_semigroups_matches_triple_loop(order):
     found = list(z.enumerate_semigroups_with_zero(order))
     assert {s.table.dtype for s in found} == {np.dtype(np.int64)}
     assert [s.table.tolist() for s in found] == naive_semigroups_with_zero(order)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_enumerated_tables_closed_under_relabelling_and_opposite(order):
+    # renaming the nonzero elements, or reversing the product (the opposite
+    # semigroup), maps a semigroup with zero to one, so each maps the set of
+    # enumerated tables onto itself
+    tables = [s.table for s in z.enumerate_semigroups_with_zero(order)]
+    found = {tuple(t.ravel().tolist()) for t in tables}
+    assert len(found) == len(tables)
+    for perm in itertools.permutations(range(1, order)):
+        p = np.array([0, *perm])
+        inv = np.argsort(p)
+        # renamed[p[x], p[y]] = p[t[x, y]]
+        assert {tuple(p[t[np.ix_(inv, inv)]].ravel().tolist()) for t in tables} == found
+    assert {tuple(t.T.ravel().tolist()) for t in tables} == found
 
 
 def test_enumerate_semigroups_validate():
