@@ -75,11 +75,15 @@ def directed_zd_graph(s: FiniteSemigroupWithZero, ann: AnnSets) -> ZdGraph:
 def _diameter(adj: np.ndarray):
     """Largest distance over ordered pairs of distinct vertices, by boolean
     level expansion: None below two vertices, INF when some pair is
-    unreachable.  Each level is expanded in row blocks of about _BLOCK_ELEMS
-    entries, so only a block of the frontier is ever cast to float32."""
+    unreachable.  A vertex with no out-arc reaches nobody and one with no
+    in-arc is reached by nobody, so either gives INF before any expansion.
+    Each level is expanded in row blocks of about _BLOCK_ELEMS entries, so
+    only a block of the frontier is ever cast to float32."""
     v = adj.shape[0]
     if v < 2:
         return None
+    if not (adj.any(axis=0) & adj.any(axis=1)).all():
+        return INF
     adj_f = adj.astype(np.float32)
     reached = adj | np.eye(v, dtype=bool)
     frontier = adj

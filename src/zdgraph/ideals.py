@@ -75,32 +75,52 @@ def is_right_ideal(r: FiniteRing, s: ElementSet) -> bool:
     return _is_subgroup(r, s) and _absorbs(r, s, "right")
 
 
+def _units(r: FiniteRing) -> np.ndarray:
+    """The units of r, ascending, found once per ring and kept on it.
+
+    x is a unit iff `one` is in row x of the multiplication table, since a
+    one-sided inverse is two-sided in a finite ring.  The rows are compared
+    with `one` in blocks of about _BLOCK_ELEMS entries.
+    """
+    if r._units is None:
+        n, mul = r.order, r.mul_table
+        step = max(1, _BLOCK_ELEMS // n)
+        found = np.concatenate([(mul[lo : lo + step] == r.one).any(axis=1) for lo in range(0, n, step)])
+        r._units = np.flatnonzero(found)
+    return r._units
+
+
 def _principal_sets(r: FiniteRing, side: str) -> dict[int, tuple[int, bool]]:
     """Distinct principal left (Rx) or right (xR) ideals, keyed by bits, each
-    with its smallest generator x and whether it absorbs the other side.
+    with its smallest generator x and whether it absorbs the other side, in
+    ascending order of x.
 
     { r*x } is already an additive subgroup (distributivity), so each
     principal ideal is the value set of a multiplication column (left) or
-    row (right).  A block of them is scattered into a boolean mask and
-    packed, so sets are compared as bytes and x runs in ascending order.
+    row (right).  R*(u*x) = R*x for every unit u, so x runs in ascending
+    order and each x read marks its orbit { u*x } (right: { x*u }) as seen;
+    the smallest generator of an ideal is never marked before it is read,
+    and an ideal read again keeps its earlier, smaller generator.  That
+    needs no theorem; one does bound the cost: a finite ring has stable
+    range one, where Rx = Ry implies y = u*x for a unit u (Canfell 1995),
+    so each principal ideal is read from one column (row).
     The other side takes one row test: Rx is a right ideal iff xR is in Rx
     (one way take r = 1 in r*x*s; the other way r*(x*s) stays in the left
     ideal Rx), and likewise xR is a left ideal iff Rx is in xR.
     """
-    n, mul = r.order, r.mul_table
+    n, units = r.order, _units(r)
+    t = r.mul_table if side == "left" else r.mul_table.T  # t[y, x] = y*x (left), x*y (right)
     found: dict[bytes, tuple[int, bool]] = {}
-    step = max(1, _BLOCK_ELEMS // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        vals = mul[lo:hi] if side == "right" else mul[:, lo:hi].T  # row i: xR or Rx, x = lo + i
-        mask = np.zeros((hi - lo, n), dtype=bool)
-        mask[np.arange(hi - lo)[:, None], vals] = True
-        for i, row in enumerate(np.packbits(mask, axis=1, bitorder="little")):
-            key = row.tobytes()
-            if key not in found:
-                x = lo + i
-                other = mul[x, :] if side == "left" else mul[:, x]
-                found[key] = (x, bool(mask[i, other].all()))
+    seen = np.zeros(n, dtype=bool)
+    for x in range(n):
+        if seen[x]:
+            continue
+        seen[t[units, x]] = True
+        mask = np.zeros(n, dtype=bool)
+        mask[t[:, x]] = True
+        key = np.packbits(mask, bitorder="little").tobytes()
+        if key not in found:
+            found[key] = (x, bool(mask[t[x]].all()))
     return {int.from_bytes(key, "little"): xf for key, xf in found.items()}
 
 

@@ -14,8 +14,8 @@ import numpy as np
 DEFAULT_SIZE_CAP = 25_000
 
 # temporary entries per block of a pass over an n x n table (a few hundred MB at
-# most), used by make_cyclic_ring, is_commutative, the ideal layer's principal
-# sets and annihilators, build_ipo's x*B images and the graphs' _diameter
+# most), used by make_cyclic_ring, is_commutative, the ideal layer's unit scan,
+# build_ipo's x*B images and _LeftSums columns, and the graphs' _diameter
 _BLOCK_ELEMS = 4_000_000
 
 # entries per block of an associativity scan; a scan runs while a parsed
@@ -73,6 +73,7 @@ class FiniteRing:
         self.one = int(one)
         self.name = name or f"ring-of-order-{n}"
         self.matrix_of = matrix_of
+        self._units = None  # the units, found on first use by ideals._units
 
     # -- elementwise access ------------------------------------------------
 

@@ -172,9 +172,9 @@ class _LeftSums:
     """Sums of principal left ideals R*y of a ring, as bits, memoised.
 
     R*y is the value set of column y of the multiplication table, a subgroup
-    by distributivity.  The new columns a call needs are read in blocks, as
-    `ideals._principal_sets` reads its columns, not one strided column per
-    y, since many y share one pass over the table.  A sum of two left ideals
+    by distributivity.  The new columns a call needs are scattered in blocks
+    of about _BLOCK_ELEMS entries, not read one strided column per y, since
+    many y share one pass over the table.  A sum of two left ideals
     is read off the ring's left enumeration by the size formula, which
     proves it (see `_known_sum`); a sum the enumeration lacks is computed as
     an additive span.  Nothing is indexed until the first sum is asked for.

@@ -63,6 +63,31 @@ def subset_scan_ideals(ring, side):
     return sorted(found, key=z.ElementSet.sort_key)
 
 
+def scatter_principal_sets(r, side):
+    """`ideals._principal_sets` read off every column (left) or row (right):
+    distinct principal ideals keyed by bits, each with its smallest
+    generator and its other-side flag, in ascending order of generator.
+
+    A block of columns is scattered into a boolean mask and packed, so the
+    sets compare as bytes.  The other-side flag is the row test: Rx is a
+    right ideal iff xR is in Rx, and xR is a left ideal iff Rx is in xR."""
+    n, mul = r.order, r.mul_table
+    found = {}
+    step = max(1, _BLOCK_ELEMS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        vals = mul[lo:hi] if side == "right" else mul[:, lo:hi].T  # row i: xR or Rx, x = lo + i
+        mask = np.zeros((hi - lo, n), dtype=bool)
+        mask[np.arange(hi - lo)[:, None], vals] = True
+        for i, row in enumerate(np.packbits(mask, axis=1, bitorder="little")):
+            key = row.tobytes()
+            if key not in found:
+                x = lo + i
+                other = mul[x, :] if side == "left" else mul[:, x]
+                found[key] = (x, bool(mask[i, other].all()))
+    return {int.from_bytes(key, "little"): xf for key, xf in found.items()}
+
+
 def naive_ideal_product(ring, a, b):
     """Closure of every pairwise product, literally."""
     prods = {ring.mul(x, y) for x in a.indices() for y in b.indices()}

@@ -217,6 +217,45 @@ def test_diameter_in_row_blocks_matches_floyd_warshall(monkeypatch, rings):
         assert g.metrics.undirected_diameter == _naive_connectivity(g.vertices, both_ways)[1]
 
 
+def _diameters_match_floyd_warshall(g):
+    both_ways = [(a, b) for e in g.undirected_edges() for a, b in (e, e[::-1])]
+    assert _directed(g) == _naive_connectivity(g.vertices, g.directed_edges())
+    assert g.metrics.undirected_diameter == _naive_connectivity(g.vertices, both_ways)[1]
+
+
+def _has_dead_end(adj):
+    """Some vertex has no out-arc or no in-arc."""
+    return not (adj.any(axis=1).all() and adj.any(axis=0).all())
+
+
+@pytest.mark.parametrize("dead", ["sink", "source", "isolated"])
+@pytest.mark.parametrize("seed", range(8))
+def test_diameter_with_a_sink_or_source_matches_floyd_warshall(seed, dead):
+    # a vertex with no out-arc (sink) or no in-arc (source) makes the directed
+    # diameter INF before any expansion; an isolated one the undirected too
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    adj = rng.random((n, n)) < 0.6
+    k = int(rng.integers(n))
+    if dead != "source":
+        adj[k] = False
+    if dead != "sink":
+        adj[:, k] = False
+    g = z.ZdGraph(range(n), map(str, range(n)), adj)
+    assert g.metrics.directed_diameter == INF
+    _diameters_match_floyd_warshall(g)
+
+
+def test_diameter_short_cut_on_rings_matches_floyd_warshall(rings, nonprincipal):
+    graphs = _all_test_graphs(rings) + [_ipo_graph(rings, "M2(Z3)")]
+    ipo = z.prepare_ring_analysis(nonprincipal["U2(Z4)"]).ipo
+    graphs.append(z.directed_zd_graph(ipo, z.ann_sets(ipo)))
+    graphs = [g for g in graphs if 2 <= g.n_vertices <= 40]
+    assert any(_has_dead_end(g.adj) for g in graphs)
+    for g in graphs:
+        _diameters_match_floyd_warshall(g)
+
+
 def test_export_dot(rings):
     empty = z.export_dot(_ipo_graph(rings, "Z5"))
     assert empty == "digraph zd {\n}\n"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,8 +9,11 @@ from oracles import (
     naive_additive_closure,
     naive_ideal_product,
     naive_is_one_sided_ideal,
+    scatter_principal_sets,
     subset_scan_ideals,
+    units_mask,
 )
+from table_rings import draw_permutation, relabelled_table_text
 
 E11 = 8  # corner matrix unit in M2(Z2)
 
@@ -112,6 +116,39 @@ def test_generators_on_larger_nonprincipal_rings(nonprincipal):
             for ideal in ideals:
                 assert ideal.generator == generators.get(frozenset(ideal.set.indices()))
             assert any(ideal.generator is None for ideal in ideals), (name, side)
+
+
+def _orbit_walk_cases(rings, nonprincipal):
+    """The rings fixture, the non-principal rings, M2(Z8), M2(Z9), and table
+    rings relabelled as in test_relabelling.py, which moves the units and the
+    smallest generators."""
+    cases = {**rings, **nonprincipal}
+    for expr in ("M2(Z8)", "M2(Z9)"):
+        cases[expr] = z.build_ring(z.parse_ring_expr(expr))
+    for name in ("Z12", "M2(Z2)", "F2[x,y]/(x,y)^2"):
+        ring = cases[name]
+        for seed in (1, 2, 3):
+            text = relabelled_table_text(ring, draw_permutation(ring.order, seed))
+            cases[f"{name} relabelled by seed {seed}"] = z.load_table_ring(text)
+    return cases
+
+
+def test_principal_sets_by_unit_orbits_match_scatter(rings, nonprincipal):
+    # keys, smallest generators, other-side flags and insertion order
+    for name, ring in _orbit_walk_cases(rings, nonprincipal).items():
+        for side in ("left", "right"):
+            got = z.ideals._principal_sets(ring, side)
+            assert list(got.items()) == list(scatter_principal_sets(ring, side).items()), (name, side)
+
+
+@pytest.mark.parametrize("block", [None, 200])
+def test_unit_scan_matches_units_mask(rings, nonprincipal, monkeypatch, block):
+    # 200-entry blocks: the scan compares rows with one a few rows at a time
+    if block is not None:
+        monkeypatch.setattr(z.ideals, "_BLOCK_ELEMS", block)
+    for name, ring in _orbit_walk_cases(rings, nonprincipal).items():
+        fresh = z.FiniteRing(ring.add_table, ring.mul_table, ring.one)  # its units not yet found
+        assert np.array_equal(z.ideals._units(fresh), np.flatnonzero(units_mask(ring))), name
 
 
 def test_commutative_sides_coincide(rings):

@@ -136,8 +136,10 @@ def test_nonprincipal_ring_bytes_are_pinned(nonprincipal):
 
 
 def test_small_blocks_give_the_same_ideals_and_ipo(rings, nonprincipal, monkeypatch):
-    # principal sets and x*B images are scattered in blocks of _BLOCK_ELEMS
-    # entries; blocks of a few rows or a single generator give the same result
+    # x*B images and _LeftSums columns are scattered, and the unit scan of a
+    # ring whose units are not yet found compares rows with one, in blocks of
+    # _BLOCK_ELEMS entries; blocks of a few rows or a single generator give
+    # the same result (test_ideals runs the unit scan itself in small blocks)
     cases = [rings["M2(Z3)"], nonprincipal["U2(Z4)"], nonprincipal["F2[x,y]/(x,y)^2 x M2(Z2)"]]
     expected = []
     for ring in cases:
