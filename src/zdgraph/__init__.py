@@ -21,12 +21,8 @@ from .graphs import (
 )
 from .ideals import (
     OneSidedIdeal,
-    additive_closure,
     additive_generators,
     enumerate_one_sided_ideals,
-    ideal_product,
-    is_left_ideal,
-    is_right_ideal,
 )
 from .report import AnalysisReport, CheckResult, write_report_json
 from .rings import (
@@ -50,7 +46,6 @@ from .semigroups import (
     ann_sets,
     build_ipo,
     enumerate_semigroups_with_zero,
-    semigroup_from_table,
     validate_semigroup,
 )
 from .theorems import (

@@ -46,9 +46,6 @@ class ZdGraph:
     def label_of(self, v: int) -> str:
         return str(self.labels[self._index[v]])
 
-    def label_value(self, v: int):
-        return self.labels[self._index[v]]
-
     def directed_edges(self) -> list[tuple[int, int]]:
         vs = self.vertices
         return [(vs[i], vs[j]) for i, j in np.argwhere(self.adj).tolist()]

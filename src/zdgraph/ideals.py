@@ -1,4 +1,4 @@
-"""Additive subgroups, one-sided ideals and ideal products.
+"""One-sided ideals, enumerated from the principal ones, and additive generators.
 
 All subsets are bit-vector ElementSets over a fixed ring.  Ideal lists are
 canonically sorted by bit-vector lexicographic order, so enumeration output
@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import (
-    _BLOCK_ELEMS,
-    ElementSet,
-    FiniteRing,
-    _additive_span,
-)
+from .rings import ElementSet, FiniteRing, _additive_span
 
 
 @dataclass(frozen=True)
@@ -38,56 +33,9 @@ class OneSidedIdeal:
         return str(self.set)
 
 
-def additive_closure(r: FiniteRing, seed) -> ElementSet:
-    """Smallest additive subgroup containing seed and 0."""
-    if isinstance(seed, ElementSet):
-        seed = seed.indices()
-    mask = _additive_span(r.add_table, sorted(int(x) for x in seed), r.order)[0]
-    return ElementSet.from_mask(r, mask)
-
-
 def additive_generators(r: FiniteRing, s: ElementSet) -> list[int]:
     """Small generating list for an additive subgroup (greedy, ascending scan)."""
     return _additive_span(r.add_table, s.indices(), r.order)[1]
-
-
-def _is_subgroup(r: FiniteRing, s: ElementSet) -> bool:
-    if 0 not in s:
-        return False
-    return additive_closure(r, s).bits == s.bits
-
-
-def _absorbs(r: FiniteRing, s: ElementSet, side: str) -> bool:
-    # a subgroup absorbs a side iff it absorbs each of its generators
-    gens = additive_generators(r, s)
-    if not gens:
-        return True
-    mask = s.mask()
-    img = r.mul_table[:, gens] if side == "left" else r.mul_table[gens, :]
-    return bool(mask[img].all())
-
-
-def is_left_ideal(r: FiniteRing, s: ElementSet) -> bool:
-    return _is_subgroup(r, s) and _absorbs(r, s, "left")
-
-
-def is_right_ideal(r: FiniteRing, s: ElementSet) -> bool:
-    return _is_subgroup(r, s) and _absorbs(r, s, "right")
-
-
-def _units(r: FiniteRing) -> np.ndarray:
-    """The units of r, ascending, found once per ring and kept on it.
-
-    x is a unit iff `one` is in row x of the multiplication table, since a
-    one-sided inverse is two-sided in a finite ring.  The rows are compared
-    with `one` in blocks of about _BLOCK_ELEMS entries.
-    """
-    if r._units is None:
-        n, mul = r.order, r.mul_table
-        step = max(1, _BLOCK_ELEMS // n)
-        found = np.concatenate([(mul[lo : lo + step] == r.one).any(axis=1) for lo in range(0, n, step)])
-        r._units = np.flatnonzero(found)
-    return r._units
 
 
 def _principal_sets(r: FiniteRing, side: str) -> dict[int, tuple[int, bool]]:
@@ -108,7 +56,7 @@ def _principal_sets(r: FiniteRing, side: str) -> dict[int, tuple[int, bool]]:
     (one way take r = 1 in r*x*s; the other way r*(x*s) stays in the left
     ideal Rx), and likewise xR is a left ideal iff Rx is in xR.
     """
-    n, units = r.order, _units(r)
+    n, units = r.order, r.units
     t = r.mul_table if side == "left" else r.mul_table.T  # t[y, x] = y*x (left), x*y (right)
     found: dict[bytes, tuple[int, bool]] = {}
     seen = np.zeros(n, dtype=bool)
@@ -195,18 +143,3 @@ def enumerate_one_sided_ideals(r: FiniteRing, side: str) -> list[OneSidedIdeal]:
         left, right = (True, other) if side == "left" else (other, True)
         ideals.append(OneSidedIdeal(s, left, right, x))
     return sorted(ideals, key=lambda ideal: ideal.set.sort_key())
-
-
-def ideal_product(r: FiniteRing, a: ElementSet, b: ElementSet) -> ElementSet:
-    """Additive closure of all pairwise products x*y, x in a, y in b.
-
-    Both arguments must be additive subgroups; the span of { x*y } then
-    equals the span of the generator-pair products, which keeps this fast.
-    """
-    ga = additive_generators(r, a)
-    gb = additive_generators(r, b)
-    if additive_closure(r, ga).bits != a.bits or additive_closure(r, gb).bits != b.bits:
-        raise ValueError("ideal_product arguments must be additive subgroups")
-    mul = r.mul_table
-    prods = sorted({int(mul[x, y]) for x in ga for y in gb})
-    return additive_closure(r, prods)

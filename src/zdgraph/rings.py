@@ -1,20 +1,21 @@
 """Finite unital rings given by explicit addition/multiplication tables.
 
-Element 0 is always the additive identity.  Rings are immutable after
-construction and safe to share between threads; every operation here is a
-pure function of its inputs.
+Element 0 is always the additive identity.  A ring's tables are frozen at
+construction, and its one derived value, the list of its units, is computed
+on first use and cached on the ring, so rings are safe to share between
+threads.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 DEFAULT_SIZE_CAP = 25_000
 
 # temporary entries per block of a pass over an n x n table (a few hundred MB at
-# most), used by make_cyclic_ring, is_commutative, the ideal layer's unit scan,
+# most), used by make_cyclic_ring, FiniteRing.is_commutative and .units,
 # build_ipo's x*B images and _LeftSums columns, and the graphs' _diameter
 _BLOCK_ELEMS = 4_000_000
 
@@ -73,15 +74,19 @@ class FiniteRing:
         self.one = int(one)
         self.name = name or f"ring-of-order-{n}"
         self.matrix_of = matrix_of
-        self._units = None  # the units, found on first use by ideals._units
 
-    # -- elementwise access ------------------------------------------------
+    @cached_property
+    def units(self) -> np.ndarray:
+        """The units, ascending, found on first use.
 
-    def add(self, i: int, j: int) -> int:
-        return int(self.add_table[i, j])
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self.mul_table[i, j])
+        x is a unit iff `one` is in row x of the multiplication table, since a
+        one-sided inverse is two-sided in a finite ring.  The rows are compared
+        with `one` in blocks of about _BLOCK_ELEMS entries.
+        """
+        n, mul = self.order, self.mul_table
+        step = max(1, _BLOCK_ELEMS // n)
+        found = np.concatenate([(mul[lo : lo + step] == self.one).any(axis=1) for lo in range(0, n, step)])
+        return np.flatnonzero(found)
 
     def is_zero_ring(self) -> bool:
         return self.one == self.zero
@@ -117,20 +122,9 @@ class ElementSet:
         self.bits = bits
 
     @classmethod
-    def from_indices(cls, ring: FiniteRing, indices) -> "ElementSet":
-        bits = 0
-        for i in indices:
-            bits |= 1 << int(i)
-        return cls(ring, bits)
-
-    @classmethod
     def from_mask(cls, ring: FiniteRing, mask: np.ndarray) -> "ElementSet":
         packed = np.packbits(mask.astype(np.uint8), bitorder="little")
         return cls(ring, int.from_bytes(packed.tobytes(), "little"))
-
-    @classmethod
-    def full(cls, ring: FiniteRing) -> "ElementSet":
-        return cls(ring, (1 << ring.order) - 1)
 
     def mask(self) -> np.ndarray:
         n = self.ring.order
@@ -143,9 +137,6 @@ class ElementSet:
     def sort_key(self) -> bytes:
         """Bit-vector lexicographic key (element 0 first)."""
         return self.mask().tobytes()
-
-    def issubset(self, other: "ElementSet") -> bool:
-        return self.bits & ~other.bits == 0
 
     def __contains__(self, i: int) -> bool:
         return bool((self.bits >> i) & 1)

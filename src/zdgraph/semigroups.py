@@ -45,21 +45,11 @@ class FiniteSemigroupWithZero:
     semigroups, anything printable otherwise).
     """
 
-    zero = 0
-
     def __init__(self, table, labels=None):
         table = np.asarray(table)
         self.order = int(table.shape[0])
         self.table = _freeze(table)
         self.labels = tuple(labels) if labels is not None else None
-
-    def product(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
-
-    def label_of(self, i: int) -> str:
-        if self.labels is None:
-            return str(i)
-        return str(self.labels[i])
 
     def __repr__(self) -> str:
         return f"FiniteSemigroupWithZero(order={self.order})"
@@ -98,23 +88,6 @@ def validate_semigroup(s: FiniteSemigroupWithZero, generators=None) -> None:
         raise SemigroupValidationError(
             "associativity", bad, "not associative: ({0}*{1})*{2} != {0}*({1}*{2})".format(*bad)
         )
-
-
-def semigroup_from_table(table, zero_index: int, labels=None) -> FiniteSemigroupWithZero:
-    """Validated semigroup with the given absorbing element renumbered to 0."""
-    table = np.asarray(table)
-    m = table.shape[0]
-    if zero_index < 0 or zero_index >= m:
-        raise SemigroupValidationError("zero", None, "zero index out of range")
-    if zero_index != 0:
-        perm = np.arange(m)
-        perm[0], perm[zero_index] = zero_index, 0
-        table = perm[table[np.ix_(perm, perm)]]
-        if labels is not None:
-            labels = [labels[p] for p in perm]
-    s = FiniteSemigroupWithZero(table, labels=labels)
-    validate_semigroup(s)
-    return s
 
 
 @dataclass(frozen=True)

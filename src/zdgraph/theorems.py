@@ -441,7 +441,7 @@ def check_matrix_diam_lower(a: RingAnalysis) -> CheckResult:
     # the column and row ideals at the corner unit: their product is nonzero,
     # so they realise a non-adjacent vertex pair
     col, row = _corner_pair(a)
-    label_bits = {g.label_value(v).bits for v in g.vertices}
+    label_bits = {label.bits for label in g.labels}
     both_vertices = col.bits in label_bits and row.bits in label_bits
     product_nonzero = _ipo_product(a, col, row).bits != 1
     witness["corner_pair_present"] = both_vertices

@@ -2,7 +2,10 @@
 
 Everything here recomputes results from first principles (naive loops over
 elements, all subsets, all permutations), deliberately sharing no machinery
-with the library paths it checks.
+with the library paths it checks.  The exceptions are the span-based
+references under "additive spans" and the table scans that use them: they
+take the library's `_additive_span` for speed on rings too large for the
+naive closures, and tests check them against those closures.
 """
 
 from itertools import permutations, product
@@ -20,10 +23,10 @@ def naive_additive_closure(ring, seed):
         nxt = set(cur)
         for x in cur:
             for y in cur:
-                nxt.add(ring.add(x, y))
+                nxt.add(int(ring.add_table[x, y]))
         for x in cur:
             for y in range(ring.order):
-                if ring.add(x, y) == 0:
+                if ring.add_table[x, y] == 0:
                     nxt.add(y)
         if nxt == cur:
             return cur
@@ -37,28 +40,27 @@ def naive_is_one_sided_ideal(ring, subset, side):
         return False
     for x in s:
         for y in s:
-            if ring.add(x, y) not in s:
+            if ring.add_table[x, y] not in s:
                 return False
-    if not all(any(ring.add(x, y) == 0 and y in s for y in s) for x in s):
+    if not all(any(ring.add_table[x, y] == 0 and y in s for y in s) for x in s):
         return False
     for r in range(ring.order):
         for x in s:
-            prod = ring.mul(r, x) if side == "left" else ring.mul(x, r)
+            prod = ring.mul_table[r, x] if side == "left" else ring.mul_table[x, r]
             if prod not in s:
                 return False
     return True
 
 
 def subset_scan_ideals(ring, side):
-    """Every subset of the ring filtered by the production ideal predicate."""
+    """Every subset of the ring filtered by the naive ideal predicate."""
     n = ring.order
-    pred = z.is_left_ideal if side == "left" else z.is_right_ideal
     found = []
     for bits in range(1, 1 << n):
         if not bits & 1:
             continue  # must contain 0
         s = z.ElementSet(ring, bits)
-        if pred(ring, s):
+        if naive_is_one_sided_ideal(ring, s.indices(), side):
             found.append(s)
     return sorted(found, key=z.ElementSet.sort_key)
 
@@ -90,8 +92,41 @@ def scatter_principal_sets(r, side):
 
 def naive_ideal_product(ring, a, b):
     """Closure of every pairwise product, literally."""
-    prods = {ring.mul(x, y) for x in a.indices() for y in b.indices()}
-    return z.ElementSet.from_indices(ring, naive_additive_closure(ring, prods))
+    prods = {int(ring.mul_table[x, y]) for x in a.indices() for y in b.indices()}
+    return element_set(ring, naive_additive_closure(ring, prods))
+
+
+def element_set(ring, indices):
+    """The ElementSet holding exactly the given element indices."""
+    return z.ElementSet(ring, sum(1 << i for i in {int(x) for x in indices}))
+
+
+# -- additive spans ----------------------------------------------------------------
+# Spans by the library's `_additive_span`: fast references for rings whose
+# subsets are too many for the naive closures above.
+
+
+def additive_closure(r, seed):
+    """Smallest additive subgroup containing seed and 0."""
+    if isinstance(seed, z.ElementSet):
+        seed = seed.indices()
+    mask = _additive_span(r.add_table, sorted(int(x) for x in seed), r.order)[0]
+    return z.ElementSet.from_mask(r, mask)
+
+
+def ideal_product(r, a, b):
+    """Additive closure of all pairwise products x*y, x in a, y in b.
+
+    Both arguments must be additive subgroups; the span of { x*y } then
+    equals the span of the generator-pair products, which keeps this fast.
+    """
+    ga = z.additive_generators(r, a)
+    gb = z.additive_generators(r, b)
+    if additive_closure(r, ga).bits != a.bits or additive_closure(r, gb).bits != b.bits:
+        raise ValueError("ideal_product arguments must be additive subgroups")
+    mul = r.mul_table
+    prods = sorted({int(mul[x, y]) for x in ga for y in gb})
+    return additive_closure(r, prods)
 
 
 def naive_annihilating_ideal_graph(ring, ideals):
@@ -100,7 +135,7 @@ def naive_annihilating_ideal_graph(ring, ideals):
     every element y of I, and I, J adjacent (I != J) when naive_ideal_product
     gives the zero ideal."""
     def has_annihilator(s):
-        return any(all(ring.mul(a, y) == 0 for y in s.indices()) for a in range(1, ring.order))
+        return any(all(ring.mul_table[a, y] == 0 for y in s.indices()) for a in range(1, ring.order))
 
     vsets = [i.set for i in ideals if i.bits != 1 and has_annihilator(i.set)]
     adj = np.zeros((len(vsets), len(vsets)), dtype=bool)
@@ -156,7 +191,7 @@ def naive_is_division_ring(ring):
     """Every nonzero element has a two-sided inverse, by a double loop."""
     n = ring.order
     return all(
-        any(ring.mul(a, b) == ring.one == ring.mul(b, a) for b in range(1, n))
+        any(ring.mul_table[a, b] == ring.one == ring.mul_table[b, a] for b in range(1, n))
         for a in range(1, n)
     )
 
@@ -171,7 +206,8 @@ def ring_isomorphism(a, b):
         if p[a.one] != b.one:
             continue
         if all(
-            p[a.add(x, y)] == b.add(p[x], p[y]) and p[a.mul(x, y)] == b.mul(p[x], p[y])
+            p[a.add_table[x, y]] == b.add_table[p[x], p[y]]
+            and p[a.mul_table[x, y]] == b.mul_table[p[x], p[y]]
             for x in range(n)
             for y in range(n)
         ):
@@ -363,7 +399,7 @@ def table_completeness_branches(a):
 
     local, maximal = is_local_ring(r)
     if local:
-        m_sq = z.ideal_product(r, maximal, maximal)
+        m_sq = ideal_product(r, maximal, maximal)
         detail["maximal_ideal"] = str(maximal)
         detail["maximal_ideal_squared"] = str(m_sq)
         full_bits = (1 << r.order) - 1

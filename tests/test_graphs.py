@@ -41,7 +41,8 @@ def test_directed_graph_empty_for_fields(rings):
 
 
 def test_null_semigroup_graph():
-    null3 = z.semigroup_from_table(np.zeros((3, 3), dtype=int), zero_index=0)
+    null3 = z.FiniteSemigroupWithZero(np.zeros((3, 3), dtype=int))
+    z.validate_semigroup(null3)
     g = z.directed_zd_graph(null3, z.ann_sets(null3))
     assert g.n_vertices == 2
     assert set(g.directed_edges()) == {(1, 2), (2, 1)}

@@ -24,9 +24,9 @@ E11, E12, E21, E22 = 8, 4, 2, 1
 def test_cyclic_ring_basics():
     r6 = z.make_cyclic_ring(6)
     assert r6.order == 6 and r6.one == 1
-    assert r6.mul(2, 5) == 4
+    assert r6.mul_table[2, 5] == 4
     r4 = z.make_cyclic_ring(4)
-    assert r4.add(3, 3) == 2
+    assert r4.add_table[3, 3] == 2
     with pytest.raises(ValueError):
         z.make_cyclic_ring(0)
 
@@ -82,8 +82,8 @@ def test_matrix_ring_m2z2(rings):
     m = rings["M2(Z2)"]
     assert m.order == 16
     assert m.one == E11 + E22  # identity matrix
-    assert m.mul(E11, E12) == E12
-    assert m.mul(E12, E11) == 0
+    assert m.mul_table[E11, E12] == E12
+    assert m.mul_table[E12, E11] == 0
 
 
 def test_matrix_ring_over_the_zero_ring_is_built_without_tables():
@@ -275,17 +275,16 @@ def test_is_local_ring(rings):
 
 def test_element_set_operations(rings):
     r = rings["Z6"]
-    s = z.ElementSet.from_indices(r, [0, 2, 4])
+    s = z.ElementSet(r, 0b10101)
     assert 2 in s and 3 not in s
     assert len(s) == 3
     assert str(s) == "{0,2,4}"
-    assert s.issubset(z.ElementSet.full(r))
 
 
 def test_element_set_sort_key_is_bitvector_lex(rings):
     r = rings["Z6"]
-    a = z.ElementSet.from_indices(r, [0, 2, 4])
-    b = z.ElementSet.from_indices(r, [0, 3])
+    a = z.ElementSet(r, 0b10101)
+    b = z.ElementSet(r, 0b1001)
     # first differing element is 2, so {0,3} sorts before {0,2,4}
     assert sorted([a, b], key=z.ElementSet.sort_key) == [b, a]
 

@@ -5,28 +5,22 @@ import numpy as np
 import pytest
 
 import zdgraph as z
-from oracles import naive_semigroups_with_zero
+from oracles import ideal_product, naive_semigroups_with_zero
 
 
 def test_semigroup_from_table_valid():
-    null2 = z.semigroup_from_table([[0, 0], [0, 0]], zero_index=0)
+    null2 = z.FiniteSemigroupWithZero([[0, 0], [0, 0]])
+    z.validate_semigroup(null2)
     assert null2.order == 2
-    z3_mult = z.semigroup_from_table([[0, 0, 0], [0, 1, 2], [0, 2, 1]], zero_index=0)
-    assert z3_mult.product(2, 2) == 1
-
-
-def test_semigroup_from_table_renumbers_zero():
-    # zero element sits at index 1; multiplication is of Z3 with labels shuffled
-    table = [[1, 1, 1], [1, 1, 1], [1, 1, 2]]
-    s = z.semigroup_from_table(table, zero_index=1)
-    assert s.product(0, 1) == 0 and s.product(1, 0) == 0
-    z.validate_semigroup(s)
+    z3_mult = z.FiniteSemigroupWithZero([[0, 0, 0], [0, 1, 2], [0, 2, 1]])
+    z.validate_semigroup(z3_mult)
+    assert z3_mult.table[2, 2] == 1
 
 
 def test_semigroup_from_table_associativity_error():
     table = [[0, 0, 0], [0, 2, 1], [0, 1, 1]]
     with pytest.raises(z.SemigroupValidationError) as err:
-        z.semigroup_from_table(table, zero_index=0)
+        z.validate_semigroup(z.FiniteSemigroupWithZero(table))
     assert err.value.reason == "associativity"
     x, y, w = err.value.witness
     t = table
@@ -61,8 +55,8 @@ def test_ipo_matches_pairwise_products(rings, nonprincipal):
         ipo = z.prepare_ring_analysis(ring).ipo
         for i in range(ipo.order):
             for j in range(ipo.order):
-                direct = z.ideal_product(ring, ipo.labels[i], ipo.labels[j])
-                assert direct == ipo.labels[ipo.product(i, j)]
+                direct = ideal_product(ring, ipo.labels[i], ipo.labels[j])
+                assert direct == ipo.labels[ipo.table[i, j]]
     # larger rings whose pool pairs take both lattice rules, xR*B = x*(RB)
     # with B right-only and Rx*B = R*(xB): pool pairs only, to stay fast
     for expr in ("M2(Z4)", "M3(Z2)"):
@@ -73,8 +67,8 @@ def test_ipo_matches_pairwise_products(rings, nonprincipal):
         index = {label.bits: k for k, label in enumerate(a.ipo.labels)}
         for x in pool:
             for y in pool:
-                direct = z.ideal_product(ring, x.set, y.set)
-                assert direct == a.ipo.labels[a.ipo.product(index[x.bits], index[y.bits])], expr
+                direct = ideal_product(ring, x.set, y.set)
+                assert direct == a.ipo.labels[a.ipo.table[index[x.bits], index[y.bits]]], expr
 
 
 # sha256 of the Cayley table bytes and of repr([label.bits ...]), recorded
@@ -145,7 +139,7 @@ def test_small_blocks_give_the_same_ideals_and_ipo(rings, nonprincipal, monkeypa
     for ring in cases:
         left, right = (z.enumerate_one_sided_ideals(ring, side) for side in ("left", "right"))
         expected.append((left, right, z.build_ipo(ring, left, right)))
-    monkeypatch.setattr(z.ideals, "_BLOCK_ELEMS", 200)
+    monkeypatch.setattr(z.rings, "_BLOCK_ELEMS", 200)
     monkeypatch.setattr(z.semigroups, "_BLOCK_ELEMS", 200)
     for ring, (left, right, ipo) in zip(cases, expected):
         assert z.enumerate_one_sided_ideals(ring, "left") == left
@@ -179,7 +173,8 @@ def test_ann_sets_examples(rings):
 
     assert z.ann_sets(z.prepare_ring_analysis(rings["Z5"]).ipo).d_star == frozenset()
 
-    null3 = z.semigroup_from_table(np.zeros((3, 3), dtype=int), zero_index=0)
+    null3 = z.FiniteSemigroupWithZero(np.zeros((3, 3), dtype=int))
+    z.validate_semigroup(null3)
     ann3 = z.ann_sets(null3)
     assert ann3.d_star == ann3.a_left == ann3.a_right == {1, 2}
 
@@ -261,7 +256,7 @@ def test_closure_violation_raises(rings):
     two_sided = [i.set for i in left if i.is_right and i.bits not in trivial]
     assert sorted(len(x) for x in two_sided) == [2, 16]
     for x in two_sided:
-        assert any(z.ideal_product(ring, l.set, k.set) == x for l in left for k in right)
+        assert any(ideal_product(ring, l.set, k.set) == x for l in left for k in right)
         with pytest.raises(z.ClosureViolationError, match="left first or a right second factor"):
             z.build_ipo(ring, *_enumerations_without(ring, x.bits))
 
