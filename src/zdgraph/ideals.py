@@ -1,4 +1,5 @@
-"""One-sided ideals, enumerated from the principal ones, and additive generators.
+"""One-sided ideals, enumerated from the principal ones, and the ideal
+arithmetic that the ideal-product semigroup shares: spans, images and sums.
 
 All subsets are bit-vector ElementSets over a fixed ring.  Ideal lists are
 canonically sorted by bit-vector lexicographic order, so enumeration output
@@ -8,10 +9,11 @@ is deterministic and usable with set semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .rings import ElementSet, FiniteRing, _additive_span
+from .rings import _BLOCK_ELEMS, ElementSet, FiniteRing
 
 
 @dataclass(frozen=True)
@@ -33,9 +35,76 @@ class OneSidedIdeal:
         return str(self.set)
 
 
+# -- additive spans ------------------------------------------------------------
+
+
+def _cyclic_chain(add_table: np.ndarray, g: int) -> list[int]:
+    """The nonzero multiples g, 2g, ... up to the first that is 0.  In a group
+    of order n that takes at most n steps; a table whose chain runs longer
+    is not a group, and raises RuntimeError instead of looping forever."""
+    mults = []
+    m = g
+    for _ in range(add_table.shape[0]):
+        if m == 0:
+            return mults
+        mults.append(m)
+        m = int(add_table[m, g])
+    raise RuntimeError(f"the multiples of {g} never return to 0: the addition table is not a group")
+
+
+def _additive_span(add_table: np.ndarray, seed) -> tuple[np.ndarray, list[int]]:
+    """Boolean mask of the additive subgroup generated by `seed` and 0, and
+    the seed elements that enlarged it, in seed order: a generating list of
+    that subgroup (greedy, at most log2 n long)."""
+    mask = np.zeros(add_table.shape[0], dtype=bool)
+    mask[0] = True
+    members = np.zeros(1, dtype=np.intp)
+    gens: list[int] = []
+    for g in seed:
+        g = int(g)
+        if mask[g]:
+            continue
+        gens.append(g)
+        block = add_table[members[:, None], np.asarray(_cyclic_chain(add_table, g))]
+        mask[block.ravel()] = True
+        members = np.flatnonzero(mask)
+    return mask, gens
+
+
 def additive_generators(r: FiniteRing, s: ElementSet) -> list[int]:
     """Small generating list for an additive subgroup (greedy, ascending scan)."""
-    return _additive_span(r.add_table, s.indices(), r.order)[1]
+    return _additive_span(r.add_table, s.indices())[1]
+
+
+# -- principal ideals and sums ---------------------------------------------------
+
+
+def _images(r: FiniteRing, mul: np.ndarray, xs: list[int], targets: list[int]) -> list[list[int]]:
+    """The bits of every image { mul[x, t] : t in T }, one row per x in xs
+    and one column per target T (a bit-vector).
+
+    With the multiplication table as `mul` that is x*T, and with its
+    transpose T*x; the image of the whole ring is xR, or Rx.  The images of
+    each distinct target under a block of x are scattered into one boolean
+    mask, in blocks of about _BLOCK_ELEMS entries.
+    """
+    n = r.order
+    distinct = {t: k for k, t in enumerate(dict.fromkeys(targets))}
+    members = [np.flatnonzero(ElementSet(r, t).mask()) for t in distinct]
+    flat = np.concatenate(members)
+    owner = np.repeat(np.arange(len(distinct)), [len(m) for m in members])
+    per = max(1, _BLOCK_ELEMS // max(len(flat), len(distinct) * n))
+    column = [distinct[t] for t in targets]
+    out: list[list[int]] = []
+    for lo in range(0, len(xs), per):
+        block = np.array(xs[lo : lo + per], dtype=np.intp)
+        mask = np.zeros((len(block), len(distinct), n), dtype=bool)
+        mask[np.arange(len(block))[:, None], owner, mul[block][:, flat]] = True
+        packed = np.packbits(mask, axis=2, bitorder="little")
+        for rows in packed:
+            images = [int.from_bytes(row.tobytes(), "little") for row in rows]
+            out.append([images[k] for k in column])
+    return out
 
 
 def _principal_sets(r: FiniteRing, side: str) -> dict[int, tuple[int, bool]]:
@@ -91,46 +160,86 @@ def _known_sum(a: int, b: int, by_size: dict[int, list[int]]) -> int | None:
     return next((c for c in by_size.get(size, ()) if union | c == c), None)
 
 
+class _Sums:
+    """Sums of left (or right) ideals of a ring, as bits.
+
+    A sum A+B is read off the known ideals by the size formula, which
+    proves it (see `_known_sum`).  A sum that none of them matches is the
+    additive span of A | B, and joins the known ideals, so it is spanned
+    once; every known member is an additive subgroup, as the proof needs.
+    `known` (bits) is not indexed until the first sum is asked for.
+    """
+
+    def __init__(self, r: FiniteRing, side: str, known: list[int]):
+        self.r, self.known = r, known
+        self.mul = r.mul_table.T if side == "left" else r.mul_table  # mul[y, s] = s*y (left), y*s (right)
+        self.principal: dict[int, int] = {}
+        self.steps: dict[tuple[int, int], int] = {}  # (bits of A, y) -> bits of A + R*y (A + y*R)
+
+    @cached_property
+    def by_size(self) -> dict[int, list[int]]:
+        by_size: dict[int, list[int]] = {}
+        for bits in self.known:
+            by_size.setdefault(bits.bit_count(), []).append(bits)
+        return by_size
+
+    def span(self, seed) -> int:
+        """The bits of the additive subgroup generated by the elements `seed`."""
+        return ElementSet.from_mask(self.r, _additive_span(self.r.add_table, seed)[0]).bits
+
+    def add(self, a: int, b: int) -> int:
+        """The bits of A+B."""
+        bits = _known_sum(a, b, self.by_size)
+        if bits is None:
+            bits = self.span(ElementSet(self.r, a | b).indices())
+            self.by_size.setdefault(bits.bit_count(), []).append(bits)
+        return bits
+
+    def of(self, groups: list[list[int]]) -> list[int]:
+        """The sum of the principal ideals R*y (left) or y*R (right) over y
+        in each group; {0} for an empty group.  Each principal ideal is the
+        image of R under y (see `_images`), read once per y."""
+        new = list(dict.fromkeys(y for ys in groups for y in ys if y not in self.principal))
+        if new:
+            full = (1 << self.r.order) - 1
+            for y, (bits,) in zip(new, _images(self.r, self.mul, new, [full])):
+                self.principal[y] = bits
+        out = []
+        for ys in groups:
+            acc = 1
+            for y in ys:
+                if (acc, y) not in self.steps:
+                    self.steps[acc, y] = self.add(acc, self.principal[y])
+                acc = self.steps[acc, y]
+            out.append(acc)
+        return out
+
+
 def enumerate_one_sided_ideals(r: FiniteRing, side: str) -> list[OneSidedIdeal]:
     """All left (resp. right) ideals: principal ideals closed under pairwise sum.
 
-    Every one-sided ideal is a sum of principal ones.  A sum A+B is read off
-    the ideals known so far when it is among them (see `_known_sum`).  Only a
-    sum that no known ideal matches (one that is not principal) is computed
-    as an additive span, and only then are the additive generators of its
-    summands computed.  Each ideal keeps one-sided
-    generators x (its principal summands), so the other-side flag of a sum
-    is a row test as for a principal ideal.
+    Every one-sided ideal is a sum of principal ones.  Each ideal found is
+    added to every ideal found before it, so each unordered pair is summed
+    once, and a new sum is appended to the list.  A sum A+B is read off
+    the ideals known so far when it is among them, and only a sum that no
+    known ideal matches (one that is not principal) is computed as an
+    additive span (see `_Sums`).  Each ideal keeps one-sided generators x
+    (its principal summands), so the other-side flag of a sum is a row test
+    as for a principal ideal.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    n, mul = r.order, r.mul_table
+    mul = r.mul_table
     principal = _principal_sets(r, side)
+    add = _Sums(r, side, list(principal)).add
     seeds = {bits: [x] for bits, (x, _) in principal.items()}
-    by_size: dict[int, list[int]] = {}
-    for bits in seeds:
-        by_size.setdefault(bits.bit_count(), []).append(bits)
-    add_gens: dict[int, list[int]] = {}
-
-    def gens_of(bits: int) -> list[int]:
-        if bits not in add_gens:
-            add_gens[bits] = additive_generators(r, ElementSet(r, bits))
-        return add_gens[bits]
-
-    frontier = list(seeds)
-    while frontier:
-        new: list[int] = []
-        snapshot = list(seeds)
-        for a in frontier:
-            for b in snapshot:
-                if _known_sum(a, b, by_size) is not None:
-                    continue
-                mask, gens = _additive_span(r.add_table, gens_of(a) + gens_of(b), n)
-                s = ElementSet.from_mask(r, mask).bits
-                seeds[s], add_gens[s] = seeds[a] + seeds[b], gens
-                by_size.setdefault(s.bit_count(), []).append(s)
-                new.append(s)
-        frontier = new
+    found = list(seeds)
+    for i, a in enumerate(found):
+        for b in found[:i]:
+            s = add(a, b)
+            if s not in seeds:
+                seeds[s] = seeds[a] + seeds[b]
+                found.append(s)
 
     ideals = []
     for bits, xs in seeds.items():

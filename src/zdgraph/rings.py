@@ -16,7 +16,8 @@ DEFAULT_SIZE_CAP = 25_000
 
 # temporary entries per block of a pass over an n x n table (a few hundred MB at
 # most), used by make_cyclic_ring, FiniteRing.is_commutative and .units,
-# build_ipo's x*B images and _LeftSums columns, and the graphs' _diameter
+# the ideal layer's _images (x*B images and principal ideals), and the
+# graphs' _diameter
 _BLOCK_ELEMS = 4_000_000
 
 # entries per block of an associativity scan; a scan runs while a parsed
@@ -475,38 +476,3 @@ def load_table_ring(text: str, cap: int | None = None) -> FiniteRing:
     validate_ring(ring)
     return ring
 
-
-# -- low-level additive-subgroup machinery (shared with the ideal layer) -----
-
-
-def _cyclic_chain(add_table: np.ndarray, g: int) -> list[int]:
-    """The nonzero multiples g, 2g, ... up to the first that is 0.  In a group
-    of order n that takes at most n steps; a table whose chain runs longer
-    is not a group, and raises RuntimeError instead of looping forever."""
-    mults = []
-    m = g
-    for _ in range(add_table.shape[0]):
-        if m == 0:
-            return mults
-        mults.append(m)
-        m = int(add_table[m, g])
-    raise RuntimeError(f"the multiples of {g} never return to 0: the addition table is not a group")
-
-
-def _additive_span(add_table: np.ndarray, seed, n: int) -> tuple[np.ndarray, list[int]]:
-    """Boolean mask of the additive subgroup generated by `seed` and 0, and
-    the seed elements that enlarged it, in seed order: a generating list of
-    that subgroup (greedy, at most log2 n long)."""
-    mask = np.zeros(n, dtype=bool)
-    mask[0] = True
-    members = np.zeros(1, dtype=np.intp)
-    gens: list[int] = []
-    for g in seed:
-        g = int(g)
-        if mask[g]:
-            continue
-        gens.append(g)
-        block = add_table[members[:, None], np.asarray(_cyclic_chain(add_table, g))]
-        mask[block.ravel()] = True
-        members = np.flatnonzero(mask)
-    return mask, gens

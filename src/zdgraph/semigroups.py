@@ -10,17 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ideals import OneSidedIdeal, _known_sum, additive_generators
-from .rings import (
-    _BLOCK_ELEMS,
-    ElementSet,
-    FiniteRing,
-    _additive_span,
-    _first_bad_pair,
-    _first_non_associative,
-    _freeze,
-    _index_dtype,
-)
+from .ideals import OneSidedIdeal, _images, _Sums, additive_generators
+from .rings import ElementSet, FiniteRing, _first_bad_pair, _first_non_associative, _freeze, _index_dtype
 
 
 class SemigroupValidationError(ValueError):
@@ -34,8 +25,21 @@ class ClosureViolationError(RuntimeError):
     """A product of collected ideal products fell outside the collection.
 
     This would contradict multiplicative closure of the ideal-product
-    semigroup, so it is treated as an internal error.
+    semigroup, so it is treated as an internal error.  `witness` is the
+    pair of factors (OneSidedIdeals).
     """
+
+    def __init__(self, message: str, witness: tuple[OneSidedIdeal, OneSidedIdeal] | None = None):
+        super().__init__(message)
+        self.witness = witness
+
+
+def _factor_name(ideal: OneSidedIdeal) -> str:
+    """A pool member by its side, its one-sided generator and its size."""
+    side = "two-sided" if ideal.is_left and ideal.is_right else "left" if ideal.is_left else "right"
+    gen_side = "right" if ideal.is_right else "left"  # a two-sided pool member keeps its right entry
+    gen = "no generator" if ideal.generator is None else f"{gen_side} generator {ideal.generator}"
+    return f"the {side} ideal with {gen} and {len(ideal.set)} elements"
 
 
 class FiniteSemigroupWithZero:
@@ -112,86 +116,6 @@ def ann_sets(s: FiniteSemigroupWithZero) -> AnnSets:
     return AnnSets(a_left | a_right, a_left, a_right)
 
 
-def _images(r: FiniteRing, xs: list[int], targets: list[int]) -> list[list[int]]:
-    """The bits of every image x*T = { x*t : t in T }, one row per x in xs and
-    one column per target T (a bit-vector).
-
-    `build_ipo` passes the right generators x of its right pool members and,
-    for each pool member B, the left ideal RB that B generates, because
-    xR * B = x*(RB); for a left ideal B, RB is B.  The images of each
-    distinct target under a block of x are scattered into one boolean mask,
-    in blocks of about _BLOCK_ELEMS entries.
-    """
-    n, mul = r.order, r.mul_table
-    distinct = {t: k for k, t in enumerate(dict.fromkeys(targets))}
-    members = [np.flatnonzero(ElementSet(r, t).mask()) for t in distinct]
-    flat = np.concatenate(members)
-    owner = np.repeat(np.arange(len(distinct)), [len(m) for m in members])
-    per = max(1, _BLOCK_ELEMS // max(len(flat), len(distinct) * n))
-    column = [distinct[t] for t in targets]
-    out: list[list[int]] = []
-    for lo in range(0, len(xs), per):
-        block = np.array(xs[lo : lo + per], dtype=np.intp)
-        mask = np.zeros((len(block), len(distinct), n), dtype=bool)
-        mask[np.arange(len(block))[:, None], owner, mul[block[:, None], flat]] = True
-        packed = np.packbits(mask, axis=2, bitorder="little")
-        for rows in packed:
-            images = [int.from_bytes(row.tobytes(), "little") for row in rows]
-            out.append([images[k] for k in column])
-    return out
-
-
-class _LeftSums:
-    """Sums of principal left ideals R*y of a ring, as bits, memoised.
-
-    R*y is the value set of column y of the multiplication table, a subgroup
-    by distributivity.  The new columns a call needs are scattered in blocks
-    of about _BLOCK_ELEMS entries, not read one strided column per y, since
-    many y share one pass over the table.  A sum of two left ideals
-    is read off the ring's left enumeration by the size formula, which
-    proves it (see `_known_sum`); a sum the enumeration lacks is computed as
-    an additive span.  Nothing is indexed until the first sum is asked for.
-    """
-
-    def __init__(self, r: FiniteRing, left: list[OneSidedIdeal]):
-        self.r, self.left = r, left
-        self.principal: dict[int, int] = {}
-        self.sums: dict[tuple[int, int], int] = {}
-
-    @functools.cached_property
-    def by_size(self) -> dict[int, list[int]]:
-        by_size: dict[int, list[int]] = {}
-        for ideal in self.left:
-            by_size.setdefault(len(ideal.set), []).append(ideal.bits)
-        return by_size
-
-    def of(self, groups: list[list[int]]) -> list[int]:
-        """The sum of R*y over y in each group; {0} for an empty group."""
-        r = self.r
-        new = list(dict.fromkeys(y for ys in groups for y in ys if y not in self.principal))
-        step = max(1, _BLOCK_ELEMS // r.order)
-        for lo in range(0, len(new), step):
-            cols = new[lo : lo + step]
-            mask = np.zeros((len(cols), r.order), dtype=bool)
-            mask[np.arange(len(cols)), np.take(r.mul_table, cols, axis=1)] = True  # row j: R*cols[j]
-            for y, row in zip(cols, np.packbits(mask, axis=1, bitorder="little")):
-                self.principal[y] = int.from_bytes(row.tobytes(), "little")
-        return [self._sum(ys) for ys in groups]
-
-    def _sum(self, ys: list[int]) -> int:
-        r, acc = self.r, 1
-        for y in ys:
-            b = self.principal[y]
-            if (acc, b) not in self.sums:
-                bits = _known_sum(acc, b, self.by_size)
-                if bits is None:
-                    span = _additive_span(r.add_table, ElementSet(r, acc | b).indices(), r.order)[0]
-                    bits = ElementSet.from_mask(r, span).bits
-                self.sums[acc, b] = bits
-            acc = self.sums[acc, b]
-        return acc
-
-
 def build_ipo(
     r: FiniteRing, left: list[OneSidedIdeal], right: list[OneSidedIdeal]
 ) -> FiniteSemigroupWithZero:
@@ -209,7 +133,8 @@ def build_ipo(
     one-sided generator x:
 
     - A = xR (a right pool member), any B: A*B = x*(RB), the image of the
-      left ideal RB under left multiplication by x (see `_images`).  Proof:
+      left ideal RB under left multiplication by x (`_images` reads it off
+      the multiplication table).  Proof:
       A*B = span{x*r*b} = x*span{r*b} = x*(RB), since left multiplication by
       x is additive (so the image x*(RB) is a subgroup).  RB is B when B is
       a left ideal (r has a 1).  Otherwise RB is the sum of the principal left
@@ -221,8 +146,8 @@ def build_ipo(
       a_i*(r*x*g_i) lies in the sum of the R*(x*g_i).
 
     Each sum of two left ideals is read off the left enumeration by the size
-    formula, which proves it (see `_LeftSums`); a sum the enumeration misses
-    is computed as an additive span, so a product outside the pool still
+    formula, which proves it, as in the enumeration (see `ideals._Sums`); a
+    sum the enumeration misses is computed as an additive span, so a product outside the pool still
     fails the closure check below.  A first factor with no one-sided
     generator takes an additive span of the products of the two factors'
     additive generators.  On a commutative ring every pool member is
@@ -257,7 +182,7 @@ def build_ipo(
     def gens(p: int) -> np.ndarray:
         return np.asarray(additive_generators(r, pool[p].set), dtype=np.intp)
 
-    sums = _LeftSums(r, left)
+    sums = _Sums(r, "left", [i.bits for i in left])
     # discovery: every ordered pool pair, off the lattice when the first
     # factor has a one-sided generator, else by a span
     pair_product: list[list] = [[None] * len(pool) for _ in pool]
@@ -265,7 +190,7 @@ def build_ipo(
     if firsts:
         rb = iter(sums.of([gens(j).tolist() for j, b in enumerate(pool) if not b.is_left]))
         targets = [b.bits if b.is_left else next(rb) for b in pool]
-        for i, row in zip(firsts, _images(r, [pool[i].generator for i in firsts], targets)):
+        for i, row in zip(firsts, _images(r, mul, [pool[i].generator for i in firsts], targets)):
             pair_product[i] = row
     lefts = [i for i, a in enumerate(pool) if not a.is_right and a.generator is not None]
     if lefts:
@@ -281,10 +206,7 @@ def build_ipo(
     for i, row in enumerate(pair_product):
         for j, bits in enumerate(row):
             if bits is None:
-                seed = np.zeros(n, dtype=bool)
-                seed[mul[gens(i)[:, None], gens(j)]] = True
-                span = _additive_span(r.add_table, np.flatnonzero(seed), n)[0]
-                bits = row[j] = ElementSet.from_mask(r, span).bits
+                bits = row[j] = sums.span(mul[gens(i)[:, None], gens(j)].ravel())
             if bits not in elements:
                 elements[bits] = ElementSet(r, bits)
                 decomp[bits] = (i, j)
@@ -299,8 +221,9 @@ def build_ipo(
     if escaped.any():
         a, b = _first_bad_pair(escaped)
         raise ClosureViolationError(
-            f"IPO element {pool_e[a]} * {pool_e[b]} has a left first or a right second factor, "
-            "but is not among the enumerated one-sided ideals"
+            f"the product of {_factor_name(pool[a])} and {_factor_name(pool[b])} has a left first "
+            "or a right second factor, but is not among the enumerated one-sided ideals",
+            (pool[a], pool[b]),
         )
 
     # a pool member A as K*L: A*R for a right ideal A, R*A for a left-only one

@@ -13,7 +13,8 @@ from itertools import permutations, product
 import numpy as np
 
 import zdgraph as z
-from zdgraph.rings import _BLOCK_ELEMS, _additive_span, _check_cap, _index_dtype
+from zdgraph.ideals import _additive_span
+from zdgraph.rings import _BLOCK_ELEMS, _check_cap, _index_dtype
 
 
 def naive_additive_closure(ring, seed):
@@ -110,7 +111,7 @@ def additive_closure(r, seed):
     """Smallest additive subgroup containing seed and 0."""
     if isinstance(seed, z.ElementSet):
         seed = seed.indices()
-    mask = _additive_span(r.add_table, sorted(int(x) for x in seed), r.order)[0]
+    mask = _additive_span(r.add_table, sorted(int(x) for x in seed))[0]
     return z.ElementSet.from_mask(r, mask)
 
 
@@ -337,9 +338,8 @@ def is_local_ring(r):
     multiplication; returns that maximal ideal when they do."""
     if r.is_zero_ring():
         raise ValueError("the zero ring is not eligible for the local-ring predicate")
-    n = r.order
     nonunit = ~units_mask(r)
-    closure, gens = _additive_span(r.add_table, np.nonzero(nonunit)[0], n)
+    closure, gens = _additive_span(r.add_table, np.nonzero(nonunit)[0])
     if not np.array_equal(closure, nonunit):
         return False, None
     if gens:

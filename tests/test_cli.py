@@ -130,6 +130,13 @@ def test_incomplete_ideal_enumeration_exits_three(monkeypatch, capsys, size, two
     err = capsys.readouterr().err
     assert err.startswith("zdgraph: internal error: ClosureViolationError:") and message in err
     assert err.endswith(" (in semigroups.build_ipo)\n")
+    # the message names both factors of the witness by generator and size
+    with pytest.raises(zdgraph.semigroups.ClosureViolationError) as info:
+        zdgraph.semigroups.build_ipo(ring, incomplete(ring, "left"), incomplete(ring, "right"))
+    first, second = info.value.witness
+    assert first.generator is not None and second.generator is not None
+    named = [f" generator {f.generator} and {len(f.set)} elements" for f in (first, second)]
+    assert named[0] in err and named[1] in err.split(named[0], 1)[1]
 
 
 def test_analyze_parse_error(capsys):

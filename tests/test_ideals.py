@@ -141,6 +141,35 @@ def test_principal_sets_by_unit_orbits_match_scatter(rings, nonprincipal):
             assert list(got.items()) == list(scatter_principal_sets(ring, side).items()), (name, side)
 
 
+def test_sums_match_the_span_oracle(rings, nonprincipal, monkeypatch):
+    # the sum routine that the enumeration and build_ipo share, on both
+    # sides: a sum of two enumerated ideals, and a sum of principal ideals
+    # over a group of generators, are the additive closure of the union.
+    # Only the principal ideals are known, so a sum that is not principal,
+    # such as the maximal ideal (x, y) of F2[x,y]/(x,y)^2, is spanned
+    spans = []
+    span = z.ideals._additive_span
+    monkeypatch.setattr(z.ideals, "_additive_span", lambda *args: spans.append(args) or span(*args))
+    for name, ring in {**rings, **nonprincipal}.items():
+        n, mul = ring.order, ring.mul_table
+        groups = [[]] + [[y] for y in range(n)] + [[y, (3 * y + 1) % n, (5 * y + 2) % n] for y in range(n)]
+        for side in ("left", "right"):
+            ideals = z.enumerate_one_sided_ideals(ring, side)
+            spans.clear()
+            sums = z.ideals._Sums(ring, side, [i.bits for i in ideals if i.generator is not None])
+            for a in ideals:
+                for b in ideals:
+                    expected = additive_closure(ring, a.set.indices() + b.set.indices()).bits
+                    assert sums.add(a.bits, b.bits) == expected, (name, side, str(a), str(b))
+            for ys, got in zip(groups, sums.of(groups)):
+                products = mul[:, ys] if side == "left" else mul[ys, :]
+                assert got == additive_closure(ring, products.ravel()).bits, (name, side, ys)
+            if name in rings:
+                assert spans == [], (name, side)
+            elif name == "F2[x,y]/(x,y)^2":
+                assert spans, side
+
+
 @pytest.mark.parametrize("block", [None, 200])
 def test_unit_scan_matches_units_mask(rings, nonprincipal, monkeypatch, block):
     # 200-entry blocks: the scan compares rows with one a few rows at a time

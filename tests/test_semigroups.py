@@ -130,17 +130,18 @@ def test_nonprincipal_ring_bytes_are_pinned(nonprincipal):
 
 
 def test_small_blocks_give_the_same_ideals_and_ipo(rings, nonprincipal, monkeypatch):
-    # x*B images and _LeftSums columns are scattered, and the unit scan of a
-    # ring whose units are not yet found compares rows with one, in blocks of
-    # _BLOCK_ELEMS entries; blocks of a few rows or a single generator give
-    # the same result (test_ideals runs the unit scan itself in small blocks)
+    # x*B images and principal ideals are scattered by ideals._images, and
+    # the unit scan of a ring whose units are not yet found compares rows
+    # with one, in blocks of _BLOCK_ELEMS entries; blocks of a few rows or a
+    # single generator give the same result (test_ideals runs the unit scan
+    # itself in small blocks)
     cases = [rings["M2(Z3)"], nonprincipal["U2(Z4)"], nonprincipal["F2[x,y]/(x,y)^2 x M2(Z2)"]]
     expected = []
     for ring in cases:
         left, right = (z.enumerate_one_sided_ideals(ring, side) for side in ("left", "right"))
         expected.append((left, right, z.build_ipo(ring, left, right)))
     monkeypatch.setattr(z.rings, "_BLOCK_ELEMS", 200)
-    monkeypatch.setattr(z.semigroups, "_BLOCK_ELEMS", 200)
+    monkeypatch.setattr(z.ideals, "_BLOCK_ELEMS", 200)
     for ring, (left, right, ipo) in zip(cases, expected):
         assert z.enumerate_one_sided_ideals(ring, "left") == left
         assert z.enumerate_one_sided_ideals(ring, "right") == right

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import zdgraph as z
-from zdgraph.rings import _cyclic_chain
+from zdgraph.ideals import _cyclic_chain
 
 from oracles import exhaustive_validate_ring, exhaustive_validate_semigroup
 
