@@ -23,9 +23,9 @@ class OneSidedIdeal:
     set: ElementSet
     is_left: bool
     is_right: bool
-    # the smallest x with set = Rx in a left enumeration (xR in a right one),
-    # None when the ideal is not principal
-    generator: int | None = None
+    # one-sided generators: set is the sum of the R*x (left enumeration) or
+    # the x*R (right one); (x,) with x the smallest when the ideal is principal
+    generators: tuple[int, ...]
 
     @property
     def bits(self) -> int:
@@ -71,9 +71,15 @@ def _additive_span(add_table: np.ndarray, seed) -> tuple[np.ndarray, list[int]]:
     return mask, gens
 
 
-def additive_generators(r: FiniteRing, s: ElementSet) -> list[int]:
-    """Small generating list for an additive subgroup (greedy, ascending scan)."""
-    return _additive_span(r.add_table, s.indices())[1]
+def additive_generators(r: FiniteRing, ideal: OneSidedIdeal) -> np.ndarray:
+    """Additive generators of the ideal: the s*x span R*x and the x*s span x*R,
+    for its generators x and r's additive generators s.  A two-sided ideal
+    takes both; both lie in it, and those of its enumeration's side span it."""
+    xs, s, mul = list(ideal.generators), r.additive_generators, r.mul_table
+    parts = [mul[s[:, None], xs].ravel()] if ideal.is_left else []
+    if ideal.is_right:
+        parts.append(mul[xs][:, s].ravel())
+    return np.concatenate(parts)
 
 
 # -- principal ideals and sums ---------------------------------------------------
@@ -161,20 +167,19 @@ def _known_sum(a: int, b: int, by_size: dict[int, list[int]]) -> int | None:
 
 
 class _Sums:
-    """Sums of left (or right) ideals of a ring, as bits.
+    """Sums of additive subgroups of a ring, and of its principal left ideals.
 
-    A sum A+B is read off the known ideals by the size formula, which
+    A sum A+B is read off the known subgroups by the size formula, which
     proves it (see `_known_sum`).  A sum that none of them matches is the
-    additive span of A | B, and joins the known ideals, so it is spanned
-    once; every known member is an additive subgroup, as the proof needs.
-    `known` (bits) is not indexed until the first sum is asked for.
+    additive span of A | B, and joins the known subgroups, so it is spanned
+    once.  `known` (bits, each an additive subgroup, as the proof needs) is
+    not indexed until the first sum is asked for.
     """
 
-    def __init__(self, r: FiniteRing, side: str, known: list[int]):
+    def __init__(self, r: FiniteRing, known: list[int]):
         self.r, self.known = r, known
-        self.mul = r.mul_table.T if side == "left" else r.mul_table  # mul[y, s] = s*y (left), y*s (right)
         self.principal: dict[int, int] = {}
-        self.steps: dict[tuple[int, int], int] = {}  # (bits of A, y) -> bits of A + R*y (A + y*R)
+        self.steps: dict[tuple[int, int], int] = {}  # (bits of A, y) -> bits of A + R*y
 
     @cached_property
     def by_size(self) -> dict[int, list[int]]:
@@ -183,26 +188,23 @@ class _Sums:
             by_size.setdefault(bits.bit_count(), []).append(bits)
         return by_size
 
-    def span(self, seed) -> int:
-        """The bits of the additive subgroup generated by the elements `seed`."""
-        return ElementSet.from_mask(self.r, _additive_span(self.r.add_table, seed)[0]).bits
-
     def add(self, a: int, b: int) -> int:
         """The bits of A+B."""
         bits = _known_sum(a, b, self.by_size)
         if bits is None:
-            bits = self.span(ElementSet(self.r, a | b).indices())
+            mask = _additive_span(self.r.add_table, ElementSet(self.r, a | b).indices())[0]
+            bits = ElementSet.from_mask(self.r, mask).bits
             self.by_size.setdefault(bits.bit_count(), []).append(bits)
         return bits
 
     def of(self, groups: list[list[int]]) -> list[int]:
-        """The sum of the principal ideals R*y (left) or y*R (right) over y
-        in each group; {0} for an empty group.  Each principal ideal is the
-        image of R under y (see `_images`), read once per y."""
+        """The sum of the principal left ideals R*y over y in each group; {0}
+        for an empty group.  Each R*y is the image of R under right
+        multiplication by y (see `_images`), read once per y."""
         new = list(dict.fromkeys(y for ys in groups for y in ys if y not in self.principal))
         if new:
             full = (1 << self.r.order) - 1
-            for y, (bits,) in zip(new, _images(self.r, self.mul, new, [full])):
+            for y, (bits,) in zip(new, _images(self.r, self.r.mul_table.T, new, [full])):
                 self.principal[y] = bits
         out = []
         for ys in groups:
@@ -223,32 +225,32 @@ def enumerate_one_sided_ideals(r: FiniteRing, side: str) -> list[OneSidedIdeal]:
     once, and a new sum is appended to the list.  A sum A+B is read off
     the ideals known so far when it is among them, and only a sum that no
     known ideal matches (one that is not principal) is computed as an
-    additive span (see `_Sums`).  Each ideal keeps one-sided generators x
-    (its principal summands), so the other-side flag of a sum is a row test
-    as for a principal ideal.
+    additive span (see `_Sums`).  Each ideal keeps its one-sided generators
+    (the generators of its principal summands), so the other-side flag of a
+    sum is a row test as for a principal ideal.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     mul = r.mul_table
     principal = _principal_sets(r, side)
-    add = _Sums(r, side, list(principal)).add
-    seeds = {bits: [x] for bits, (x, _) in principal.items()}
+    add = _Sums(r, list(principal)).add
+    seeds = {bits: (x,) for bits, (x, _) in principal.items()}
     found = list(seeds)
     for i, a in enumerate(found):
         for b in found[:i]:
             s = add(a, b)
             if s not in seeds:
-                seeds[s] = seeds[a] + seeds[b]
+                seeds[s] = tuple(sorted({*seeds[a], *seeds[b]}))
                 found.append(s)
 
     ideals = []
     for bits, xs in seeds.items():
         s = ElementSet(r, bits)
         if bits in principal:
-            x, other = principal[bits]
+            other = principal[bits][1]
         else:
-            img = mul[xs, :] if side == "left" else mul[:, xs]
-            x, other = None, bool(s.mask()[img].all())
+            img = mul[list(xs), :] if side == "left" else mul[:, list(xs)]
+            other = bool(s.mask()[img].all())
         left, right = (True, other) if side == "left" else (other, True)
-        ideals.append(OneSidedIdeal(s, left, right, x))
+        ideals.append(OneSidedIdeal(s, left, right, xs))
     return sorted(ideals, key=lambda ideal: ideal.set.sort_key())

@@ -1,9 +1,9 @@
 """Finite unital rings given by explicit addition/multiplication tables.
 
 Element 0 is always the additive identity.  A ring's tables are frozen at
-construction, and its one derived value, the list of its units, is computed
-on first use and cached on the ring, so rings are safe to share between
-threads.
+construction, and its two derived values, its units and its additive
+generators, are computed on first use and cached on the ring, so rings are
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -88,6 +88,11 @@ class FiniteRing:
         step = max(1, _BLOCK_ELEMS // n)
         found = np.concatenate([(mul[lo : lo + step] == self.one).any(axis=1) for lo in range(0, n, step)])
         return np.flatnonzero(found)
+
+    @cached_property
+    def additive_generators(self) -> np.ndarray:
+        """Additive generators (`_reaching_generators`), found on first use."""
+        return np.asarray(_reaching_generators(self.add_table), dtype=np.intp)
 
     def is_zero_ring(self) -> bool:
         return self.one == self.zero
@@ -276,8 +281,8 @@ def validate_ring(r: FiniteRing) -> None:
         i = int(np.argwhere(~(add == 0).any(axis=1))[0][0])
         raise RingValidationError("add-inverse", (i,), f"element {i} has no additive inverse")
 
-    gens = _reaching_generators(add)
-    bad = _first_non_associative(add, gens)
+    g = r.additive_generators
+    bad = _first_non_associative(add, g)
     if bad is not None:
         raise RingValidationError(
             "add-associative", bad, "addition not associative at ({},{},{})".format(*bad)
@@ -291,13 +296,12 @@ def validate_ring(r: FiniteRing) -> None:
         )
 
     for side in ("left", "right"):
-        bad = _first_bad_distributive(mul, add, gens, side)
+        bad = _first_bad_distributive(mul, add, g, side)
         if bad is not None:
             raise RingValidationError(
                 f"{side}-distributive", bad, "{} distributivity fails at ({},{},{})".format(side, *bad)
             )
 
-    g = np.asarray(gens, dtype=np.intp)
     gg = mul[np.ix_(g, g)]
     lhs = mul[gg[:, :, None], g]                      # (x*y)*z over G^3
     rhs = mul[g[:, None, None], gg[None, :, :]]       # x*(y*z)

@@ -4,7 +4,6 @@ closure is machine-checked, never assumed)."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -35,11 +34,12 @@ class ClosureViolationError(RuntimeError):
 
 
 def _factor_name(ideal: OneSidedIdeal) -> str:
-    """A pool member by its side, its one-sided generator and its size."""
+    """A pool member by its side, its one-sided generators and its size."""
     side = "two-sided" if ideal.is_left and ideal.is_right else "left" if ideal.is_left else "right"
     gen_side = "right" if ideal.is_right else "left"  # a two-sided pool member keeps its right entry
-    gen = "no generator" if ideal.generator is None else f"{gen_side} generator {ideal.generator}"
-    return f"the {side} ideal with {gen} and {len(ideal.set)} elements"
+    plural = "s" if len(ideal.generators) > 1 else ""
+    gens = ", ".join(map(str, ideal.generators))
+    return f"the {side} ideal with {gen_side} generator{plural} {gens} and {len(ideal.set)} elements"
 
 
 class FiniteSemigroupWithZero:
@@ -125,34 +125,28 @@ def build_ipo(
     from the pool, the union of `left` and `right`: r's full left and right
     enumerations from `enumerate_one_sided_ideals`, trusted, not re-checked.
     The zero ideal sits at index 0 and labels carry the element subsets.  A
-    two-sided ideal keeps its right-list entry, so the `generator` of every
-    right pool member is a right generator, and that of every left-only
-    member a left one.
+    two-sided ideal keeps its right-list entry, so the `generators` of every
+    right pool member are right generators, and those of every left-only
+    member left ones.
 
-    A pool-pair product A*B is read off the ideal lattice when A has a
-    one-sided generator x:
+    Every pool-pair product A*B is read off the ideal lattice, one
+    one-sided generator x of A at a time, and summed over them:
 
-    - A = xR (a right pool member), any B: A*B = x*(RB), the image of the
-      left ideal RB under left multiplication by x (`_images` reads it off
-      the multiplication table).  Proof:
-      A*B = span{x*r*b} = x*span{r*b} = x*(RB), since left multiplication by
-      x is additive (so the image x*(RB) is a subgroup).  RB is B when B is
-      a left ideal (r has a 1).  Otherwise RB is the sum of the principal left
-      ideals R*g over the additive generators g of B: each R*g lies in RB,
-      and r*b = sum of a_i*(r*g_i) for b = sum of a_i*g_i.
-    - A = Rx (a left-only pool member), any B: A*B = R*(xB), the sum of the
-      principal left ideals R*(x*g) over the additive generators g of B.
-      Proof: A*B = span{r*x*b} holds every r*x*g, and r*x*b = sum of
-      a_i*(r*x*g_i) lies in the sum of the R*(x*g_i).
+    - A a sum of the xR (a right pool member): xR*B = x*(RB), since
+      xR*B = span{x*r*b} = x*span{r*b} (left multiplication by x is
+      additive), an image that `_images` reads off the multiplication table.
+      RB is B when B is a left ideal (r has a 1), else the sum of the
+      principal left ideals R*g over the additive generators g of B: each
+      R*g lies in RB, and r*b = sum of a_i*(r*g_i) for b = sum of a_i*g_i.
+    - A a sum of the Rx (a left-only pool member): Rx*B = R*(xB), the sum
+      of the R*(x*g) over the same g, since r*x*b = sum of a_i*(r*x*g_i).
 
-    Each sum of two left ideals is read off the left enumeration by the size
-    formula, which proves it, as in the enumeration (see `ideals._Sums`); a
-    sum the enumeration misses is computed as an additive span, so a product outside the pool still
-    fails the closure check below.  A first factor with no one-sided
-    generator takes an additive span of the products of the two factors'
-    additive generators.  On a commutative ring every pool member is
-    two-sided, so a pair with a principal first factor is an image x*B and
-    no sum is formed.
+    Additive generators are read off each ideal's generators (see
+    `ideals.additive_generators`); on a commutative ring every pool member
+    is two-sided, so none is needed.  Each sum is read off the left
+    enumeration by the size formula, which proves it (see `ideals._Sums`);
+    a sum that no known ideal matches is spanned, so a product outside the
+    pool still fails the closure check below.
 
     Closure is checked once, right after discovery: I*J is a left ideal when
     I is one and a right ideal when J is one, so every pool-pair product with
@@ -178,35 +172,31 @@ def build_ipo(
     pool_idx = {ideal.bits: i for i, ideal in enumerate(pool)}
     n, mul = r.order, r.mul_table
 
-    @functools.cache
-    def gens(p: int) -> np.ndarray:
-        return np.asarray(additive_generators(r, pool[p].set), dtype=np.intp)
-
-    sums = _Sums(r, "left", [i.bits for i in left])
-    # discovery: every ordered pool pair, off the lattice when the first
-    # factor has a one-sided generator, else by a span
-    pair_product: list[list] = [[None] * len(pool) for _ in pool]
-    firsts = [i for i, a in enumerate(pool) if a.is_right and a.generator is not None]
-    if firsts:
-        rb = iter(sums.of([gens(j).tolist() for j, b in enumerate(pool) if not b.is_left]))
-        targets = [b.bits if b.is_left else next(rb) for b in pool]
-        for i, row in zip(firsts, _images(r, mul, [pool[i].generator for i in firsts], targets)):
-            pair_product[i] = row
-    lefts = [i for i, a in enumerate(pool) if not a.is_right and a.generator is not None]
+    sums = _Sums(r, [i.bits for i in left])
+    # discovery: one row of products per generator x of each first factor
+    firsts = [i for i, a in enumerate(pool) if a.is_right]
+    lefts = [i for i, a in enumerate(pool) if not a.is_right]
+    rb = iter(sums.of([additive_generators(r, b).tolist() for b in pool if not b.is_left]))
+    targets = [b.bits if b.is_left else next(rb) for b in pool]
+    rows = _images(r, mul, [x for i in firsts for x in pool[i].generators], targets)
     if lefts:
-        # x*g for the generator x of each left-only A and every g in gens(0), gens(1), ...
-        cols = [gens(j) for j in range(len(pool))]
-        xg = mul[np.array([pool[i].generator for i in lefts])[:, None], np.concatenate(cols)].tolist()
+        # x*g for each generator x of each left-only A and every additive generator g of each B
+        cols = [additive_generators(r, b) for b in pool]
+        xs = np.array([x for i in lefts for x in pool[i].generators])
+        xg = mul[xs[:, None], np.concatenate(cols)].tolist()
         ends = np.cumsum([len(c) for c in cols]).tolist()
         products = sums.of([row[hi - len(c) : hi] for row in xg for c, hi in zip(cols, ends)])
-        for k, i in enumerate(lefts):
-            pair_product[i] = products[k * len(pool) : (k + 1) * len(pool)]
+        rows += [products[k : k + len(pool)] for k in range(0, len(products), len(pool))]
+    pair_product: list = [None] * len(pool)
+    rows = iter(rows)
+    for i in firsts + lefts:
+        pair_product[i] = next(rows)
+        for _ in pool[i].generators[1:]:
+            pair_product[i] = [sums.add(a, b) for a, b in zip(pair_product[i], next(rows))]
     elements: dict[int, ElementSet] = {}
     decomp: dict[int, tuple[int, int]] = {}
     for i, row in enumerate(pair_product):
         for j, bits in enumerate(row):
-            if bits is None:
-                bits = row[j] = sums.span(mul[gens(i)[:, None], gens(j)].ravel())
             if bits not in elements:
                 elements[bits] = ElementSet(r, bits)
                 decomp[bits] = (i, j)

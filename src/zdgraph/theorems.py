@@ -390,7 +390,7 @@ def annihilating_ideal_graph(a: RingAnalysis) -> ZdGraph:
     if not r.is_commutative():
         raise ValueError("the annihilating-ideal graph is defined for commutative rings")
     mul = r.mul_table
-    gens = [np.asarray(additive_generators(r, i.set), dtype=np.intp) for i in a.left]
+    gens = [additive_generators(r, i) for i in a.left]
     keep = [v for v, i in enumerate(a.left) if i.bits != 1 and (mul[1:, gens[v]] == 0).all(1).any()]
     # adjacency: I*J = 0, read for I = J too, since ZdGraph drops the diagonal
     zero = [[not mul[gens[v][:, None], gens[w]].any() for w in keep] for v in keep]

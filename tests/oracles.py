@@ -119,10 +119,11 @@ def ideal_product(r, a, b):
     """Additive closure of all pairwise products x*y, x in a, y in b.
 
     Both arguments must be additive subgroups; the span of { x*y } then
-    equals the span of the generator-pair products, which keeps this fast.
+    equals the span of the products of their greedy additive generators,
+    which keeps this fast.
     """
-    ga = z.additive_generators(r, a)
-    gb = z.additive_generators(r, b)
+    ga = _additive_span(r.add_table, a.indices())[1]
+    gb = _additive_span(r.add_table, b.indices())[1]
     if additive_closure(r, ga).bits != a.bits or additive_closure(r, gb).bits != b.bits:
         raise ValueError("ideal_product arguments must be additive subgroups")
     mul = r.mul_table

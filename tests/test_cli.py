@@ -134,8 +134,8 @@ def test_incomplete_ideal_enumeration_exits_three(monkeypatch, capsys, size, two
     with pytest.raises(zdgraph.semigroups.ClosureViolationError) as info:
         zdgraph.semigroups.build_ipo(ring, incomplete(ring, "left"), incomplete(ring, "right"))
     first, second = info.value.witness
-    assert first.generator is not None and second.generator is not None
-    named = [f" generator {f.generator} and {len(f.set)} elements" for f in (first, second)]
+    assert len(first.generators) == len(second.generators) == 1
+    named = [f" generator {f.generators[0]} and {len(f.set)} elements" for f in (first, second)]
     assert named[0] in err and named[1] in err.split(named[0], 1)[1]
 
 

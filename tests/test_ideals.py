@@ -81,19 +81,28 @@ ORDER_8_NONPRINCIPAL = ("F2[x,y]/(x,y)^2", "Z4[x]/(2x,x^2)")
 
 
 def _naive_generators(ring, side):
-    """Each principal ideal, as the frozenset of a column (left) or row
-    (right) of products, mapped to the smallest x giving it."""
+    """Each principal ideal, as the bits of a column (left) or row (right)
+    of products, mapped to the smallest x giving it."""
     found = {}
     for x in reversed(range(ring.order)):
-        image = {int(ring.mul_table[y, x] if side == "left" else ring.mul_table[x, y])
-                 for y in range(ring.order)}
-        found[frozenset(image)] = x
+        image = ring.mul_table[:, x] if side == "left" else ring.mul_table[x, :]
+        found[element_set(ring, image).bits] = x
     return found
 
 
+def _assert_generators(ideal, smallest):
+    """`ideal.generators` is (x,) for the smallest x giving a principal ideal
+    (`smallest` maps bits to it), else at least two, none repeated."""
+    x = smallest.get(ideal.bits)
+    if x is not None:
+        assert ideal.generators == (x,), str(ideal)
+    else:
+        assert len(set(ideal.generators)) == len(ideal.generators) >= 2, str(ideal)
+
+
 def test_enumerate_matches_subset_scan(rings, nonprincipal):
-    # sets, flags and generators: the smallest x giving the ideal as a
-    # column (left) or row (right) of products, None if none does
+    # sets, flags and generators: (x,) with x the smallest giving the ideal
+    # as a column (left) or row (right) of products, at least two if none does
     cases = [rings[name] for name in ("Z6", "Z8", "Z9", "M2(Z2)", "Z2xZ4")]
     cases += [nonprincipal[name] for name in ORDER_8_NONPRINCIPAL]
     for ring in cases:
@@ -103,7 +112,7 @@ def test_enumerate_matches_subset_scan(rings, nonprincipal):
             assert [i.set for i in ideals] == scans[side]
             generators = _naive_generators(ring, side)
             for ideal in ideals:
-                assert ideal.generator == generators.get(frozenset(ideal.set.indices()))
+                _assert_generators(ideal, generators)
                 assert ideal.is_left == (ideal.set in scans["left"])
                 assert ideal.is_right == (ideal.set in scans["right"])
 
@@ -114,8 +123,8 @@ def test_generators_on_larger_nonprincipal_rings(nonprincipal):
             generators = _naive_generators(ring, side)
             ideals = z.enumerate_one_sided_ideals(ring, side)
             for ideal in ideals:
-                assert ideal.generator == generators.get(frozenset(ideal.set.indices()))
-            assert any(ideal.generator is None for ideal in ideals), (name, side)
+                _assert_generators(ideal, generators)
+            assert any(len(ideal.generators) > 1 for ideal in ideals), (name, side)
 
 
 def _orbit_walk_cases(rings, nonprincipal):
@@ -142,8 +151,8 @@ def test_principal_sets_by_unit_orbits_match_scatter(rings, nonprincipal):
 
 
 def test_sums_match_the_span_oracle(rings, nonprincipal, monkeypatch):
-    # the sum routine that the enumeration and build_ipo share, on both
-    # sides: a sum of two enumerated ideals, and a sum of principal ideals
+    # the sum routine that the enumeration and build_ipo share: a sum of two
+    # enumerated ideals, on both sides, and a sum of principal left ideals
     # over a group of generators, are the additive closure of the union.
     # Only the principal ideals are known, so a sum that is not principal,
     # such as the maximal ideal (x, y) of F2[x,y]/(x,y)^2, is spanned
@@ -156,18 +165,35 @@ def test_sums_match_the_span_oracle(rings, nonprincipal, monkeypatch):
         for side in ("left", "right"):
             ideals = z.enumerate_one_sided_ideals(ring, side)
             spans.clear()
-            sums = z.ideals._Sums(ring, side, [i.bits for i in ideals if i.generator is not None])
+            sums = z.ideals._Sums(ring, [i.bits for i in ideals if len(i.generators) == 1])
             for a in ideals:
                 for b in ideals:
                     expected = additive_closure(ring, a.set.indices() + b.set.indices()).bits
                     assert sums.add(a.bits, b.bits) == expected, (name, side, str(a), str(b))
-            for ys, got in zip(groups, sums.of(groups)):
-                products = mul[:, ys] if side == "left" else mul[ys, :]
-                assert got == additive_closure(ring, products.ravel()).bits, (name, side, ys)
+            if side == "left":
+                for ys, got in zip(groups, sums.of(groups)):
+                    assert got == additive_closure(ring, mul[:, ys].ravel()).bits, (name, ys)
             if name in rings:
                 assert spans == [], (name, side)
             elif name == "F2[x,y]/(x,y)^2":
                 assert spans, side
+
+
+def test_ideals_are_the_sums_over_their_generators(rings, nonprincipal):
+    # each ideal is the sum of the R*x (left) or x*R (right) over its
+    # generators, and additive_generators spans it; principal ideals and the
+    # rest are told apart by _assert_generators
+    for name, ring in _orbit_walk_cases(rings, nonprincipal).items():
+        mul = ring.mul_table
+        for side in ("left", "right"):
+            smallest = {bits: x for bits, (x, _) in scatter_principal_sets(ring, side).items()}
+            for ideal in z.enumerate_one_sided_ideals(ring, side):
+                xs = list(ideal.generators)
+                products = mul[:, xs] if side == "left" else mul[xs, :]
+                assert additive_closure(ring, products.ravel()) == ideal.set, (name, side, str(ideal))
+                spanned = additive_closure(ring, z.additive_generators(ring, ideal))
+                assert spanned == ideal.set, (name, side, str(ideal))
+                _assert_generators(ideal, smallest)
 
 
 @pytest.mark.parametrize("block", [None, 200])

@@ -276,6 +276,29 @@ def test_sided_check_catches_a_missing_minimal_right_ideal(rings):
             z.build_ipo(ring, *_enumerations_without(ring, bits))
 
 
+def test_a_factor_is_named_by_all_its_generators(nonprincipal):
+    # the maximal ideal (x, y) of F2[x,y]/(x,y)^2 has no single generator
+    ring = nonprincipal["F2[x,y]/(x,y)^2"]
+    maximal = next(i for i in z.enumerate_one_sided_ideals(ring, "right") if len(i.set) == 4)
+    assert maximal.generators == (1, 2)
+    name = "the two-sided ideal with right generators 1, 2 and 4 elements"
+    assert z.semigroups._factor_name(maximal) == name
+    # in U2(Z4), dropping a minimal right-only ideal leaves a closure
+    # violation whose witness has a factor with several generators
+    ring = nonprincipal["U2(Z4)"]
+    named = []
+    for ideal in z.enumerate_one_sided_ideals(ring, "right"):
+        if len(ideal.set) == 2 and not ideal.is_left:
+            with pytest.raises(z.ClosureViolationError) as info:
+                z.build_ipo(ring, *_enumerations_without(ring, ideal.bits))
+            for factor in info.value.witness:
+                if len(factor.generators) > 1:
+                    gens = ", ".join(map(str, factor.generators))
+                    assert f" generators {gens} and {len(factor.set)} elements" in str(info.value)
+                    named.append(factor)
+    assert named
+
+
 @pytest.mark.parametrize(
     "expr, count", [("M2(Z3)", 6), ("M2(Z5)", 8), ("M3(Z2)", 16), ("M2(Z4)", 15)]
 )
