@@ -38,25 +38,25 @@ class OneSidedIdeal:
 # -- additive spans ------------------------------------------------------------
 
 
-def _cyclic_chain(add_table: np.ndarray, g: int) -> list[int]:
+def _cyclic_chain(r: FiniteRing, g: int) -> list[int]:
     """The nonzero multiples g, 2g, ... up to the first that is 0.  In a group
-    of order n that takes at most n steps; a table whose chain runs longer
+    of order n that takes at most n steps; an addition whose chain runs longer
     is not a group, and raises RuntimeError instead of looping forever."""
     mults = []
     m = g
-    for _ in range(add_table.shape[0]):
+    for _ in range(r.order):
         if m == 0:
             return mults
         mults.append(m)
-        m = int(add_table[m, g])
-    raise RuntimeError(f"the multiples of {g} never return to 0: the addition table is not a group")
+        m = int(r.add_at(m, g))
+    raise RuntimeError(f"the multiples of {g} never return to 0: the addition is not a group")
 
 
-def _additive_span(add_table: np.ndarray, seed) -> tuple[np.ndarray, list[int]]:
-    """Boolean mask of the additive subgroup generated by `seed` and 0, and
-    the seed elements that enlarged it, in seed order: a generating list of
-    that subgroup (greedy, at most log2 n long)."""
-    mask = np.zeros(add_table.shape[0], dtype=bool)
+def _additive_span(r: FiniteRing, seed) -> tuple[np.ndarray, list[int]]:
+    """Boolean mask of the additive subgroup of r generated by `seed` and 0,
+    and the seed elements that enlarged it, in seed order: a generating list
+    of that subgroup (greedy, at most log2 n long)."""
+    mask = np.zeros(r.order, dtype=bool)
     mask[0] = True
     members = np.zeros(1, dtype=np.intp)
     gens: list[int] = []
@@ -65,7 +65,7 @@ def _additive_span(add_table: np.ndarray, seed) -> tuple[np.ndarray, list[int]]:
         if mask[g]:
             continue
         gens.append(g)
-        block = add_table[members[:, None], np.asarray(_cyclic_chain(add_table, g))]
+        block = r.add_at(members[:, None], _cyclic_chain(r, g))
         mask[block.ravel()] = True
         members = np.flatnonzero(mask)
     return mask, gens
@@ -75,24 +75,24 @@ def additive_generators(r: FiniteRing, ideal: OneSidedIdeal) -> np.ndarray:
     """Additive generators of the ideal: the s*x span R*x and the x*s span x*R,
     for its generators x and r's additive generators s.  A two-sided ideal
     takes both; both lie in it, and those of its enumeration's side span it."""
-    xs, s, mul = list(ideal.generators), r.additive_generators, r.mul_table
-    parts = [mul[s[:, None], xs].ravel()] if ideal.is_left else []
+    xs, s = np.array(ideal.generators), r.additive_generators
+    parts = [r.mul_at(s[:, None], xs).ravel()] if ideal.is_left else []
     if ideal.is_right:
-        parts.append(mul[xs][:, s].ravel())
+        parts.append(r.mul_at(xs[:, None], s).ravel())
     return np.concatenate(parts)
 
 
 # -- principal ideals and sums ---------------------------------------------------
 
 
-def _images(r: FiniteRing, mul: np.ndarray, xs: list[int], targets: list[int]) -> list[list[int]]:
-    """The bits of every image { mul[x, t] : t in T }, one row per x in xs
+def _images(r: FiniteRing, read, xs: list[int], targets: list[int]) -> list[list[int]]:
+    """The bits of every image { read(x, t) : t in T }, one row per x in xs
     and one column per target T (a bit-vector).
 
-    With the multiplication table as `mul` that is x*T, and with its
-    transpose T*x; the image of the whole ring is xR, or Rx.  The images of
-    each distinct target under a block of x are scattered into one boolean
-    mask, in blocks of about _BLOCK_ELEMS entries.
+    With `read` as r.mul_rows that is x*T, and as r.mul_cols T*x; the image
+    of the whole ring is xR, or Rx.  The images of each distinct target
+    under a block of x are scattered into one boolean mask, in blocks of
+    about _BLOCK_ELEMS entries.
     """
     n = r.order
     distinct = {t: k for k, t in enumerate(dict.fromkeys(targets))}
@@ -105,7 +105,7 @@ def _images(r: FiniteRing, mul: np.ndarray, xs: list[int], targets: list[int]) -
     for lo in range(0, len(xs), per):
         block = np.array(xs[lo : lo + per], dtype=np.intp)
         mask = np.zeros((len(block), len(distinct), n), dtype=bool)
-        mask[np.arange(len(block))[:, None], owner, mul[block][:, flat]] = True
+        mask[np.arange(len(block))[:, None], owner, read(block, flat)] = True
         packed = np.packbits(mask, axis=2, bitorder="little")
         for rows in packed:
             images = [int.from_bytes(row.tobytes(), "little") for row in rows]
@@ -132,18 +132,20 @@ def _principal_sets(r: FiniteRing, side: str) -> dict[int, tuple[int, bool]]:
     ideal Rx), and likewise xR is a left ideal iff Rx is in xR.
     """
     n, units = r.order, r.units
-    t = r.mul_table if side == "left" else r.mul_table.T  # t[y, x] = y*x (left), x*y (right)
+    # column(x)[y] = y*x and other(x)[y] = x*y (left); the other way round (right)
+    column, other = (r.mul_cols, r.mul_rows) if side == "left" else (r.mul_rows, r.mul_cols)
     found: dict[bytes, tuple[int, bool]] = {}
     seen = np.zeros(n, dtype=bool)
     for x in range(n):
         if seen[x]:
             continue
-        seen[t[units, x]] = True
+        col = column(x)
+        seen[col[units]] = True
         mask = np.zeros(n, dtype=bool)
-        mask[t[:, x]] = True
+        mask[col] = True
         key = np.packbits(mask, bitorder="little").tobytes()
         if key not in found:
-            found[key] = (x, bool(mask[t[x]].all()))
+            found[key] = (x, bool(mask[other(x)].all()))
     return {int.from_bytes(key, "little"): xf for key, xf in found.items()}
 
 
@@ -192,7 +194,7 @@ class _Sums:
         """The bits of A+B."""
         bits = _known_sum(a, b, self.by_size)
         if bits is None:
-            mask = _additive_span(self.r.add_table, ElementSet(self.r, a | b).indices())[0]
+            mask = _additive_span(self.r, ElementSet(self.r, a | b).indices())[0]
             bits = ElementSet.from_mask(self.r, mask).bits
             self.by_size.setdefault(bits.bit_count(), []).append(bits)
         return bits
@@ -204,7 +206,7 @@ class _Sums:
         new = list(dict.fromkeys(y for ys in groups for y in ys if y not in self.principal))
         if new:
             full = (1 << self.r.order) - 1
-            for y, (bits,) in zip(new, _images(self.r, self.r.mul_table.T, new, [full])):
+            for y, (bits,) in zip(new, _images(self.r, self.r.mul_cols, new, [full])):
                 self.principal[y] = bits
         out = []
         for ys in groups:
@@ -231,7 +233,6 @@ def enumerate_one_sided_ideals(r: FiniteRing, side: str) -> list[OneSidedIdeal]:
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    mul = r.mul_table
     principal = _principal_sets(r, side)
     add = _Sums(r, list(principal)).add
     seeds = {bits: (x,) for bits, (x, _) in principal.items()}
@@ -249,7 +250,7 @@ def enumerate_one_sided_ideals(r: FiniteRing, side: str) -> list[OneSidedIdeal]:
         if bits in principal:
             other = principal[bits][1]
         else:
-            img = mul[list(xs), :] if side == "left" else mul[:, list(xs)]
+            img = (r.mul_rows if side == "left" else r.mul_cols)(list(xs))
             other = bool(s.mask()[img].all())
         left, right = (True, other) if side == "left" else (other, True)
         ideals.append(OneSidedIdeal(s, left, right, xs))

@@ -1,7 +1,13 @@
-"""Finite unital rings given by explicit addition/multiplication tables.
+"""Finite unital rings, read only through vectorised access.
 
-Element 0 is always the additive identity.  A ring's tables are frozen at
-construction, and its two derived values, its units and its additive
+Element 0 is always the additive identity.  Every read of a ring goes
+through `add_at` and `mul_at` (pointwise, with numpy broadcasting) or the
+row and column blocks `mul_rows` and `mul_cols`, all in the ring's index
+dtype.  A table ring (a table file, or Z_n) answers them from its two
+n x n tables; a matrix ring answers from the V x n table of row vectors
+times matrices, and a product ring from its two factors, so neither holds
+an n x n table unless `add_table` or `mul_table` is read.  A ring is frozen
+at construction, and its derived values, its units and its additive
 generators, are computed on first use and cached on the ring, so rings are
 safe to share between threads.
 """
@@ -15,9 +21,10 @@ import numpy as np
 DEFAULT_SIZE_CAP = 25_000
 
 # temporary entries per block of a pass over an n x n table (a few hundred MB at
-# most), used by make_cyclic_ring, FiniteRing.is_commutative and .units,
-# the ideal layer's _images (x*B images and principal ideals), and the
-# graphs' _diameter
+# most), used by make_cyclic_ring, FiniteRing.is_commutative, .units and
+# ==, the tables a composed ring writes when they are read, the ideal
+# layer's _images (x*B images and principal ideals), and the graphs'
+# _diameter
 _BLOCK_ELEMS = 4_000_000
 
 # entries per block of an associativity scan; a scan runs while a parsed
@@ -53,10 +60,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 class FiniteRing:
-    """A finite ring with 1 on elements 0..order-1, zero fixed at index 0.
+    """A finite ring with 1 on elements 0..order-1, zero fixed at index 0,
+    given by its addition and multiplication tables.
 
     `matrix_of` is (base, k) when `make_matrix_ring(base, k)` built the ring,
-    and None otherwise.
+    and None otherwise.  The access methods index the tables; the matrix and
+    product rings override them and keep no table.
     """
 
     zero = 0
@@ -69,12 +78,40 @@ class FiniteRing:
             raise RingValidationError(
                 "shape", None, "addition and multiplication tables must be square and same size"
             )
-        self.order = int(n)
         self.add_table = _freeze(add_table)
         self.mul_table = _freeze(mul_table)
+        self._identify(n, one, name, matrix_of)
+
+    def _identify(self, n: int, one: int, name: str, matrix_of) -> None:
+        self.order = int(n)
         self.one = int(one)
         self.name = name or f"ring-of-order-{n}"
         self.matrix_of = matrix_of
+
+    # -- access ------------------------------------------------------------
+
+    def add_at(self, xs, ys) -> np.ndarray:
+        """x + y for x, y in xs, ys, broadcast against each other."""
+        return self.add_table[xs, ys]
+
+    def mul_at(self, xs, ys) -> np.ndarray:
+        """x * y for x, y in xs, ys, broadcast against each other."""
+        return self.mul_table[xs, ys]
+
+    def mul_rows(self, xs, ys=None) -> np.ndarray:
+        """The block of x * y with one row per x in xs and one column per y
+        in ys (every element when None); one row alone for a single x."""
+        rows = self.mul_table[xs]
+        return rows if ys is None else rows[..., ys]
+
+    def mul_cols(self, ys, xs=None) -> np.ndarray:
+        """The block of x * y with one row per y in ys and one column per x
+        in xs (every element when None): columns of the multiplication, laid
+        out as rows; one column alone for a single y."""
+        cols = self.mul_table.T[ys]
+        return cols if xs is None else cols[..., xs]
+
+    # -- derived values ------------------------------------------------------
 
     @cached_property
     def units(self) -> np.ndarray:
@@ -92,7 +129,7 @@ class FiniteRing:
     @cached_property
     def additive_generators(self) -> np.ndarray:
         """Additive generators (`_reaching_generators`), found on first use."""
-        return np.asarray(_reaching_generators(self.add_table), dtype=np.intp)
+        return np.asarray(_reaching_generators(self), dtype=np.intp)
 
     def is_zero_ring(self) -> bool:
         return self.one == self.zero
@@ -105,19 +142,179 @@ class FiniteRing:
         return all(np.array_equal(mul[lo : lo + step], mul[:, lo : lo + step].T) for lo in blocks)
 
     def __eq__(self, other) -> bool:
+        """Equal as labelled rings: the same order, one and operations, compared
+        in row blocks of about _BLOCK_ELEMS entries, so no table is built."""
+        if self is other:
+            return True
         if not isinstance(other, FiniteRing):
             return NotImplemented
-        return (
-            self.order == other.order
-            and self.one == other.one
-            and np.array_equal(self.add_table, other.add_table)
-            and np.array_equal(self.mul_table, other.mul_table)
-        )
+        if (self.order, self.one) != (other.order, other.one):
+            return False
+        n = self.order
+        ar = np.arange(n)
+        step = max(1, _BLOCK_ELEMS // n)
+        for lo in range(0, n, step):
+            xs = ar[lo : lo + step]
+            if not np.array_equal(self.mul_rows(xs), other.mul_rows(xs)):
+                return False
+            if not np.array_equal(self.add_at(xs[:, None], ar), other.add_at(xs[:, None], ar)):
+                return False
+        return True
 
     __hash__ = None  # mutable-by-identity semantics; use `is` for keys
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.name!r}, order={self.order})"
+
+
+class _ComposedRing(FiniteRing):
+    """A ring built from smaller rings that keeps no n x n table.  Its
+    `add_table` and `mul_table` are written from the access methods, in row
+    blocks, only when they are first read (by tests and tracers; the
+    analysis never reads them)."""
+
+    def __init__(self, n: int, one: int, name: str, matrix_of=None):
+        self._identify(n, one, name, matrix_of)
+        self.dtype = _index_dtype(n)
+
+    def _table(self, rows) -> np.ndarray:
+        n = self.order
+        out = np.empty((n, n), dtype=self.dtype)
+        step = max(1, _BLOCK_ELEMS // n)
+        for lo in range(0, n, step):
+            out[lo : lo + step] = rows(np.arange(lo, min(lo + step, n)))
+        return _freeze(out)
+
+    @cached_property
+    def add_table(self) -> np.ndarray:
+        ar = np.arange(self.order)
+        return self._table(lambda xs: self.add_at(xs[:, None], ar))
+
+    @cached_property
+    def mul_table(self) -> np.ndarray:
+        return self._table(self.mul_rows)
+
+
+class MatrixRing(_ComposedRing):
+    """M_k(base), built by `make_matrix_ring`, from two small tables.
+
+    With V = m^k row vectors over a base of order m, a matrix A is indexed
+    by its rows, index(A) = Σ_i row_i(A)·V^(k−1−i).  Row i of A·B is
+    row_i(A)·B, and row i of A + B is row_i(A) + row_i(B), so:
+
+    - `rm[u, B] = u·B` (V x n) gives mul[A, B] = Σ_i rm[row_i(A), B]·V^(k−1−i):
+      a row of mul is k rows of rm, and a column is the Kronecker sum of
+      `rm[:, B]` with itself k times;
+    - `vadd` (V x V), the addition of row vectors, gives add[A, B] digit by
+      digit.
+
+    A row's digits are decoded once per row, and everything is computed in
+    the ring's index dtype (every partial sum is below n).
+    """
+
+    def __init__(self, base: FiniteRing, k: int, rm: np.ndarray, vadd: np.ndarray, one: int, name: str):
+        super().__init__(rm.shape[1], one, name, matrix_of=(base, k))
+        self.rm = _freeze(rm.astype(self.dtype, copy=False))
+        self.vadd = _freeze(vadd.astype(self.dtype, copy=False))
+        self._v = len(vadd)
+        self._weights = [self._v ** (k - 1 - i) for i in range(k)]
+
+    def _digits(self, xs) -> list[np.ndarray]:
+        """The row indices row_0(x), ..., row_{k-1}(x) of each x, shaped like xs."""
+        rest = np.asarray(xs).astype(self.dtype)
+        digits = []
+        for w in self._weights:
+            digit, rest = np.divmod(rest, w)
+            digits.append(digit)
+        return digits
+
+    def _join(self, rows) -> np.ndarray:
+        """Σ_i rows_i·V^(k−1−i), by Horner's rule."""
+        rows = iter(rows)
+        acc = next(rows)
+        for row in rows:
+            acc = acc * self._v + row
+        return acc
+
+    def add_at(self, xs, ys) -> np.ndarray:
+        return self._join(self.vadd[a, b] for a, b in zip(self._digits(xs), self._digits(ys)))
+
+    def mul_at(self, xs, ys) -> np.ndarray:
+        ys = np.asarray(ys)
+        return self._join(self.rm[a, ys] for a in self._digits(xs))
+
+    def mul_rows(self, xs, ys=None) -> np.ndarray:
+        sub = self.rm if ys is None else self.rm[:, ys]
+        return self._join(sub[a] for a in self._digits(xs))
+
+    def mul_cols(self, ys, xs=None) -> np.ndarray:
+        sub = self.rm[:, ys]  # sub[u, j] = u·y_j
+        if xs is not None:
+            return self._join(sub[a] for a in self._digits(xs)).T
+        return reduce(_outer_sum(self._v), [sub.T] * len(self._weights))
+
+    @cached_property
+    def units(self) -> np.ndarray:
+        """The x whose column rm[:, x] is a permutation of the row vectors.
+
+        row_i(A·x) = row_i(A)·x, so A -> A·x is injective iff u -> u·x is, and
+        in a finite ring right multiplication by x is injective iff x is a
+        unit.  This holds over any base, commutative or not.
+        """
+        cols = np.sort(self.rm, axis=0)
+        return np.flatnonzero((cols == np.arange(self._v, dtype=cols.dtype)[:, None]).all(axis=0))
+
+    def is_commutative(self) -> bool:
+        # e11·e12 = e12 but e12·e11 = 0 once k >= 2 (the base is not the zero ring)
+        base, k = self.matrix_of
+        return k == 1 and base.is_commutative()
+
+
+class ProductRing(_ComposedRing):
+    """a x b, built by `make_product_ring`, on row-major pairs i·|b| + j: every
+    access is split into the factors' accesses and joined again."""
+
+    def __init__(self, a: FiniteRing, b: FiniteRing, name: str):
+        super().__init__(a.order * b.order, a.one * b.order + b.one, name)
+        self.factors = (a, b)
+
+    def _split(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        return np.divmod(np.asarray(xs).astype(self.dtype), self.factors[1].order)
+
+    def _join(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return p.astype(self.dtype) * self.factors[1].order + q
+
+    def add_at(self, xs, ys) -> np.ndarray:
+        (xi, xj), (yi, yj), (a, b) = self._split(xs), self._split(ys), self.factors
+        return self._join(a.add_at(xi, yi), b.add_at(xj, yj))
+
+    def mul_at(self, xs, ys) -> np.ndarray:
+        (xi, xj), (yi, yj), (a, b) = self._split(xs), self._split(ys), self.factors
+        return self._join(a.mul_at(xi, yi), b.mul_at(xj, yj))
+
+    def mul_rows(self, xs, ys=None) -> np.ndarray:
+        a, b = self.factors
+        return self._block(a.mul_rows, b.mul_rows, xs, ys)
+
+    def mul_cols(self, ys, xs=None) -> np.ndarray:
+        a, b = self.factors
+        return self._block(a.mul_cols, b.mul_cols, ys, xs)
+
+    def _block(self, read_a, read_b, rows, cols) -> np.ndarray:
+        ri, rj = self._split(rows)
+        if cols is None:  # every element: the Kronecker layout of the factors' blocks
+            return _outer_sum(self.factors[1].order)(read_a(ri).astype(self.dtype), read_b(rj))
+        ci, cj = self._split(cols)
+        return self._join(read_a(ri, ci), read_b(rj, cj))
+
+    @cached_property
+    def units(self) -> np.ndarray:
+        """The pairs of units, ascending."""
+        a, b = self.factors
+        return (a.units[:, None] * b.order + b.units).ravel()
+
+    def is_commutative(self) -> bool:
+        return all(f.is_commutative() for f in self.factors)
 
 
 class ElementSet:
@@ -198,15 +395,15 @@ def _first_non_associative(t: np.ndarray, middles) -> tuple[int, int, int] | Non
     return None
 
 
-def _reaching_generators(add: np.ndarray) -> list[int]:
-    """Greedy additive generators read off the table alone: the smallest
+def _reaching_generators(r: FiniteRing) -> list[int]:
+    """Greedy additive generators read off the addition alone: the smallest
     element not yet reachable from 0 by steps x -> x + g (g a generator so
     far) becomes the next generator, until every element is reachable.
 
-    Nothing about the table is trusted beyond add[0, g] == g, which makes
+    Nothing about the addition is trusted beyond 0 + g == g, which makes
     each new generator reachable, so this ends after at most n - 1 picks.
     """
-    reached = np.zeros(add.shape[0], dtype=bool)
+    reached = np.zeros(r.order, dtype=bool)
     reached[0] = True
     gens: list[int] = []
     while not reached.all():
@@ -214,7 +411,7 @@ def _reaching_generators(add: np.ndarray) -> list[int]:
         frontier = np.flatnonzero(reached)
         while frontier.size:
             step = np.zeros_like(reached)
-            step[add[frontier[:, None], gens]] = True
+            step[r.add_at(frontier[:, None], gens)] = True
             frontier = np.flatnonzero(step & ~reached)
             reached[frontier] = True
     return gens
@@ -236,6 +433,8 @@ def _first_bad_distributive(mul: np.ndarray, add: np.ndarray, bs, side: str):
 def validate_ring(r: FiniteRing) -> None:
     """Check every ring axiom, raising RingValidationError with a witness
     that fails the named axiom (not necessarily the first in row-major order).
+    It reads the ring's two tables: `load_table_ring` runs it on every table
+    file; a composed ring writes its tables when it is validated.
 
     Cost: O(n^2 |G|) table lookups, where G is a set of additive generators
     found by `_reaching_generators`: every element is reachable from 0 by
@@ -357,29 +556,21 @@ def _power_order(m: int, e: int, cap: int | None) -> int:
     return m**e
 
 
-def _stack_rows(p: np.ndarray, q: np.ndarray, w: int) -> np.ndarray:
-    """The table t[i·|q| + j] = p[i]·w + q[j], the rows of p and q broadcast
-    over their trailing axes and flattened: one block of |q| rows per row of
-    p, written straight into the smallest index dtype that holds |p|·w."""
-    tail = np.broadcast_shapes(p.shape[1:], q.shape[1:])
-    out = np.empty((len(p), len(q)) + tail, dtype=_index_dtype(len(p) * w))
-    for i, row in enumerate(p):
-        np.add(row.astype(out.dtype) * w, q, out=out[i], casting="unsafe")
-    return out.reshape(len(p) * len(q), -1)
+def _outer_sum(w: int):
+    """(p, q) -> t[..., i·|q| + j] = p[..., i]·w + q[..., j]: the last axes of
+    p and q combined row-major, their leading axes broadcast."""
 
+    def outer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        t = p[..., :, None] * w + q[..., None, :]
+        return t.reshape(*t.shape[:-2], -1)
 
-def _kron_sum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The Kronecker sum t[(i,j), (i',j')] = p[i,i']·|q| + q[j,j'] of two square
-    tables: the table of their operations done componentwise on row-major pairs."""
-    return _stack_rows(p[:, :, None], q[:, None, :], len(q))
+    return outer
 
 
 def make_product_ring(a: FiniteRing, b: FiniteRing, cap: int | None = None) -> FiniteRing:
-    """Direct product, pairs indexed row-major (i*|b| + j): both tables are Kronecker sums."""
+    """Direct product, pairs indexed row-major (i*|b| + j), read through its factors."""
     _check_cap(a.order * b.order, cap)
-    add = _kron_sum(a.add_table, b.add_table)
-    mul = _kron_sum(a.mul_table, b.mul_table)
-    return FiniteRing(add, mul, one=a.one * b.order + b.one, name=f"{a.name} x {b.name}")
+    return ProductRing(a, b, name=f"{a.name} x {b.name}")
 
 
 def make_matrix_ring(base: FiniteRing, k: int, cap: int | None = None) -> FiniteRing:
@@ -387,34 +578,35 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int | None = None) -> Finite
 
     The entry tuple (m00, m01, ..., m(k-1)(k-1)) is read as digits of the
     element index, most significant first.  With V = m^k row vectors over a
-    base of order m, index(A) = Σ_i row_i(A)·V^(k−1−i), and the tables are
-    composed from small ones, never entry by entry:
+    base of order m, index(A) = Σ_i row_i(A)·V^(k−1−i).  The ring keeps two
+    small tables (see `MatrixRing`), composed from the base's operations,
+    never entry by entry:
 
-    - the addition of M_k is the Kronecker sum of k copies of vadd, the
-      addition on row vectors, which is itself the Kronecker sum of k copies
-      of the base's addition;
-    - row i of A·B is row_i(A)·B, so mul[A, B] = Σ_i rm[row_i(A), B]·V^(k−1−i),
-      where rm[u, B] = u·B is a V x n table of row vectors;
-    - rm[u, B] = Σ_l u_l·row_l(B): each term is a lookup in the table of
-      scalar multiples s·v of row vectors v, and the sum is taken in vadd.
+    - vadd, the addition on row vectors, is the Kronecker sum of k copies of
+      the base's addition;
+    - rm[u, B] = u·B = Σ_l u_l·row_l(B): each term is a lookup in the table
+      of scalar multiples s·v of row vectors v, and the sum is taken in vadd.
     """
     if k < 1:
         raise ValueError("matrix dimension must be at least 1")
     name = f"M{k}({base.name})"
     if base.order == 1:  # matrices over the zero ring: the zero ring again
-        return FiniteRing(base.add_table, base.mul_table, one=0, name=name, matrix_of=(base, k))
+        zero = np.zeros((1, 1), dtype=_index_dtype(1))
+        return FiniteRing(zero, zero, one=0, name=name, matrix_of=(base, k))
     m, n = base.order, _power_order(base.order, k * k, cap)
     v = m**k
-    vadd = reduce(_kron_sum, [base.add_table] * k)
-    # scaled[r, s] = s·r, the row vector r multiplied on the left by the scalar s
-    scaled = reduce(lambda p, q: _stack_rows(p, q, m), [base.mul_table.T] * k)
+    ar = np.arange(m)
+    dtype = _index_dtype(n)  # every entry below is a row vector index, below n
+    badd, bmul = base.add_at(ar[:, None], ar).astype(dtype), base.mul_rows(ar).astype(dtype)
+    # the Kronecker sum vadd[(u, i), (w, j)] = vadd'[u, w]·m + badd[i, j], one entry at a time
+    vadd = reduce(lambda p, q: _outer_sum(m)(p[:, None], q[None]).reshape(len(p) * m, -1), [badd] * k)
+    # scaled[s, r] = s·r, the row vector r multiplied on the left by the scalar s
+    scaled = reduce(_outer_sum(m), [bmul] * k)
     # terms[l][s, B] = s·row_l(B), so rm[u, B] = u·B = Σ_l terms[l][u_l, B], summed in vadd
-    terms = [np.repeat(np.tile(scaled.T, v**l), v ** (k - 1 - l), axis=1) for l in range(k)]
+    terms = [np.repeat(np.tile(scaled, v**l), v ** (k - 1 - l), axis=1) for l in range(k)]
     rm = reduce(lambda acc, term: vadd[acc[:, None], term].reshape(-1, n), terms)
-    mul = reduce(lambda p, q: _stack_rows(p, q, v), [rm] * k)
-    add = reduce(_kron_sum, [vadd] * k)
     one = sum(base.one * (m * v) ** i for i in range(k))
-    return FiniteRing(add, mul, one=one, name=name, matrix_of=(base, k))
+    return MatrixRing(base, k, rm, vadd, one=one, name=name)
 
 
 def table_order(text: str) -> int:

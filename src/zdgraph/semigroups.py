@@ -24,11 +24,13 @@ class ClosureViolationError(RuntimeError):
     """A product of collected ideal products fell outside the collection.
 
     This would contradict multiplicative closure of the ideal-product
-    semigroup, so it is treated as an internal error.  `witness` is the
-    pair of factors (OneSidedIdeals).
+    semigroup, so it is treated as an internal error, and so is a pool that
+    cannot be the full enumerations: one with a member that no pool pair
+    produces, or without the whole ring.  `witness` is the pair of factors
+    (OneSidedIdeals), or the one member that no pair produces.
     """
 
-    def __init__(self, message: str, witness: tuple[OneSidedIdeal, OneSidedIdeal] | None = None):
+    def __init__(self, message: str, witness: tuple[OneSidedIdeal, ...] | None = None):
         super().__init__(message)
         self.witness = witness
 
@@ -134,7 +136,7 @@ def build_ipo(
 
     - A a sum of the xR (a right pool member): xR*B = x*(RB), since
       xR*B = span{x*r*b} = x*span{r*b} (left multiplication by x is
-      additive), an image that `_images` reads off the multiplication table.
+      additive), an image that `_images` reads off the rows `r.mul_rows`.
       RB is B when B is a left ideal (r has a 1), else the sum of the
       principal left ideals R*g over the additive generators g of B: each
       R*g lies in RB, and r*b = sum of a_i*(r*g_i) for b = sum of a_i*g_i.
@@ -170,7 +172,7 @@ def build_ipo(
     """
     pool = list(({i.bits: i for i in left} | {i.bits: i for i in right}).values())
     pool_idx = {ideal.bits: i for i, ideal in enumerate(pool)}
-    n, mul = r.order, r.mul_table
+    n = r.order
 
     sums = _Sums(r, [i.bits for i in left])
     # discovery: one row of products per generator x of each first factor
@@ -178,12 +180,12 @@ def build_ipo(
     lefts = [i for i, a in enumerate(pool) if not a.is_right]
     rb = iter(sums.of([additive_generators(r, b).tolist() for b in pool if not b.is_left]))
     targets = [b.bits if b.is_left else next(rb) for b in pool]
-    rows = _images(r, mul, [x for i in firsts for x in pool[i].generators], targets)
+    rows = _images(r, r.mul_rows, [x for i in firsts for x in pool[i].generators], targets)
     if lefts:
         # x*g for each generator x of each left-only A and every additive generator g of each B
         cols = [additive_generators(r, b) for b in pool]
         xs = np.array([x for i in lefts for x in pool[i].generators])
-        xg = mul[xs[:, None], np.concatenate(cols)].tolist()
+        xg = r.mul_rows(xs, np.concatenate(cols)).tolist()
         ends = np.cumsum([len(c) for c in cols]).tolist()
         products = sums.of([row[hi - len(c) : hi] for row in xg for c, hi in zip(cols, ends)])
         rows += [products[k : k + len(pool)] for k in range(0, len(products), len(pool))]
@@ -204,7 +206,6 @@ def build_ipo(
     ordered = sorted(elements.values(), key=ElementSet.sort_key)
     assert ordered[0].bits == 1, "zero ideal must sort first"
     e_idx = {s.bits: i for i, s in enumerate(ordered)}
-    pool_e = np.array([e_idx[ideal.bits] for ideal in pool], dtype=np.intp)
     pp_pidx = np.array([[pool_idx.get(b, -1) for b in row] for row in pair_product], dtype=np.int32)
     is_left, is_right = np.array([(ideal.is_left, ideal.is_right) for ideal in pool]).T
     escaped = (pp_pidx < 0) & (is_left[:, None] | is_right[None, :])
@@ -215,9 +216,20 @@ def build_ipo(
             "or a right second factor, but is not among the enumerated one-sided ideals",
             (pool[a], pool[b]),
         )
+    # with R in the pool every member A is A*R or R*A; without it one may be no product
+    unmade = next((ideal for ideal in pool if ideal.bits not in e_idx), None)
+    if unmade is not None:
+        raise ClosureViolationError(
+            f"{_factor_name(unmade)} is among the enumerated one-sided ideals, but is not the "
+            "product of any two of them",
+            (unmade,),
+        )
+    full = pool_idx.get((1 << n) - 1)
+    if full is None:
+        raise ClosureViolationError("the whole ring is not among the enumerated one-sided ideals")
+    pool_e = np.array([e_idx[ideal.bits] for ideal in pool], dtype=np.intp)
 
     # a pool member A as K*L: A*R for a right ideal A, R*A for a left-only one
-    full = pool_idx[(1 << n) - 1]
     for i, ideal in enumerate(pool):
         decomp[ideal.bits] = (i, full) if ideal.is_right else (full, i)
     k, l = np.array([decomp[s.bits] for s in ordered], dtype=np.intp).T

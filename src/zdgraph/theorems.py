@@ -323,7 +323,7 @@ def _completeness_branches(a: RingAnalysis) -> tuple[list[str], dict]:
     nonzero = [i for i in proper if i.bits != 1]
     if len(nonzero) == 2 and all(i.is_right for i in nonzero):
         x, y = (i.set.indices() for i in nonzero)
-        e, f = np.argwhere(r.add_table[np.ix_(x, y)] == r.one)[0]
+        e, f = np.argwhere(r.add_at(np.array(x)[:, None], y) == r.one)[0]
         return ["two_division_rings"], {"central_idempotent": min(x[e], y[f])}
     return [], {}
 
@@ -380,7 +380,7 @@ def check_not_tournament(a: RingAnalysis) -> CheckResult:
 def annihilating_ideal_graph(a: RingAnalysis) -> ZdGraph:
     """Commutative annihilating-ideal graph: nonzero ideals with a nonzero
     annihilator, adjacent when their product is the zero ideal.  It reads only
-    the ring's table and its ideal list, never the IPO.
+    the ring's multiplication and its ideal list, never the IPO.
 
     By bilinearity, I*J = 0 exactly when every product of an additive
     generator of I and one of J is 0, and Ann(I) != 0 exactly when some
@@ -389,11 +389,10 @@ def annihilating_ideal_graph(a: RingAnalysis) -> ZdGraph:
     r = a.ring
     if not r.is_commutative():
         raise ValueError("the annihilating-ideal graph is defined for commutative rings")
-    mul = r.mul_table
     gens = [additive_generators(r, i) for i in a.left]
-    keep = [v for v, i in enumerate(a.left) if i.bits != 1 and (mul[1:, gens[v]] == 0).all(1).any()]
+    keep = [v for v, i in enumerate(a.left) if i.bits != 1 and (r.mul_cols(gens[v])[:, 1:] == 0).all(0).any()]
     # adjacency: I*J = 0, read for I = J too, since ZdGraph drops the diagonal
-    zero = [[not mul[gens[v][:, None], gens[w]].any() for w in keep] for v in keep]
+    zero = [[not r.mul_at(gens[v][:, None], gens[w]).any() for w in keep] for v in keep]
     return ZdGraph(range(len(keep)), [a.left[v].set for v in keep], np.reshape(zero, (len(keep),) * 2))
 
 

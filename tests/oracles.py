@@ -104,14 +104,20 @@ def element_set(ring, indices):
 
 # -- additive spans ----------------------------------------------------------------
 # Spans by the library's `_additive_span`: fast references for rings whose
-# subsets are too many for the naive closures above.
+# subsets are too many for the naive closures above.  They read a ring's
+# full tables, through a table ring that holds them.
+
+
+def _span(r, seed):
+    """`_additive_span` read off r's full tables, through a table ring that holds them."""
+    return _additive_span(z.FiniteRing(r.add_table, r.mul_table, r.one), seed)
 
 
 def additive_closure(r, seed):
     """Smallest additive subgroup containing seed and 0."""
     if isinstance(seed, z.ElementSet):
         seed = seed.indices()
-    mask = _additive_span(r.add_table, sorted(int(x) for x in seed))[0]
+    mask = _span(r, sorted(int(x) for x in seed))[0]
     return z.ElementSet.from_mask(r, mask)
 
 
@@ -122,8 +128,8 @@ def ideal_product(r, a, b):
     equals the span of the products of their greedy additive generators,
     which keeps this fast.
     """
-    ga = _additive_span(r.add_table, a.indices())[1]
-    gb = _additive_span(r.add_table, b.indices())[1]
+    ga = _span(r, a.indices())[1]
+    gb = _span(r, b.indices())[1]
     if additive_closure(r, ga).bits != a.bits or additive_closure(r, gb).bits != b.bits:
         raise ValueError("ideal_product arguments must be additive subgroups")
     mul = r.mul_table
@@ -340,7 +346,7 @@ def is_local_ring(r):
     if r.is_zero_ring():
         raise ValueError("the zero ring is not eligible for the local-ring predicate")
     nonunit = ~units_mask(r)
-    closure, gens = _additive_span(r.add_table, np.nonzero(nonunit)[0])
+    closure, gens = _span(r, np.nonzero(nonunit)[0])
     if not np.array_equal(closure, nonunit):
         return False, None
     if gens:

@@ -3,7 +3,7 @@
 Each test prints a single PASS line on success (visible with pytest -s or
 in the captured output); failures surface as ordinary assertion errors.
 Criterion 7's large instance (base ring Z12) is feature-flagged behind
-ZDGRAPH_STRETCH=1 because it takes about 7 s and 1.8 GB of memory (on a
+ZDGRAPH_STRETCH=1 because it takes about 6 s and 240 MB of memory (on a
 2-core host).
 """
 
@@ -143,7 +143,7 @@ def test_criterion_07_matrix_diameter_and_girth(rings):
 
 @pytest.mark.skipif(
     os.environ.get("ZDGRAPH_STRETCH") != "1",
-    reason="7 s, 1.8 GB stretch instance; set ZDGRAPH_STRETCH=1 to run",
+    reason="6 s, 240 MB stretch instance; set ZDGRAPH_STRETCH=1 to run",
 )
 def test_criterion_07_stretch_m2_z12(rings):
     started = time.monotonic()

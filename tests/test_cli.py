@@ -106,6 +106,25 @@ def test_internal_invariant_failure_exits_three(monkeypatch, capsys, error):
     assert capsys.readouterr().err.endswith(" (in theorems.prepare_ring_analysis)\n")
 
 
+def test_ideal_enumeration_without_the_ring_exits_three(monkeypatch, capsys):
+    # Z4 without R: build_ipo names the pool member 2Z4, which no pool pair
+    # produces, as an internal error
+    enumerate_ideals = zdgraph.theorems.enumerate_one_sided_ideals
+
+    def without_ring(r, side):
+        return [i for i in enumerate_ideals(r, side) if i.bits != (1 << r.order) - 1]
+
+    monkeypatch.setattr(zdgraph.theorems, "enumerate_one_sided_ideals", without_ring)
+    assert main(["analyze", "Z4"]) == 3
+    err = capsys.readouterr().err
+    message = (
+        "the two-sided ideal with right generator 2 and 2 elements is among the enumerated "
+        "one-sided ideals, but is not the product of any two of them"
+    )
+    assert err.startswith(f"zdgraph: internal error: ClosureViolationError: {message}")
+    assert err.endswith(" (in semigroups.build_ipo)\n")
+
+
 @pytest.mark.parametrize(
     "size, two_sided, message",
     [(16, True, "a left first or a right second factor"), (4, False, "a right second factor")],

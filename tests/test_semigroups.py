@@ -247,6 +247,29 @@ def _enumerations_without(ring, bits):
     ]
 
 
+@pytest.mark.parametrize("name", ["Z4", "F2[x,y]/(x,y)^2"])
+def test_a_pool_without_the_ring_names_a_member_no_pair_produces(rings, nonprincipal, name):
+    # without R, the pool member 2Z4 (or a minimal ideal of F2[x,y]/(x,y)^2)
+    # squares to 0 and is no other pool product: closure holds, but the
+    # member is no element, and that is named, not a bare KeyError
+    ring = {**rings, **nonprincipal}[name]
+    left, right = _enumerations_without(ring, (1 << ring.order) - 1)
+    with pytest.raises(z.ClosureViolationError, match="is not the product of any two of them") as info:
+        z.build_ipo(ring, left, right)
+    (member,) = info.value.witness
+    assert str(info.value).startswith(z.semigroups._factor_name(member))
+    pool = list({i.bits: i for i in left + right}.values())
+    assert member in pool
+    assert all(ideal_product(ring, a.set, b.set) != member.set for a in pool for b in pool)
+
+
+def test_a_pool_without_the_ring_whose_members_are_all_products_is_refused(rings):
+    # Z6 = Z2 x Z3 without R: {0}, 3Z6 and 2Z6 are each their own square
+    left, right = _enumerations_without(rings["Z6"], (1 << 6) - 1)
+    with pytest.raises(z.ClosureViolationError, match="the whole ring is not among"):
+        z.build_ipo(rings["Z6"], left, right)
+
+
 def test_closure_violation_raises(rings):
     # M2(Z2) x Z2 has two nontrivial two-sided ideals, M2(Z2) x 0 and 0 x Z2,
     # and each is some L*K; without it that product of a left first factor

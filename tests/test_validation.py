@@ -218,4 +218,4 @@ def test_addition_whose_multiples_never_return_to_zero_is_rejected_promptly(ring
     assert err.value.axiom == "add-associative"
     assert _ring_axiom_fails(r, "add-associative", err.value.witness)
     with _deadline(10), pytest.raises(RuntimeError, match="never return to 0"):
-        _cyclic_chain(add, 1)
+        _cyclic_chain(r, 1)
