@@ -85,14 +85,13 @@ def additive_generators(r: FiniteRing, ideal: OneSidedIdeal) -> np.ndarray:
 # -- principal ideals and sums ---------------------------------------------------
 
 
-def _images(r: FiniteRing, read, xs: list[int], targets: list[int]) -> list[list[int]]:
-    """The bits of every image { read(x, t) : t in T }, one row per x in xs
+def _images(r: FiniteRing, xs: list[int], targets: list[int]) -> list[list[int]]:
+    """The bits of every image x*T = { x*t : t in T }, one row per x in xs
     and one column per target T (a bit-vector).
 
-    With `read` as r.mul_rows that is x*T, and as r.mul_cols T*x; the image
-    of the whole ring is xR, or Rx.  The images of each distinct target
-    under a block of x are scattered into one boolean mask, in blocks of
-    about _BLOCK_ELEMS entries.
+    The products of a block of x with the members of every distinct target
+    are read pointwise, `r.mul_at`, and scattered into one boolean mask, in
+    blocks of about _BLOCK_ELEMS entries.
     """
     n = r.order
     distinct = {t: k for k, t in enumerate(dict.fromkeys(targets))}
@@ -105,7 +104,7 @@ def _images(r: FiniteRing, read, xs: list[int], targets: list[int]) -> list[list
     for lo in range(0, len(xs), per):
         block = np.array(xs[lo : lo + per], dtype=np.intp)
         mask = np.zeros((len(block), len(distinct), n), dtype=bool)
-        mask[np.arange(len(block))[:, None], owner, read(block, flat)] = True
+        mask[np.arange(len(block))[:, None], owner, r.mul_at(block[:, None], flat)] = True
         packed = np.packbits(mask, axis=2, bitorder="little")
         for rows in packed:
             images = [int.from_bytes(row.tobytes(), "little") for row in rows]
@@ -201,13 +200,18 @@ class _Sums:
 
     def of(self, groups: list[list[int]]) -> list[int]:
         """The sum of the principal left ideals R*y over y in each group; {0}
-        for an empty group.  Each R*y is the image of R under right
-        multiplication by y (see `_images`), read once per y."""
+        for an empty group.  Each R*y is the value set of the column
+        `r.mul_cols(y)`, read once per y, in blocks of about _BLOCK_ELEMS
+        entries."""
         new = list(dict.fromkeys(y for ys in groups for y in ys if y not in self.principal))
-        if new:
-            full = (1 << self.r.order) - 1
-            for y, (bits,) in zip(new, _images(self.r, self.r.mul_cols, new, [full])):
-                self.principal[y] = bits
+        n = self.r.order
+        step = max(1, _BLOCK_ELEMS // n)
+        for lo in range(0, len(new), step):
+            ys = new[lo : lo + step]
+            mask = np.zeros((len(ys), n), dtype=bool)
+            mask[np.arange(len(ys))[:, None], self.r.mul_cols(ys)] = True
+            for y, row in zip(ys, np.packbits(mask, axis=1, bitorder="little")):
+                self.principal[y] = int.from_bytes(row.tobytes(), "little")
         out = []
         for ys in groups:
             acc = 1

@@ -1,15 +1,17 @@
 """Finite unital rings, read only through vectorised access.
 
 Element 0 is always the additive identity.  Every read of a ring goes
-through `add_at` and `mul_at` (pointwise, with numpy broadcasting) or the
-row and column blocks `mul_rows` and `mul_cols`, all in the ring's index
-dtype.  A table ring (a table file, or Z_n) answers them from its two
-n x n tables; a matrix ring answers from the V x n table of row vectors
-times matrices, and a product ring from its two factors, so neither holds
-an n x n table unless `add_table` or `mul_table` is read.  A ring is frozen
-at construction, and its derived values, its units and its additive
-generators, are computed on first use and cached on the ring, so rings are
-safe to share between threads.
+through one of three reads, all in the ring's index dtype: `add_at` and
+`mul_at` read points, with numpy broadcasting (the products of named x
+and y are `mul_at(xs[:, None], ys)`); `mul_rows(xs)` reads whole rows of
+the multiplication and `mul_cols(ys)` whole columns.  A table ring (a
+table file, or Z_n) answers them from its two n x n tables; a matrix ring
+answers from the V x n table of row vectors times matrices, and a product
+ring from its two factors, so neither holds an n x n table unless
+`add_table` or `mul_table` is read.  A ring is frozen at construction, and
+its derived values, its units and its additive generators, are computed on
+first use and cached on the ring, so rings are safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ DEFAULT_SIZE_CAP = 25_000
 # temporary entries per block of a pass over an n x n table (a few hundred MB at
 # most), used by make_cyclic_ring, FiniteRing.is_commutative, .units and
 # ==, the tables a composed ring writes when they are read, the ideal
-# layer's _images (x*B images and principal ideals), and the graphs'
-# _diameter
+# layer's _images (x*B images) and _Sums.of (whole columns R*y), and the
+# graphs' _diameter
 _BLOCK_ELEMS = 4_000_000
 
 # entries per block of an associativity scan; a scan runs while a parsed
@@ -98,18 +100,15 @@ class FiniteRing:
         """x * y for x, y in xs, ys, broadcast against each other."""
         return self.mul_table[xs, ys]
 
-    def mul_rows(self, xs, ys=None) -> np.ndarray:
-        """The block of x * y with one row per x in xs and one column per y
-        in ys (every element when None); one row alone for a single x."""
-        rows = self.mul_table[xs]
-        return rows if ys is None else rows[..., ys]
+    def mul_rows(self, xs) -> np.ndarray:
+        """Whole rows of the multiplication, x * every element, one per x in
+        xs; one row alone for a single x."""
+        return self.mul_table[xs]
 
-    def mul_cols(self, ys, xs=None) -> np.ndarray:
-        """The block of x * y with one row per y in ys and one column per x
-        in xs (every element when None): columns of the multiplication, laid
-        out as rows; one column alone for a single y."""
-        cols = self.mul_table.T[ys]
-        return cols if xs is None else cols[..., xs]
+    def mul_cols(self, ys) -> np.ndarray:
+        """Whole columns of the multiplication, every element * y, laid out
+        as rows, one per y in ys; one column alone for a single y."""
+        return self.mul_table.T[ys]
 
     # -- derived values ------------------------------------------------------
 
@@ -243,15 +242,11 @@ class MatrixRing(_ComposedRing):
         ys = np.asarray(ys)
         return self._join(self.rm[a, ys] for a in self._digits(xs))
 
-    def mul_rows(self, xs, ys=None) -> np.ndarray:
-        sub = self.rm if ys is None else self.rm[:, ys]
-        return self._join(sub[a] for a in self._digits(xs))
+    def mul_rows(self, xs) -> np.ndarray:
+        return self._join(self.rm[a] for a in self._digits(xs))
 
-    def mul_cols(self, ys, xs=None) -> np.ndarray:
-        sub = self.rm[:, ys]  # sub[u, j] = u·y_j
-        if xs is not None:
-            return self._join(sub[a] for a in self._digits(xs)).T
-        return reduce(_outer_sum(self._v), [sub.T] * len(self._weights))
+    def mul_cols(self, ys) -> np.ndarray:
+        return reduce(_outer_sum(self._v), [self.rm[:, ys].T] * len(self._weights))
 
     @cached_property
     def units(self) -> np.ndarray:
@@ -272,7 +267,8 @@ class MatrixRing(_ComposedRing):
 
 class ProductRing(_ComposedRing):
     """a x b, built by `make_product_ring`, on row-major pairs i·|b| + j: every
-    access is split into the factors' accesses and joined again."""
+    access is split into the factors' accesses and joined again, and whole
+    rows and columns are the Kronecker layout of the factors' ones."""
 
     def __init__(self, a: FiniteRing, b: FiniteRing, name: str):
         super().__init__(a.order * b.order, a.one * b.order + b.one, name)
@@ -292,20 +288,13 @@ class ProductRing(_ComposedRing):
         (xi, xj), (yi, yj), (a, b) = self._split(xs), self._split(ys), self.factors
         return self._join(a.mul_at(xi, yi), b.mul_at(xj, yj))
 
-    def mul_rows(self, xs, ys=None) -> np.ndarray:
-        a, b = self.factors
-        return self._block(a.mul_rows, b.mul_rows, xs, ys)
+    def mul_rows(self, xs) -> np.ndarray:
+        (i, j), (a, b) = self._split(xs), self.factors
+        return _outer_sum(b.order)(a.mul_rows(i).astype(self.dtype), b.mul_rows(j))
 
-    def mul_cols(self, ys, xs=None) -> np.ndarray:
-        a, b = self.factors
-        return self._block(a.mul_cols, b.mul_cols, ys, xs)
-
-    def _block(self, read_a, read_b, rows, cols) -> np.ndarray:
-        ri, rj = self._split(rows)
-        if cols is None:  # every element: the Kronecker layout of the factors' blocks
-            return _outer_sum(self.factors[1].order)(read_a(ri).astype(self.dtype), read_b(rj))
-        ci, cj = self._split(cols)
-        return self._join(read_a(ri, ci), read_b(rj, cj))
+    def mul_cols(self, ys) -> np.ndarray:
+        (i, j), (a, b) = self._split(ys), self.factors
+        return _outer_sum(b.order)(a.mul_cols(i).astype(self.dtype), b.mul_cols(j))
 
     @cached_property
     def units(self) -> np.ndarray:

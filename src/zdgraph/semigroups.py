@@ -136,7 +136,7 @@ def build_ipo(
 
     - A a sum of the xR (a right pool member): xR*B = x*(RB), since
       xR*B = span{x*r*b} = x*span{r*b} (left multiplication by x is
-      additive), an image that `_images` reads off the rows `r.mul_rows`.
+      additive), an image that `_images` reads point by point, `r.mul_at`.
       RB is B when B is a left ideal (r has a 1), else the sum of the
       principal left ideals R*g over the additive generators g of B: each
       R*g lies in RB, and r*b = sum of a_i*(r*g_i) for b = sum of a_i*g_i.
@@ -180,12 +180,12 @@ def build_ipo(
     lefts = [i for i, a in enumerate(pool) if not a.is_right]
     rb = iter(sums.of([additive_generators(r, b).tolist() for b in pool if not b.is_left]))
     targets = [b.bits if b.is_left else next(rb) for b in pool]
-    rows = _images(r, r.mul_rows, [x for i in firsts for x in pool[i].generators], targets)
+    rows = _images(r, [x for i in firsts for x in pool[i].generators], targets)
     if lefts:
         # x*g for each generator x of each left-only A and every additive generator g of each B
         cols = [additive_generators(r, b) for b in pool]
         xs = np.array([x for i in lefts for x in pool[i].generators])
-        xg = r.mul_rows(xs, np.concatenate(cols)).tolist()
+        xg = r.mul_at(xs[:, None], np.concatenate(cols)).tolist()
         ends = np.cumsum([len(c) for c in cols]).tolist()
         products = sums.of([row[hi - len(c) : hi] for row in xg for c, hi in zip(cols, ends)])
         rows += [products[k : k + len(pool)] for k in range(0, len(products), len(pool))]

@@ -1,8 +1,9 @@
-"""Every read of a ring goes through its vectorised access (`add_at`,
-`mul_at`, `mul_rows`, `mul_cols`).  Matrix and product rings answer it from
-small pieces, never from n x n tables; here each access is compared with
-full tables that the oracles build entry by entry, and the analysis is
-checked to leave a composed ring without tables."""
+"""Every read of a ring goes through its vectorised access: points through
+`add_at` and `mul_at`, whole rows and columns through `mul_rows` and
+`mul_cols`.  Matrix and product rings answer it from small pieces, never
+from n x n tables; here each access is compared with full tables that the
+oracles build entry by entry, and the analysis is checked to leave a
+composed ring without tables."""
 
 import numpy as np
 import pytest
@@ -50,15 +51,15 @@ def _check_access(name: str, ring: z.FiniteRing, ref: z.FiniteRing, rng) -> None
         _assert_same(op(xs[:, None], ys), table[xs[:, None], ys], f"{name}: outer {op.__name__}")
         _assert_same(op(xs, xs[::-1]), table[xs, xs[::-1]], f"{name}: pointwise {op.__name__}")
         assert op(int(xs[0]), int(ys[0])) == table[xs[0], ys[0]], f"{name}: scalar {op.__name__}"
-    _assert_same(ring.mul_rows(xs), mul[xs], f"{name}: rows")
-    _assert_same(ring.mul_rows(xs, ys), mul[np.ix_(xs, ys)], f"{name}: rows over ys")
-    _assert_same(ring.mul_cols(ys), mul[:, ys].T, f"{name}: columns")
-    _assert_same(ring.mul_cols(ys, xs), mul[np.ix_(xs, ys)].T, f"{name}: columns over xs")
     x, y = int(xs[0]), int(ys[0])
+    # parts of rows and columns are point reads (rows over ys are the outer form above)
+    _assert_same(ring.mul_at(x, ys), mul[x, ys], f"{name}: one row over ys")
+    _assert_same(ring.mul_at(xs, y), mul[xs, y], f"{name}: one column over xs")
+    _assert_same(ring.mul_at(xs, ys[:, None]), mul[np.ix_(xs, ys)].T, f"{name}: columns over xs")
+    _assert_same(ring.mul_rows(xs), mul[xs], f"{name}: rows")
+    _assert_same(ring.mul_cols(ys), mul[:, ys].T, f"{name}: columns")
     _assert_same(ring.mul_rows(x), mul[x], f"{name}: one row")
     _assert_same(ring.mul_cols(y), mul[:, y], f"{name}: one column")
-    _assert_same(ring.mul_rows(x, ys), mul[x, ys], f"{name}: one row over ys")
-    _assert_same(ring.mul_cols(y, xs), mul[xs, y], f"{name}: one column over xs")
     assert np.array_equal(ring.units, np.flatnonzero(units_mask(ref))), name
     assert ring.is_commutative() == np.array_equal(mul, mul.T), name
     assert ring.additive_generators.tolist() == ref.additive_generators.tolist(), name

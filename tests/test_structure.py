@@ -1,7 +1,8 @@
 """Ideal arithmetic has one home: the additive span and the proven sum of two
 ideals are used only inside `zdgraph/ideals.py`; every other module reaches
 them through the ideal layer's helpers.  The span itself has one caller, the
-sum that no known ideal matches."""
+sum that no known ideal matches.  A ring has one read per shape: points
+through `mul_at`, whole rows and columns through `mul_rows` and `mul_cols`."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,35 @@ def test_the_only_span_is_a_missed_sum():
     add = next(node for node in sums.body if getattr(node, "name", None) == "add")
     inside_add = [f"ideals.py:{line} _additive_span" for line in range(add.lineno, add.end_lineno + 1)]
     assert len(spans) == 1 and spans[0] in inside_add, spans
+
+
+LINES = {"mul_rows", "mul_cols"}
+
+
+def _called_names(func: ast.expr) -> set[str]:
+    """The method names a call's callee can be: `r.mul_rows`, or either
+    branch of `(r.mul_rows if ... else r.mul_cols)`."""
+    if isinstance(func, ast.IfExp):
+        return _called_names(func.body) | _called_names(func.orelse)
+    return {getattr(func, "attr", None) or getattr(func, "id", None)}
+
+
+def test_whole_line_reads_take_one_argument():
+    # a product over named x and y is a point read, mul_at(xs[:, None], ys);
+    # mul_rows and mul_cols read whole rows and columns, and nothing else
+    found = {"called with a subset": [], "defined with a subset": [], "ProductRing._block": []}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call) and _called_names(node.func) & LINES:
+                if len(node.args) + len(node.keywords) > 1:
+                    found["called with a subset"].append(where)
+            if isinstance(node, ast.FunctionDef) and node.name in LINES:
+                a = node.args
+                params = [p for p in a.posonlyargs + a.args + a.kwonlyargs if p.arg != "self"]
+                if len(params) != 1 or a.vararg or a.kwarg:
+                    found["defined with a subset"].append(where)
+            if isinstance(node, ast.ClassDef) and node.name == "ProductRing":
+                if any(getattr(f, "name", None) == "_block" for f in node.body):
+                    found["ProductRing._block"].append(where)
+    assert not any(found.values()), found
