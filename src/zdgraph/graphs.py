@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import _BLOCK_ELEMS
+from .rings import _blocks
 from .semigroups import AnnSets, FiniteSemigroupWithZero
 
 INF = math.inf
@@ -74,8 +74,8 @@ def _diameter(adj: np.ndarray):
     level expansion: None below two vertices, INF when some pair is
     unreachable.  A vertex with no out-arc reaches nobody and one with no
     in-arc is reached by nobody, so either gives INF before any expansion.
-    Each level is expanded in row blocks of about _BLOCK_ELEMS entries, so
-    only a block of the frontier is ever cast to float32."""
+    Each level is expanded in row blocks (`_blocks`), so only a block of the
+    frontier is ever cast to float32."""
     v = adj.shape[0]
     if v < 2:
         return None
@@ -85,12 +85,11 @@ def _diameter(adj: np.ndarray):
     reached = adj | np.eye(v, dtype=bool)
     frontier = adj
     level = 1
-    step = max(1, _BLOCK_ELEMS // v)
     while not reached.all():
         new = np.empty_like(reached)
-        for lo in range(0, v, step):
-            np.greater(frontier[lo : lo + step].astype(np.float32) @ adj_f, 0, out=new[lo : lo + step])
-            new[lo : lo + step] &= ~reached[lo : lo + step]
+        for s in _blocks(v, v):
+            np.greater(frontier[s].astype(np.float32) @ adj_f, 0, out=new[s])
+            new[s] &= ~reached[s]
         if not new.any():
             return INF
         reached |= new

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rings import _BLOCK_ELEMS, ElementSet, FiniteRing
+from .rings import ElementSet, FiniteRing, _blocks, _scatter_bits
 
 
 @dataclass(frozen=True)
@@ -89,26 +89,22 @@ def _images(r: FiniteRing, xs: list[int], targets: list[int]) -> list[list[int]]
     """The bits of every image x*T = { x*t : t in T }, one row per x in xs
     and one column per target T (a bit-vector).
 
-    The products of a block of x with the members of every distinct target
-    are read pointwise, `r.mul_at`, and scattered into one boolean mask, in
-    blocks of about _BLOCK_ELEMS entries.
+    The products of a block (`_blocks`) of x with the members of every
+    distinct target are read pointwise, `r.mul_at`, and scattered into one
+    row per x and distinct target.
     """
     n = r.order
     distinct = {t: k for k, t in enumerate(dict.fromkeys(targets))}
     members = [np.flatnonzero(ElementSet(r, t).mask()) for t in distinct]
     flat = np.concatenate(members)
     owner = np.repeat(np.arange(len(distinct)), [len(m) for m in members])
-    per = max(1, _BLOCK_ELEMS // max(len(flat), len(distinct) * n))
     column = [distinct[t] for t in targets]
     out: list[list[int]] = []
-    for lo in range(0, len(xs), per):
-        block = np.array(xs[lo : lo + per], dtype=np.intp)
-        mask = np.zeros((len(block), len(distinct), n), dtype=bool)
-        mask[np.arange(len(block))[:, None], owner, r.mul_at(block[:, None], flat)] = True
-        packed = np.packbits(mask, axis=2, bitorder="little")
-        for rows in packed:
-            images = [int.from_bytes(row.tobytes(), "little") for row in rows]
-            out.append([images[k] for k in column])
+    for s in _blocks(len(xs), max(len(flat), len(distinct) * n)):
+        block = np.array(xs[s], dtype=np.intp)
+        rows = (np.arange(len(block))[:, None], owner)
+        images = _scatter_bits(n, r.mul_at(block[:, None], flat), rows, (len(block), len(distinct)))
+        out += [[images[lo + k] for k in column] for lo in range(0, len(images), len(distinct))]
     return out
 
 
@@ -133,19 +129,17 @@ def _principal_sets(r: FiniteRing, side: str) -> dict[int, tuple[int, bool]]:
     n, units = r.order, r.units
     # column(x)[y] = y*x and other(x)[y] = x*y (left); the other way round (right)
     column, other = (r.mul_cols, r.mul_rows) if side == "left" else (r.mul_rows, r.mul_cols)
-    found: dict[bytes, tuple[int, bool]] = {}
+    found: dict[int, int] = {}
     seen = np.zeros(n, dtype=bool)
     for x in range(n):
-        if seen[x]:
-            continue
-        col = column(x)
-        seen[col[units]] = True
-        mask = np.zeros(n, dtype=bool)
-        mask[col] = True
-        key = np.packbits(mask, bitorder="little").tobytes()
-        if key not in found:
-            found[key] = (x, bool(mask[other(x)].all()))
-    return {int.from_bytes(key, "little"): xf for key, xf in found.items()}
+        if not seen[x]:
+            col = column(x)
+            seen[col[units]] = True
+            found.setdefault(_scatter_bits(n, col)[0], x)
+    xs, others = list(found.values()), []
+    for s in _blocks(len(xs), n):
+        others += _scatter_bits(n, other(xs[s]), (np.arange(len(xs[s]))[:, None],), (len(xs[s]),))
+    return {bits: (x, (o | bits) == bits) for (bits, x), o in zip(found.items(), others)}
 
 
 def _known_sum(a: int, b: int, by_size: dict[int, list[int]]) -> int | None:
@@ -201,17 +195,13 @@ class _Sums:
     def of(self, groups: list[list[int]]) -> list[int]:
         """The sum of the principal left ideals R*y over y in each group; {0}
         for an empty group.  Each R*y is the value set of the column
-        `r.mul_cols(y)`, read once per y, in blocks of about _BLOCK_ELEMS
-        entries."""
+        `r.mul_cols(y)`, read once per y, in blocks (`_blocks`)."""
         new = list(dict.fromkeys(y for ys in groups for y in ys if y not in self.principal))
         n = self.r.order
-        step = max(1, _BLOCK_ELEMS // n)
-        for lo in range(0, len(new), step):
-            ys = new[lo : lo + step]
-            mask = np.zeros((len(ys), n), dtype=bool)
-            mask[np.arange(len(ys))[:, None], self.r.mul_cols(ys)] = True
-            for y, row in zip(ys, np.packbits(mask, axis=1, bitorder="little")):
-                self.principal[y] = int.from_bytes(row.tobytes(), "little")
+        for s in _blocks(len(new), n):
+            ys = new[s]
+            bits = _scatter_bits(n, self.r.mul_cols(ys), (np.arange(len(ys))[:, None],), (len(ys),))
+            self.principal.update(zip(ys, bits))
         out = []
         for ys in groups:
             acc = 1

@@ -22,11 +22,8 @@ import numpy as np
 
 DEFAULT_SIZE_CAP = 25_000
 
-# temporary entries per block of a pass over an n x n table (a few hundred MB at
-# most), used by make_cyclic_ring, FiniteRing.is_commutative, .units and
-# ==, the tables a composed ring writes when they are read, the ideal
-# layer's _images (x*B images) and _Sums.of (whole columns R*y), and the
-# graphs' _diameter
+# temporary entries per block of a blocked pass (a few hundred MB at most); read
+# only by _blocks
 _BLOCK_ELEMS = 4_000_000
 
 # entries per block of an associativity scan; a scan runs while a parsed
@@ -53,6 +50,13 @@ class CapacityError(ValueError):
 
 def _index_dtype(n: int):
     return np.uint16 if n < 2**16 else np.uint32
+
+
+def _blocks(count: int, width: int) -> list[slice]:
+    """Slices that split `count` items of `width` entries each into blocks of
+    about _BLOCK_ELEMS entries, at least one item per block."""
+    step = max(1, _BLOCK_ELEMS // width)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -118,12 +122,10 @@ class FiniteRing:
 
         x is a unit iff `one` is in row x of the multiplication table, since a
         one-sided inverse is two-sided in a finite ring.  The rows are compared
-        with `one` in blocks of about _BLOCK_ELEMS entries.
+        with `one` in blocks (`_blocks`).
         """
         n, mul = self.order, self.mul_table
-        step = max(1, _BLOCK_ELEMS // n)
-        found = np.concatenate([(mul[lo : lo + step] == self.one).any(axis=1) for lo in range(0, n, step)])
-        return np.flatnonzero(found)
+        return np.flatnonzero(np.concatenate([(mul[s] == self.one).any(axis=1) for s in _blocks(n, n)]))
 
     @cached_property
     def additive_generators(self) -> np.ndarray:
@@ -136,13 +138,11 @@ class FiniteRing:
     def is_commutative(self) -> bool:
         # row blocks against column blocks, never a whole n x n comparison
         n, mul = self.order, self.mul_table
-        step = max(1, _BLOCK_ELEMS // n)
-        blocks = range(0, n, step)
-        return all(np.array_equal(mul[lo : lo + step], mul[:, lo : lo + step].T) for lo in blocks)
+        return all(np.array_equal(mul[s], mul[:, s].T) for s in _blocks(n, n))
 
     def __eq__(self, other) -> bool:
         """Equal as labelled rings: the same order, one and operations, compared
-        in row blocks of about _BLOCK_ELEMS entries, so no table is built."""
+        in row blocks (`_blocks`), so no table is built."""
         if self is other:
             return True
         if not isinstance(other, FiniteRing):
@@ -151,9 +151,8 @@ class FiniteRing:
             return False
         n = self.order
         ar = np.arange(n)
-        step = max(1, _BLOCK_ELEMS // n)
-        for lo in range(0, n, step):
-            xs = ar[lo : lo + step]
+        for s in _blocks(n, n):
+            xs = ar[s]
             if not np.array_equal(self.mul_rows(xs), other.mul_rows(xs)):
                 return False
             if not np.array_equal(self.add_at(xs[:, None], ar), other.add_at(xs[:, None], ar)):
@@ -178,10 +177,9 @@ class _ComposedRing(FiniteRing):
 
     def _table(self, rows) -> np.ndarray:
         n = self.order
-        out = np.empty((n, n), dtype=self.dtype)
-        step = max(1, _BLOCK_ELEMS // n)
-        for lo in range(0, n, step):
-            out[lo : lo + step] = rows(np.arange(lo, min(lo + step, n)))
+        out, ar = np.empty((n, n), dtype=self.dtype), np.arange(n)
+        for s in _blocks(n, n):
+            out[s] = rows(ar[s])
         return _freeze(out)
 
     @cached_property
@@ -306,6 +304,21 @@ class ProductRing(_ComposedRing):
         return all(f.is_commutative() for f in self.factors)
 
 
+# each byte with its bits reversed, so that element 8k is its high bit
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _scatter_bits(n: int, values, rows: tuple = (), shape: tuple = ()) -> list[int]:
+    """The bits of the value sets of an array of rows of the given shape,
+    over elements 0..n-1, rows in C order: each entry of `values` joins the
+    row that `rows` (index arrays, broadcast against `values`) names.  Bit i
+    is element i of a little-endian int; no other code packs an element set."""
+    mask = np.zeros((*shape, n), dtype=bool)
+    mask[(*rows, values)] = True
+    raw, width = np.packbits(mask, axis=-1, bitorder="little").tobytes(), (n + 7) // 8
+    return [int.from_bytes(raw[lo : lo + width], "little") for lo in range(0, len(raw), width)]
+
+
 class ElementSet:
     """A subset of a ring's elements as a bit-vector (bit i = element i)."""
 
@@ -315,8 +328,7 @@ class ElementSet:
 
     @classmethod
     def from_mask(cls, ring: FiniteRing, mask: np.ndarray) -> "ElementSet":
-        packed = np.packbits(mask.astype(np.uint8), bitorder="little")
-        return cls(ring, int.from_bytes(packed.tobytes(), "little"))
+        return cls(ring, _scatter_bits(ring.order, np.flatnonzero(mask))[0])
 
     def mask(self) -> np.ndarray:
         n = self.ring.order
@@ -324,11 +336,12 @@ class ElementSet:
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:n].astype(bool)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.mask())[0])
+        return tuple(np.flatnonzero(self.mask()).tolist())
 
     def sort_key(self) -> bytes:
-        """Bit-vector lexicographic key (element 0 first)."""
-        return self.mask().tobytes()
+        """Bit-vector lexicographic key (element 0 first), one bit per element:
+        the little-endian bytes of `bits`, each with element 8k as its high bit."""
+        return self.bits.to_bytes((self.ring.order + 7) // 8, "little").translate(_REVERSED)
 
     def __contains__(self, i: int) -> bool:
         return bool((self.bits >> i) & 1)
@@ -511,13 +524,12 @@ def make_cyclic_ring(n: int) -> FiniteRing:
     ar = np.arange(n, dtype=np.uint32 if n <= 2**16 else np.uint64)
     add = np.empty((n, n), dtype=_index_dtype(n))
     mul = np.empty_like(add)
-    step = max(1, _BLOCK_ELEMS // n)
-    for lo in range(0, n, step):
-        rows = ar[lo : lo + step, None]
+    for s in _blocks(n, n):
+        rows = ar[s, None]
         total = rows + ar
         total[total >= n] -= n
-        add[lo : lo + step] = total
-        mul[lo : lo + step] = rows * ar % n
+        add[s] = total
+        mul[s] = rows * ar % n
     return FiniteRing(add, mul, one=1 % n, name=f"Z{n}")
 
 
@@ -640,22 +652,18 @@ def load_table_ring(text: str, cap: int | None = None) -> FiniteRing:
     mul = body[n * n :].reshape(n, n)
 
     ar = np.arange(n)
-    ident = [e for e in range(n) if np.array_equal(add[e], ar)]
-    if not ident:
+    ident = np.flatnonzero((add == ar).all(axis=1))
+    if not ident.size:
         raise RingValidationError("add-identity", None, "no additive identity element found")
-    e = ident[0]
+    e = int(ident[0])
     if e != 0:
         perm = np.arange(n)
         perm[0], perm[e] = e, 0
         add = perm[add[np.ix_(perm, perm)]]
         mul = perm[mul[np.ix_(perm, perm)]]
 
-    ones = [
-        u
-        for u in range(n)
-        if np.array_equal(mul[u], np.arange(n)) and np.array_equal(mul[:, u], np.arange(n))
-    ]
-    if not ones:
+    ones = np.flatnonzero((mul == ar).all(axis=1) & (mul == ar[:, None]).all(axis=0))
+    if not ones.size:
         raise RingValidationError("unity", None, "no unity found (no two-sided multiplicative identity)")
     ring = FiniteRing(add.astype(_index_dtype(n)), mul.astype(_index_dtype(n)), one=ones[0], name=f"table-ring-{n}")
     validate_ring(ring)

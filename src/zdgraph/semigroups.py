@@ -26,8 +26,8 @@ class ClosureViolationError(RuntimeError):
     This would contradict multiplicative closure of the ideal-product
     semigroup, so it is treated as an internal error, and so is a pool that
     cannot be the full enumerations: one with a member that no pool pair
-    produces, or without the whole ring.  `witness` is the pair of factors
-    (OneSidedIdeals), or the one member that no pair produces.
+    produces, or without the whole ring or the zero ideal.  `witness` is the
+    pair of factors (OneSidedIdeals), or the one member that no pair produces.
     """
 
     def __init__(self, message: str, witness: tuple[OneSidedIdeal, ...] | None = None):
@@ -204,7 +204,6 @@ def build_ipo(
                 decomp[bits] = (i, j)
 
     ordered = sorted(elements.values(), key=ElementSet.sort_key)
-    assert ordered[0].bits == 1, "zero ideal must sort first"
     e_idx = {s.bits: i for i, s in enumerate(ordered)}
     pp_pidx = np.array([[pool_idx.get(b, -1) for b in row] for row in pair_product], dtype=np.int32)
     is_left, is_right = np.array([(ideal.is_left, ideal.is_right) for ideal in pool]).T
@@ -227,6 +226,8 @@ def build_ipo(
     full = pool_idx.get((1 << n) - 1)
     if full is None:
         raise ClosureViolationError("the whole ring is not among the enumerated one-sided ideals")
+    if 1 not in pool_idx:  # with it, {0} = {0}*{0} sorts first: the semigroup's zero
+        raise ClosureViolationError("the zero ideal is not among the enumerated one-sided ideals")
     pool_e = np.array([e_idx[ideal.bits] for ideal in pool], dtype=np.intp)
 
     # a pool member A as K*L: A*R for a right ideal A, R*A for a left-only one

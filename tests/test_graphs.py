@@ -209,7 +209,7 @@ def test_hand_made_graphs(name):
 
 def test_diameter_in_row_blocks_matches_floyd_warshall(monkeypatch, rings):
     # 8-entry blocks: every level of the expansion runs in several row blocks
-    monkeypatch.setattr(z.graphs, "_BLOCK_ELEMS", 8)
+    monkeypatch.setattr(z.rings, "_BLOCK_ELEMS", 8)
     for g in _all_test_graphs(rings) + list(_hand_made_graphs().values()):
         if not 2 <= g.n_vertices <= 12:
             continue

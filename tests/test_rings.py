@@ -291,6 +291,19 @@ def test_element_set_sort_key_is_bitvector_lex(rings):
     assert sorted([a, b], key=z.ElementSet.sort_key) == [b, a]
 
 
+def test_element_set_sort_key_keeps_the_mask_order_across_bytes():
+    # one bit per element: sets of Z19 first differing at elements 7, 8, 9
+    # or 16 keep the order of their one-byte-per-element masks
+    r = z.make_cyclic_ring(19)
+    hand = [{0}, {0, 18}, {0, 16}, {0, 9}, {0, 8}, {0, 8, 16}, {0, 7}]  # ascending
+    hand_sets = [z.ElementSet(r, sum(1 << i for i in members)) for members in hand]
+    assert sorted(hand_sets[::-1], key=z.ElementSet.sort_key) == hand_sets
+    rng = np.random.default_rng(19)
+    sets = hand_sets + [z.ElementSet(r, int(b) | 1) for b in rng.integers(0, 1 << 19, 200)]
+    by_mask = sorted(sets, key=lambda s: s.mask().tobytes())
+    assert sorted(sets, key=z.ElementSet.sort_key) == by_mask
+
+
 @given(st.integers(min_value=1, max_value=40))
 def test_cyclic_rings_validate(n):
     z.validate_ring(z.make_cyclic_ring(n))

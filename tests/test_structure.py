@@ -2,7 +2,9 @@
 ideals are used only inside `zdgraph/ideals.py`; every other module reaches
 them through the ideal layer's helpers.  The span itself has one caller, the
 sum that no known ideal matches.  A ring has one read per shape: points
-through `mul_at`, whole rows and columns through `mul_rows` and `mul_cols`."""
+through `mul_at`, whole rows and columns through `mul_rows` and `mul_cols`.
+Array plumbing lives in `zdgraph/rings.py`: only it packs element sets into
+bits, and only its `_blocks` reads the block budget `_BLOCK_ELEMS`."""
 
 import ast
 from pathlib import Path
@@ -67,3 +69,36 @@ def test_whole_line_reads_take_one_argument():
                 if any(getattr(f, "name", None) == "_block" for f in node.body):
                     found["ProductRing._block"].append(where)
     assert not any(found.values()), found
+
+
+PACKING = {"packbits", "unpackbits", "from_bytes", "to_bytes"}
+
+
+def test_only_rings_packs_element_sets():
+    # the bit layout of an element set is written once, next to ElementSet
+    found = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in SOURCES
+        if path.name != "rings.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in PACKING
+    ]
+    assert found == []
+
+
+def test_only_blocks_reads_the_block_budget():
+    # every blocked pass asks _blocks for its slices, so none computes its own step
+    allowed = set()
+    reads = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_blocks" and path.name == "rings.py":
+                allowed |= {f"rings.py:{line}" for line in range(node.lineno, node.end_lineno + 1)}
+            if isinstance(node, ast.Name) and node.id == "_BLOCK_ELEMS" and isinstance(node.ctx, ast.Load):
+                reads.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and node.attr == "_BLOCK_ELEMS":
+                reads.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and any(a.name == "_BLOCK_ELEMS" for a in node.names):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert allowed and [read for read in reads if read not in allowed] == []
