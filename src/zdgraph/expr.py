@@ -212,7 +212,7 @@ def build_ring(e: RingExpr, cap: int | None = None) -> FiniteRing:
 
 def _build(e: RingExpr, cap: int | None, texts: dict[str, str]) -> FiniteRing:
     if isinstance(e, Cyclic):
-        return make_cyclic_ring(e.n)
+        return make_cyclic_ring(e.n, cap)
     if isinstance(e, Matrix):
         return make_matrix_ring(_build(e.inner, cap, texts), e.k, cap)
     if isinstance(e, TableFile):

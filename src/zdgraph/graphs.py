@@ -159,19 +159,25 @@ class GraphMetrics:
     girth_cycle: tuple[int, ...] | None  # a shortest cycle, None when acyclic
     complete: bool
     tournament: bool  # exactly one arc per vertex pair; vacuous below 2 vertices
+    # the first pair i < j (vertex positions, row-major) with both arcs or
+    # neither, None exactly when the graph is a tournament
+    symmetric_pair: tuple[int, int] | None
 
 
 def compute_graph_metrics(g: ZdGraph) -> GraphMetrics:
-    ddiam = _diameter(g.adj)
+    ddiam, udiam = _diameter(g.adj), _diameter(g.und)
     girth_value, cycle = girth_with_cycle(g)
+    same = np.triu(g.adj == g.adj.T, 1)
+    pair = divmod(int(same.argmax()), g.n_vertices) if same.any() else None
     return GraphMetrics(
         directed_connected=ddiam is not INF,
         directed_diameter=ddiam,
-        undirected_diameter=_diameter(g.und),
+        undirected_diameter=udiam,
         girth=girth_value,
         girth_cycle=None if cycle is None else tuple(cycle),
         complete=bool((g.und.sum(axis=1) == g.n_vertices - 1).all()),
-        tournament=not np.triu(g.adj == g.adj.T, 1).any(),
+        tournament=pair is None,
+        symmetric_pair=pair,
     )
 
 

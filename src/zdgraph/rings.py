@@ -98,11 +98,12 @@ class FiniteRing:
 
     def add_at(self, xs, ys) -> np.ndarray:
         """x + y for x, y in xs, ys, broadcast against each other."""
-        return self.add_table[xs, ys]
+        # one flat index x*n + y; xs is cast first, since x*n overflows uint16
+        return self.add_table.ravel()[np.asarray(xs, dtype=np.intp) * self.order + ys]
 
     def mul_at(self, xs, ys) -> np.ndarray:
         """x * y for x, y in xs, ys, broadcast against each other."""
-        return self.mul_table[xs, ys]
+        return self.mul_table.ravel()[np.asarray(xs, dtype=np.intp) * self.order + ys]
 
     def mul_rows(self, xs) -> np.ndarray:
         """Whole rows of the multiplication, x * every element, one per x in
@@ -360,6 +361,12 @@ class ElementSet:
     def __hash__(self) -> int:
         return hash((id(self.ring), self.bits))
 
+    def __le__(self, other) -> bool:
+        """Subset test."""
+        if not isinstance(other, ElementSet):
+            return NotImplemented
+        return self.ring is other.ring and self.bits & other.bits == self.bits
+
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self.indices()) + "}"
 
@@ -516,10 +523,11 @@ def validate_ring(r: FiniteRing) -> None:
 # -- constructors ------------------------------------------------------------
 
 
-def make_cyclic_ring(n: int) -> FiniteRing:
+def make_cyclic_ring(n: int, cap: int | None = None) -> FiniteRing:
     """Integers mod n; for n = 1 this is the zero ring (one == zero)."""
     if n <= 0:
         raise ValueError("cyclic ring order must be a positive integer")
+    _check_cap(n, cap)
     # products are formed before the reduction, so (n-1)**2 must fit the type
     ar = np.arange(n, dtype=np.uint32 if n <= 2**16 else np.uint64)
     add = np.empty((n, n), dtype=_index_dtype(n))

@@ -79,7 +79,7 @@ def check_undirected_connectivity(g: ZdGraph) -> CheckResult:
     with diameter <= 3."""
     diam = g.metrics.undirected_diameter
     witness = {"diameter": serialize_extent(diam)}
-    if diam is INF or (diam is not None and diam > 3):
+    if diam is not None and diam > 3:
         return CheckResult("undirected_connectivity", FAIL, witness)
     return CheckResult("undirected_connectivity", PASS, witness)
 
@@ -112,6 +112,11 @@ def semigroup_checks(g: ZdGraph, ann: AnnSets) -> list[CheckResult]:
 # -- constructive path builder --------------------------------------------------
 
 
+def _adjacent(t: np.ndarray, x: int, y: int) -> bool:
+    """x and y are adjacent in the undirected view: x*y = 0 or y*x = 0."""
+    return t[x, y] == 0 or t[y, x] == 0
+
+
 def _assert_path(
     s: FiniteSemigroupWithZero, path: list[int], mode: str, d_star: frozenset[int]
 ) -> None:
@@ -121,7 +126,7 @@ def _assert_path(
     if any(v not in d_star for v in path):
         raise RuntimeError(f"internal: constructed path {path} leaves the vertex set")
     for x, y in zip(path, path[1:]):
-        ok = t[x, y] == 0 if mode == "directed" else (t[x, y] == 0 or t[y, x] == 0)
+        ok = t[x, y] == 0 if mode == "directed" else _adjacent(t, x, y)
         if not ok:
             raise RuntimeError(f"internal: consecutive pair ({x},{y}) does not annihilate")
 
@@ -154,15 +159,11 @@ def _bridge_from_square_zero(s: FiniteSemigroupWithZero, a: int, b: int) -> list
     """Path a..b when a*a = 0, b*b != 0 and a, b are not adjacent."""
     t = s.table
     m = s.order
-
-    def adj(x, y):
-        return t[x, y] == 0 or t[y, x] == 0
-
     c = _first(
-        (x for x in range(1, m) if x not in (a, b) and adj(b, x)),
+        (x for x in range(1, m) if x not in (a, b) and _adjacent(t, b, x)),
         f"no annihilating partner besides {a} for {b}",
     )
-    if adj(a, c):
+    if _adjacent(t, a, c):
         return [a, c, b]
     if t[b, c] == 0:
         return [a, int(t[c, a]), b]
@@ -172,11 +173,7 @@ def _bridge_from_square_zero(s: FiniteSemigroupWithZero, a: int, b: int) -> list
 def _undirected_path(s: FiniteSemigroupWithZero, a: int, b: int) -> list[int]:
     t = s.table
     m = s.order
-
-    def adj(x, y):
-        return t[x, y] == 0 or t[y, x] == 0
-
-    if adj(a, b):
+    if _adjacent(t, a, b):
         return [a, b]
     a_sq_zero = t[a, a] == 0
     b_sq_zero = t[b, b] == 0
@@ -188,18 +185,18 @@ def _undirected_path(s: FiniteSemigroupWithZero, a: int, b: int) -> list[int]:
         return list(reversed(_bridge_from_square_zero(s, b, a)))
 
     c = _first(
-        (x for x in range(1, m) if x not in (a, b) and adj(a, x)),
+        (x for x in range(1, m) if x not in (a, b) and _adjacent(t, a, x)),
         f"no annihilating partner besides {b} for {a}",
     )
     d = _first(
-        (x for x in range(1, m) if x not in (a, b) and adj(b, x)),
+        (x for x in range(1, m) if x not in (a, b) and _adjacent(t, b, x)),
         f"no annihilating partner besides {a} for {b}",
     )
-    if adj(c, b):
+    if _adjacent(t, c, b):
         return [a, c, b]
-    if adj(a, d):
+    if _adjacent(t, a, d):
         return [a, d, b]
-    if adj(c, d):
+    if _adjacent(t, c, d):
         return [a, c, d, b]
     ac0 = t[a, c] == 0
     ca0 = t[c, a] == 0
@@ -264,26 +261,22 @@ def check_duo_ann_sets(a: RingAnalysis) -> CheckResult:
                 NOT_APPLICABLE,
                 {"unmet": "ring is not Duo", "one_sided_ideal": str(ideal.set)},
             )
-    full_bits = (1 << a.ring.order) - 1
-    expected = frozenset(
-        i for i, lab in enumerate(a.ipo.labels) if lab.bits not in (1, full_bits)
-    )
-    witness = {
-        "ipo_size": a.ipo.order,
-        "expected_vertices": _labels(a.graph, expected) if expected else [],
-    }
+    # IPO element 0 is {0}; R, the largest left ideal, is one too (R = R*R)
+    whole = max(a.left, key=lambda i: len(i.set)).set
+    expected = frozenset(range(1, a.ipo.order)) - {a.ipo.labels.index(whole)}
+    witness = {"ipo_size": a.ipo.order, "expected_vertices": _labels(a.graph, expected)}
     if a.ann.a_left == a.ann.a_right == expected:
         return CheckResult(name, PASS, witness)
-    witness["a_left"] = [str(a.ipo.labels[i]) for i in sorted(a.ann.a_left)]
-    witness["a_right"] = [str(a.ipo.labels[i]) for i in sorted(a.ann.a_right)]
+    witness["a_left"] = _labels(a.graph, a.ann.a_left)
+    witness["a_right"] = _labels(a.graph, a.ann.a_right)
     return CheckResult(name, FAIL, witness)
 
 
 def _ipo_product(a: RingAnalysis, i: OneSidedIdeal, j: OneSidedIdeal) -> ElementSet:
     """I*J read off the IPO's Cayley table.  Every one-sided ideal is an IPO
     element (a left ideal L is R*L, a right ideal K is K*R)."""
-    index = {lab.bits: x for x, lab in enumerate(a.ipo.labels)}
-    return a.ipo.labels[a.ipo.table[index[i.bits], index[j.bits]]]
+    labels = a.ipo.labels
+    return labels[a.ipo.table[labels.index(i.set), labels.index(j.set)]]
 
 
 def _completeness_branches(a: RingAnalysis) -> tuple[list[str], dict]:
@@ -311,16 +304,16 @@ def _completeness_branches(a: RingAnalysis) -> tuple[list[str], dict]:
       smaller of e and f in 1 = e + f, e in the first and f in the second.
     """
     r = a.ring
-    full_bits = (1 << r.order) - 1
-    proper = [i for i in a.left if i.bits != full_bits]
-    m = max(proper, key=lambda i: i.bits.bit_count())
-    if all(i.bits | m.bits == m.bits for i in proper):
+    whole = max(a.left, key=lambda i: len(i.set)).set  # R
+    proper = [i for i in a.left if i.set != whole]
+    m = max(proper, key=lambda i: len(i.set))
+    if all(i.set <= m.set for i in proper):
         m_sq = _ipo_product(a, m, m)
-        branches = ["zero_divisor_products_vanish"] if m_sq.bits == 1 else []
-        if {lab.bits for lab in a.ipo.labels} == {1, m.bits, m_sq.bits, full_bits}:
+        branches = ["zero_divisor_products_vanish"] if len(m_sq) == 1 else []
+        if set(a.ipo.labels) == {a.ipo.labels[0], m.set, m_sq, whole}:
             branches.append("local_ideal_chain")
         return branches, {"maximal_ideal": str(m), "maximal_ideal_squared": str(m_sq)}
-    nonzero = [i for i in proper if i.bits != 1]
+    nonzero = [i for i in proper if len(i.set) > 1]
     if len(nonzero) == 2 and all(i.is_right for i in nonzero):
         x, y = (i.set.indices() for i in nonzero)
         e, f = np.argwhere(r.add_at(np.array(x)[:, None], y) == r.one)[0]
@@ -349,15 +342,14 @@ def check_not_tournament(a: RingAnalysis) -> CheckResult:
     name = "not_tournament"
     if a.ring.is_zero_ring():
         return _zero_ring_na(name)
-    tbl = a.ipo.table
-    for i in range(1, a.ipo.order):
-        if tbl[i, i] == 0:
-            return CheckResult(
-                name,
-                NOT_APPLICABLE,
-                {"unmet": "some nonzero ideal product squares to zero",
-                 "witness_element": str(a.ipo.labels[i])},
-            )
+    squares = np.diagonal(a.ipo.table)[1:]
+    if not squares.all():
+        return CheckResult(
+            name,
+            NOT_APPLICABLE,
+            {"unmet": "some nonzero ideal product squares to zero",
+             "witness_element": str(a.ipo.labels[1 + int(squares.argmin())])},
+        )
     overlap = a.ann.a_left & a.ann.a_right
     if not overlap:
         return CheckResult(
@@ -366,12 +358,9 @@ def check_not_tournament(a: RingAnalysis) -> CheckResult:
     g = a.graph
     if g.metrics.tournament:
         return CheckResult(name, FAIL, {"tournament": True})
-    same = np.triu(g.adj == g.adj.T, 1)  # pairs i < j that are both or neither arcs
-    if same.any():
-        i, j = np.argwhere(same)[0]
-        kind = "mutual_pair" if g.adj[i, j] else "non_adjacent_pair"
-        return CheckResult(name, PASS, {kind: [str(g.labels[i]), str(g.labels[j])]})
-    raise RuntimeError("internal: tournament test and witness scan disagree")
+    i, j = g.metrics.symmetric_pair
+    kind = "mutual_pair" if g.adj[i, j] else "non_adjacent_pair"
+    return CheckResult(name, PASS, {kind: [str(g.labels[i]), str(g.labels[j])]})
 
 
 # -- matrix-ring checks -----------------------------------------------------------
@@ -390,7 +379,7 @@ def annihilating_ideal_graph(a: RingAnalysis) -> ZdGraph:
     if not r.is_commutative():
         raise ValueError("the annihilating-ideal graph is defined for commutative rings")
     gens = [additive_generators(r, i) for i in a.left]
-    keep = [v for v, i in enumerate(a.left) if i.bits != 1 and (r.mul_cols(gens[v])[:, 1:] == 0).all(0).any()]
+    keep = [v for v, i in enumerate(a.left) if len(i.set) > 1 and (r.mul_cols(gens[v])[:, 1:] == 0).all(0).any()]
     # adjacency: I*J = 0, read for I = J too, since ZdGraph drops the diagonal
     zero = [[not r.mul_at(gens[v][:, None], gens[w]).any() for w in keep] for v in keep]
     return ZdGraph(range(len(keep)), [a.left[v].set for v in keep], np.reshape(zero, (len(keep),) * 2))
@@ -423,7 +412,7 @@ def _corner_pair(a: RingAnalysis) -> tuple[OneSidedIdeal, OneSidedIdeal]:
     base, k = a.ring.matrix_of
     e11 = base.one * (base.order ** (k * k - 1))
     return tuple(
-        min((i for i in side if e11 in i.set), key=lambda i: i.bits.bit_count())
+        min((i for i in side if e11 in i.set), key=lambda i: len(i.set))
         for side in (a.left, a.right)
     )
 
@@ -440,16 +429,11 @@ def check_matrix_diam_lower(a: RingAnalysis) -> CheckResult:
     # the column and row ideals at the corner unit: their product is nonzero,
     # so they realise a non-adjacent vertex pair
     col, row = _corner_pair(a)
-    label_bits = {label.bits for label in g.labels}
-    both_vertices = col.bits in label_bits and row.bits in label_bits
-    product_nonzero = _ipo_product(a, col, row).bits != 1
+    both_vertices = col.set in g.labels and row.set in g.labels
+    product_nonzero = len(_ipo_product(a, col, row)) > 1
     witness["corner_pair_present"] = both_vertices
     witness["corner_product_nonzero"] = product_nonzero
-    ok = (
-        (diam is INF or (diam is not None and diam >= 2))
-        and both_vertices
-        and product_nonzero
-    )
+    ok = diam is not None and diam >= 2 and both_vertices and product_nonzero
     return CheckResult(name, PASS if ok else FAIL, witness)
 
 

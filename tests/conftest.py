@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -6,6 +9,12 @@ from table_rings import nonprincipal_rings
 
 settings.register_profile("ci", max_examples=60, derandomize=True, deadline=None)
 settings.load_profile("ci")
+
+# child interpreters import the zdgraph under test, as this one does, also
+# in a checkout that is not installed
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(z.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")

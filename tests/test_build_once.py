@@ -17,7 +17,7 @@ from zdgraph.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 STRETCH = pytest.mark.skipif(
     os.environ.get("ZDGRAPH_STRETCH") != "1",
-    reason="order above the default cap, 7-8 s each; set ZDGRAPH_STRETCH=1 to run",
+    reason="order above the default cap, 2-21 s each; set ZDGRAPH_STRETCH=1 to run",
 )
 
 
@@ -174,12 +174,16 @@ def test_analyze_matches_golden_bytes(stem, expr, tmp_path, capsys):
         ("M3_Z2", "M3(Z2)", "a3c9ecc297102d517004e53c8c373d633927bc7f17b1792ff73ee725c62db9ab"),
         # a matrix ring over a product base
         ("M2_of_Z2xZ3", "M2(Z2 x Z3)", "3e3474fb113b3b97225f851f7bea4d7649e8c6ea0f96af8c9ddf7ee55ab3d321"),
-        # orders 20,736 and 50,625, past the default cap
+        # orders 20,736, 50,625 and 65,536, past the default cap
         pytest.param(
             "M2_Z12", "M2(Z12)", "62c64150ba602e5d80bb093833c7b686f43c681dfcd64983e5e1bcd203971d20", marks=STRETCH
         ),
         pytest.param(
             "M2_Z15", "M2(Z15)", "499a55585152bb4c06f77a8b98d3761c459fdb6827ee9df9cf94727294308e67", marks=STRETCH
+        ),
+        # the first k = 4 instance of the matrix checks; its DOT text is 400 MB
+        pytest.param(
+            "M4_Z2", "M4(Z2)", "65613541a8e61090968d1c829317e31740415381160e35b904328393f956a675", marks=STRETCH
         ),
     ],
 )

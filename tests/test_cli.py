@@ -89,7 +89,7 @@ def test_bad_table_file_is_a_user_error(tmp_path, capsys, body):
         zdgraph.semigroups.ClosureViolationError("product escapes the collection"),
         zdgraph.semigroups.SemigroupValidationError("associativity", (1, 2, 3), "not associative"),
         ValueError("an unexpected value deep in the pipeline"),
-        RuntimeError("internal: tournament test and witness scan disagree"),
+        RuntimeError("internal: constructed path [1, 2] is degenerate"),
     ],
 )
 def test_internal_invariant_failure_exits_three(monkeypatch, capsys, error):

@@ -101,6 +101,24 @@ def test_is_tournament(rings):
     assert one_way.metrics.tournament
 
 
+def _naive_symmetric_pair(g):
+    """The first pair i < j, row-major over vertex positions, with both arcs or neither."""
+    n = g.n_vertices
+    return next(((i, j) for i in range(n) for j in range(i + 1, n) if g.adj[i, j] == g.adj[j, i]), None)
+
+
+def test_symmetric_pair_matches_a_naive_scan(rings):
+    graphs = _all_test_graphs(rings)
+    graphs += [z.directed_zd_graph(s, z.ann_sets(s)) for s in z.enumerate_semigroups_with_zero(4)]
+    tournaments = 0
+    for g in graphs:
+        pair = g.metrics.symmetric_pair
+        assert pair == _naive_symmetric_pair(g)
+        assert (pair is None) == g.metrics.tournament
+        tournaments += g.metrics.tournament
+    assert 0 < tournaments < len(graphs)
+
+
 def _all_test_graphs(rings):
     graphs = []
     for name in ("Z4", "Z6", "Z8", "Z9", "Z12", "Z2xZ2", "Z2xZ4", "Z2xZ2xZ2", "M2(Z2)"):
@@ -183,10 +201,10 @@ def _hand_made_graphs():
 # every field, witness cycles included, as recorded before the metrics were
 # read off the two boolean matrices alone
 HAND_MADE_METRICS = {
-    "C6": z.GraphMetrics(True, 5, 3, 6, (1, 2, 3, 4, 5, 0), False, False),
-    "C5": z.GraphMetrics(True, 2, 2, 5, (1, 2, 3, 4, 0), False, False),
-    "Petersen": z.GraphMetrics(True, 2, 2, 5, (9, 4, 0, 5, 7), False, False),
-    "P4": z.GraphMetrics(True, 3, 3, INF, None, False, False),
+    "C6": z.GraphMetrics(True, 5, 3, 6, (1, 2, 3, 4, 5, 0), False, False, (0, 2)),
+    "C5": z.GraphMetrics(True, 2, 2, 5, (1, 2, 3, 4, 0), False, False, (0, 1)),
+    "Petersen": z.GraphMetrics(True, 2, 2, 5, (9, 4, 0, 5, 7), False, False, (0, 1)),
+    "P4": z.GraphMetrics(True, 3, 3, INF, None, False, False, (0, 1)),
 }
 
 

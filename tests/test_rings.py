@@ -105,6 +105,16 @@ def test_matrix_ring_capacity():
         z.make_product_ring(inner, inner, cap=100)
 
 
+def test_cyclic_ring_capacity():
+    # checked before the two n x n tables are allocated, like its siblings;
+    # the small cap goes first, so a build without the check fails fast
+    with pytest.raises(z.CapacityError):
+        z.make_cyclic_ring(30, cap=20)
+    with pytest.raises(z.CapacityError):
+        z.make_cyclic_ring(z.DEFAULT_SIZE_CAP + 1)
+    assert z.make_cyclic_ring(20, cap=20).order == 20
+
+
 def _composite_cases():
     """(library constructor, oracle constructor, arguments) per composite
     ring, with the ring's name as the id; composite factors come from the

@@ -4,7 +4,8 @@ them through the ideal layer's helpers.  The span itself has one caller, the
 sum that no known ideal matches.  A ring has one read per shape: points
 through `mul_at`, whole rows and columns through `mul_rows` and `mul_cols`.
 Array plumbing lives in `zdgraph/rings.py`: only it packs element sets into
-bits, and only its `_blocks` reads the block budget `_BLOCK_ELEMS`."""
+bits, and only its `_blocks` reads the block budget `_BLOCK_ELEMS`.  Above the
+ideal and semigroup layers, element sets are read as sets, never as bits."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,20 @@ def test_only_blocks_reads_the_block_budget():
             if isinstance(node, ast.ImportFrom) and any(a.name == "_BLOCK_ELEMS" for a in node.names):
                 reads.append(f"{path.name}:{node.lineno}")
     assert allowed and [read for read in reads if read not in allowed] == []
+
+
+BIT_LAYERS = {"rings.py", "ideals.py", "semigroups.py"}
+
+
+def test_checks_read_element_sets_as_sets():
+    # size, equality, membership and ElementSet.__le__ say what a check reads;
+    # .bits, bit_count and shifts would compute with the encoding instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name not in BIT_LAYERS
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in ("bits", "bit_count"))
+        or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.LShift))
+    ]
+    assert found == []
