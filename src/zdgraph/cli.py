@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .expr import ParseError, build_ring, parse_ring_expr, unparse
-from .graphs import directed_zd_graph, export_dot
+from .graphs import directed_zd_graph, dot_lines
 from .report import AnalysisReport, write_report_json
 from .rings import (
     DEFAULT_SIZE_CAP,
@@ -103,7 +103,8 @@ def _cmd_analyze(args) -> int:
     else:
         Path(args.json).write_text(text)
     if args.dot is not None:
-        Path(args.dot).write_text(export_dot(analysis.graph, args.dot_mode))
+        with open(args.dot, "w") as f:  # written as it is made
+            f.writelines(dot_lines(analysis.graph, args.dot_mode))
     return 2 if report.failed_checks() else 0
 
 

@@ -184,21 +184,28 @@ def compute_graph_metrics(g: ZdGraph) -> GraphMetrics:
 # -- export -------------------------------------------------------------------
 
 
-def export_dot(g: ZdGraph, mode: str = "directed") -> str:
-    """Deterministic DOT text; vertices in label order, labels as index lists."""
+def dot_lines(g: ZdGraph, mode: str = "directed"):
+    """Deterministic DOT text, one line at a time (each with its newline):
+    the vertices in label order, then each vertex's arcs in label order of
+    their heads; undirected, each edge once, at its earlier-named end.  The
+    rows are read off one permutation of `adj` (or `und`) into label order,
+    so no list of all arcs is built."""
     if mode not in ("directed", "undirected"):
         raise ValueError("mode must be 'directed' or 'undirected'")
-    name_of = {v: g.label_of(v) for v in g.vertices}
-    nodes = sorted(name_of.values())
-    lines = ["digraph zd {" if mode == "directed" else "graph zd {"]
-    lines.extend(f'  "{name}";' for name in nodes)
-    if mode == "directed":
-        arcs = sorted((name_of[a], name_of[b]) for a, b in g.directed_edges())
-        lines.extend(f'  "{a}" -> "{b}";' for a, b in arcs)
-    else:
-        edges = sorted(
-            tuple(sorted((name_of[a], name_of[b]))) for a, b in g.undirected_edges()
-        )
-        lines.extend(f'  "{a}" -- "{b}";' for a, b in edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    directed = mode == "directed"
+    perm = sorted(range(g.n_vertices), key=lambda i: str(g.labels[i]))
+    names = [str(g.labels[i]) for i in perm]
+    yield "digraph zd {\n" if directed else "graph zd {\n"
+    for name in names:
+        yield f'  "{name}";\n'
+    arrow = "->" if directed else "--"
+    for i, row in enumerate((g.adj if directed else g.und)[np.ix_(perm, perm)]):
+        later = 0 if directed else i + 1
+        for j in np.flatnonzero(row[later:]) + later:
+            yield f'  "{names[i]}" {arrow} "{names[j]}";\n'
+    yield "}\n"
+
+
+def export_dot(g: ZdGraph, mode: str = "directed") -> str:
+    """The DOT text of `dot_lines` as one string."""
+    return "".join(dot_lines(g, mode))

@@ -23,8 +23,10 @@ class OneSidedIdeal:
     set: ElementSet
     is_left: bool
     is_right: bool
-    # one-sided generators: set is the sum of the R*x (left enumeration) or
-    # the x*R (right one); (x,) with x the smallest when the ideal is principal
+    # one-sided generators: set is the sum of the R*x (left list) or the x*R
+    # (right list); (x,) when the ideal is principal, x the smallest when it was
+    # enumerated or composed on a product ring's identity map (a split by the
+    # Chinese remainder theorem keeps a generator, not always the smallest)
     generators: tuple[int, ...]
 
     @property

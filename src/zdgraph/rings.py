@@ -9,9 +9,9 @@ table file, or Z_n) answers them from its two n x n tables; a matrix ring
 answers from the V x n table of row vectors times matrices, and a product
 ring from its two factors, so neither holds an n x n table unless
 `add_table` or `mul_table` is read.  A ring is frozen at construction, and
-its derived values, its units and its additive generators, are computed on
-first use and cached on the ring, so rings are safe to share between
-threads.
+its derived values, its units, its additive generators and its split as a
+product (`FiniteRing.split`), are computed on first use and cached on the
+ring, so rings are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -132,6 +132,14 @@ class FiniteRing:
     def additive_generators(self) -> np.ndarray:
         """Additive generators (`_reaching_generators`), found on first use."""
         return np.asarray(_reaching_generators(self), dtype=np.intp)
+
+    @cached_property
+    def split(self) -> tuple[FiniteRing, FiniteRing, np.ndarray] | None:
+        """The ring as a product a x b, when its constructor knows it as one:
+        (a, b, phi), with phi[i·|b| + j] (an intp array) the element that the
+        pair (i, j) stands for, a ring isomorphism a x b -> this ring.  A ring
+        given by its tables alone does not split."""
+        return None
 
     def is_zero_ring(self) -> bool:
         return self.one == self.zero
@@ -263,6 +271,25 @@ class MatrixRing(_ComposedRing):
         base, k = self.matrix_of
         return k == 1 and base.is_commutative()
 
+    @cached_property
+    def split(self) -> tuple[FiniteRing, FiniteRing, np.ndarray] | None:
+        """M_k(a) x M_k(b) when the base splits as a x b by phi: a pair of
+        matrices stands for the matrix of phi applied entry by entry, a ring
+        isomorphism since sums and products of matrices are taken entry by
+        entry in the base.  Built on first read, with both matrix rings."""
+        base, k = self.matrix_of
+        if base.split is None:
+            return None
+        a, b, phi = base.split
+        entry = phi.reshape(a.order, b.order)
+        # pairs[I, J]: the matrix whose entries are phi(I's, J's), most significant first
+        pairs = entry
+        for _ in range(k * k - 1):
+            pairs = (pairs[:, None, :, None] * base.order + entry[None, :, None, :]).reshape(
+                len(pairs) * a.order, -1
+            )
+        return make_matrix_ring(a, k, self.order), make_matrix_ring(b, k, self.order), pairs.ravel()
+
 
 class ProductRing(_ComposedRing):
     """a x b, built by `make_product_ring`, on row-major pairs i·|b| + j: every
@@ -273,26 +300,31 @@ class ProductRing(_ComposedRing):
         super().__init__(a.order * b.order, a.one * b.order + b.one, name)
         self.factors = (a, b)
 
-    def _split(self, xs) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def split(self) -> tuple[FiniteRing, FiniteRing, np.ndarray]:
+        """Its factors, on the identity map: the pair (i, j) is element i·|b| + j."""
+        return (*self.factors, np.arange(self.order))
+
+    def _pairs(self, xs) -> tuple[np.ndarray, np.ndarray]:
         return np.divmod(np.asarray(xs).astype(self.dtype), self.factors[1].order)
 
     def _join(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return p.astype(self.dtype) * self.factors[1].order + q
 
     def add_at(self, xs, ys) -> np.ndarray:
-        (xi, xj), (yi, yj), (a, b) = self._split(xs), self._split(ys), self.factors
+        (xi, xj), (yi, yj), (a, b) = self._pairs(xs), self._pairs(ys), self.factors
         return self._join(a.add_at(xi, yi), b.add_at(xj, yj))
 
     def mul_at(self, xs, ys) -> np.ndarray:
-        (xi, xj), (yi, yj), (a, b) = self._split(xs), self._split(ys), self.factors
+        (xi, xj), (yi, yj), (a, b) = self._pairs(xs), self._pairs(ys), self.factors
         return self._join(a.mul_at(xi, yi), b.mul_at(xj, yj))
 
     def mul_rows(self, xs) -> np.ndarray:
-        (i, j), (a, b) = self._split(xs), self.factors
+        (i, j), (a, b) = self._pairs(xs), self.factors
         return _outer_sum(b.order)(a.mul_rows(i).astype(self.dtype), b.mul_rows(j))
 
     def mul_cols(self, ys) -> np.ndarray:
-        (i, j), (a, b) = self._split(ys), self.factors
+        (i, j), (a, b) = self._pairs(ys), self.factors
         return _outer_sum(b.order)(a.mul_cols(i).astype(self.dtype), b.mul_cols(j))
 
     @cached_property
@@ -303,6 +335,29 @@ class ProductRing(_ComposedRing):
 
     def is_commutative(self) -> bool:
         return all(f.is_commutative() for f in self.factors)
+
+
+class CyclicRing(FiniteRing):
+    """Z_n, built by `make_cyclic_ring`, from its two tables."""
+
+    @cached_property
+    def split(self) -> tuple[FiniteRing, FiniteRing, np.ndarray] | None:
+        """Z_q x Z_(n/q) by the Chinese remainder theorem, q the largest power
+        of n's smallest prime that divides n: the pair (x mod q, x mod n/q)
+        stands for x.  None when n is a prime power or 1.  Only a matrix ring
+        over Z_n reads it (Z_n itself is analysed from its tables), and both
+        factor rings are built when it is first read."""
+        n = self.order
+        p = next((d for d in range(2, n) if n % d == 0), n)  # n itself for 1 and primes
+        q = p
+        while q < n and n % (q * p) == 0:
+            q *= p
+        if q == n:
+            return None
+        ar, rest = np.arange(n), n // q
+        phi = np.empty(n, dtype=np.intp)
+        phi[ar % q * rest + ar % rest] = ar
+        return make_cyclic_ring(q, n), make_cyclic_ring(rest, n), phi
 
 
 # each byte with its bits reversed, so that element 8k is its high bit
@@ -538,7 +593,7 @@ def make_cyclic_ring(n: int, cap: int | None = None) -> FiniteRing:
         total[total >= n] -= n
         add[s] = total
         mul[s] = rows * ar % n
-    return FiniteRing(add, mul, one=1 % n, name=f"Z{n}")
+    return CyclicRing(add, mul, one=1 % n, name=f"Z{n}")
 
 
 def _decimal(v: int) -> str:

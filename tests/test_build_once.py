@@ -17,7 +17,7 @@ from zdgraph.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 STRETCH = pytest.mark.skipif(
     os.environ.get("ZDGRAPH_STRETCH") != "1",
-    reason="order above the default cap, 2-21 s each; set ZDGRAPH_STRETCH=1 to run",
+    reason="order above the default cap, 0.5-17 s each; set ZDGRAPH_STRETCH=1 to run",
 )
 
 
@@ -52,6 +52,26 @@ def test_run_all_builds_each_artifact_once(rings, monkeypatch):
     assert ipo == {"M2(Z2)": 1, "Z2": 1}
     # Z2 is commutative: one enumeration serves both sides
     assert enum == {("M2(Z2)", "left"): 1, ("M2(Z2)", "right"): 1, ("Z2", "left"): 1}
+
+
+def test_a_ring_that_splits_is_composed_from_its_factors(monkeypatch):
+    # M2(Z6) = M2(Z2) x M2(Z3) by the Chinese remainder theorem: only the two
+    # factors and the base Z6 (for the matrix checks) are enumerated and get
+    # an IPO, never the ring of order 1296 itself
+    ipo, enum = _count_pipeline(monkeypatch)
+    report = z.run_all(z.build_ring(z.parse_ring_expr("M2(Z6)")))
+    assert (report.ring_order, report.ipo_size) == (1296, 442)
+    assert ipo == {"M2(Z2)": 1, "M2(Z3)": 1, "Z6": 1}
+    factors = {(f"M2(Z{p})", side): 1 for p in (2, 3) for side in ("left", "right")}
+    assert enum == {**factors, ("Z6", "left"): 1}
+
+
+def test_verify_zn_builds_no_factor_ring(monkeypatch, capsys):
+    # Z_n is analysed from its tables; only a matrix ring over it reads its split
+    built = _count_calls(monkeypatch, "make_cyclic_ring", lambda n, cap=None: n)
+    assert main(["verify", "zn", "--max", "30"]) == 0
+    capsys.readouterr()
+    assert built == {n: 1 for n in range(2, 31)}
 
 
 def test_analyze_matrix_of_table_file_builds_inner_ring_once(rings, tmp_path, monkeypatch, capsys):
@@ -174,10 +194,9 @@ def test_analyze_matches_golden_bytes(stem, expr, tmp_path, capsys):
         ("M3_Z2", "M3(Z2)", "a3c9ecc297102d517004e53c8c373d633927bc7f17b1792ff73ee725c62db9ab"),
         # a matrix ring over a product base
         ("M2_of_Z2xZ3", "M2(Z2 x Z3)", "3e3474fb113b3b97225f851f7bea4d7649e8c6ea0f96af8c9ddf7ee55ab3d321"),
-        # orders 20,736, 50,625 and 65,536, past the default cap
-        pytest.param(
-            "M2_Z12", "M2(Z12)", "62c64150ba602e5d80bb093833c7b686f43c681dfcd64983e5e1bcd203971d20", marks=STRETCH
-        ),
+        # orders 20,736, 50,625 and 65,536, past the default cap; M2(Z12) is
+        # composed from M2(Z4) and M2(Z3), and runs in a few seconds
+        ("M2_Z12", "M2(Z12)", "62c64150ba602e5d80bb093833c7b686f43c681dfcd64983e5e1bcd203971d20"),
         pytest.param(
             "M2_Z15", "M2(Z15)", "499a55585152bb4c06f77a8b98d3761c459fdb6827ee9df9cf94727294308e67", marks=STRETCH
         ),

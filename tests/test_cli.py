@@ -101,9 +101,9 @@ def test_internal_invariant_failure_exits_three(monkeypatch, capsys, error):
     err = capsys.readouterr().err
     assert err.startswith(f"zdgraph: internal error: {type(error).__name__}: {error}")
     # the stage is the innermost zdgraph frame: the caller of the patched-in function
-    assert err.endswith(" (in theorems.prepare_ring_analysis)\n")
+    assert err.endswith(" (in theorems._ideals_and_ipo)\n")
     assert main(["verify", "zn", "--max", "3"]) == 3
-    assert capsys.readouterr().err.endswith(" (in theorems.prepare_ring_analysis)\n")
+    assert capsys.readouterr().err.endswith(" (in theorems._ideals_and_ipo)\n")
 
 
 def test_ideal_enumeration_without_the_ring_exits_three(monkeypatch, capsys):
@@ -130,11 +130,16 @@ def test_ideal_enumeration_without_the_ring_exits_three(monkeypatch, capsys):
     [(16, True, "a left first or a right second factor"), (4, False, "a right second factor")],
     ids=["two-sided-L*K", "minimal-right"],
 )
-def test_incomplete_ideal_enumeration_exits_three(monkeypatch, capsys, size, two_sided, message):
+def test_incomplete_ideal_enumeration_exits_three(monkeypatch, capsys, tmp_path, size, two_sided, message):
     # M2(Z2) x Z2 without its two-sided ideal M2(Z2) x 0, or without a minimal
-    # right ideal: build_ipo's closure check raises, and that is an internal error
+    # right ideal: build_ipo's closure check raises, and that is an internal error;
+    # the ring is read from a table file, since a product is composed from its
+    # factors' lists and never enumerated itself
     enumerate_ideals = zdgraph.theorems.enumerate_one_sided_ideals
-    ring = zdgraph.expr.build_ring(zdgraph.expr.parse_ring_expr("M2(Z2) x Z2"))
+    product = zdgraph.expr.build_ring(zdgraph.expr.parse_ring_expr("M2(Z2) x Z2"))
+    path = tmp_path / "m2z2xz2.txt"
+    path.write_text(relabelled_table_text(product, range(product.order)))
+    ring = zdgraph.rings.load_table_ring(path.read_text())
     drop = next(
         i.bits
         for i in enumerate_ideals(ring, "right")
@@ -145,7 +150,7 @@ def test_incomplete_ideal_enumeration_exits_three(monkeypatch, capsys, size, two
         return [i for i in enumerate_ideals(r, side) if i.bits != drop]
 
     monkeypatch.setattr(zdgraph.theorems, "enumerate_one_sided_ideals", incomplete)
-    assert main(["analyze", "M2(Z2) x Z2"]) == 3
+    assert main(["analyze", f"T({path})"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("zdgraph: internal error: ClosureViolationError:") and message in err
     assert err.endswith(" (in semigroups.build_ipo)\n")

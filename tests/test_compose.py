@@ -1,0 +1,96 @@
+"""A product ring, and a matrix ring over a base that splits, take their ideal
+lists and IPO from their factors' (`theorems._ideals_and_ipo`).  Both must be
+exactly what direct enumeration and `build_ipo` give on the ring itself, and
+every split map must be a ring isomorphism."""
+
+import numpy as np
+import pytest
+
+import zdgraph as z
+from table_rings import f2_xy, upper_triangular
+from zdgraph.rings import MatrixRing, ProductRing
+from zdgraph.theorems import _ideals_and_ipo
+
+# every product and every split matrix ring of the test corpus under the cap:
+# the `rings` fixture's products, the golden rings, the rings the CLI tests
+# build, a zero-ring factor, and a third prime (Z30)
+EXPRS = [
+    "Z2 x Z2",
+    "Z2 x Z3",
+    "Z2 x Z4",
+    "Z3 x Z3",
+    "Z2 x Z2 x Z2",
+    "Z1 x Z3",
+    "M2(Z6)",
+    "M1(Z6)",
+    "M1(Z30)",
+    "M2(Z10)",
+    "M2(Z2 x Z3)",
+    "M2(Z1 x Z3)",
+    "Z8 x M2(Z2)",
+    "M2(Z2) x Z3",
+    "M2(Z2) x Z2",
+]
+
+
+def _corpus() -> dict:
+    cases = {e: z.build_ring(z.parse_ring_expr(e)) for e in EXPRS}
+    z3 = z.make_cyclic_ring(3)
+    # U2(Z4) has a one-sided ideal that is not principal, and is not commutative
+    cases["U2(Z4) x Z3"] = z.make_product_ring(upper_triangular(4), z3)
+    cases["F2[x,y]/(x,y)^2 x Z3"] = z.make_product_ring(f2_xy(), z3)
+    return cases
+
+
+CORPUS = _corpus()
+
+
+def _generated(r, gens, side: str) -> set[int]:
+    """The sum of the R*x (left) or x*R (right) over x in gens, as a set."""
+    total = np.zeros(1, dtype=np.intp)
+    for x in gens:
+        principal = np.unique(r.mul_cols(x) if side == "left" else r.mul_rows(x))
+        total = np.unique(r.add_at(total[:, None], principal))
+    return set(total.tolist())
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_composed_lists_and_ipo_match_the_direct_ones(name):
+    r = CORPUS[name]
+    assert isinstance(r, (MatrixRing, ProductRing)) and r.split is not None
+    left, right, ipo = _ideals_and_ipo(r)
+    direct = {side: z.enumerate_one_sided_ideals(r, side) for side in ("left", "right")}
+    for side, composed in (("left", left), ("right", right)):
+        assert [(i.set, i.is_left, i.is_right) for i in composed] == [
+            (i.set, i.is_left, i.is_right) for i in direct[side]
+        ], (name, side)
+        for ideal, expected in zip(composed, direct[side]):
+            assert _generated(r, ideal.generators, side) == set(ideal.set), (name, side, str(ideal))
+            if isinstance(r, ProductRing) and len(ideal.generators) == 1:
+                # on the identity map a principal product keeps the smallest generator
+                assert ideal.generators == expected.generators, (name, side, str(ideal))
+    built = z.build_ipo(r, direct["left"], direct["right"])
+    assert ipo.labels == built.labels, name
+    assert ipo.table.dtype == built.table.dtype and np.array_equal(ipo.table, built.table), name
+
+
+@pytest.mark.parametrize("name", ["Z6", "Z12", "Z30", "Z60", "M2(Z6)", "M2(Z2 x Z3)", "Z8 x M2(Z2)"])
+def test_every_split_is_a_ring_isomorphism(name):
+    r = z.build_ring(z.parse_ring_expr(name))
+    a, b, phi = r.split
+    assert a.order * b.order == r.order
+    assert sorted(phi.tolist()) == list(range(r.order))
+    pairs = z.make_product_ring(a, b)
+    ar = np.arange(r.order)
+    for op in ("add_at", "mul_at"):
+        for s in z.rings._blocks(r.order, r.order):
+            xs = ar[s, None]
+            assert np.array_equal(getattr(r, op)(phi[xs], phi[ar]), phi[getattr(pairs, op)(xs, ar)]), (name, op)
+    assert phi[pairs.one] == r.one
+
+
+def test_what_does_not_split():
+    # prime powers, table files and matrices over them are analysed whole
+    for name in ("Z1", "Z7", "Z8", "M2(Z4)", "M3(Z2)", "M2(Z1)"):
+        assert z.build_ring(z.parse_ring_expr(name)).split is None, name
+    assert upper_triangular(4).split is None
