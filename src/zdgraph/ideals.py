@@ -25,8 +25,8 @@ class OneSidedIdeal:
     is_right: bool
     # one-sided generators: set is the sum of the R*x (left list) or the x*R
     # (right list); (x,) when the ideal is principal, x the smallest when it was
-    # enumerated or composed on a product ring's identity map (a split by the
-    # Chinese remainder theorem keeps a generator, not always the smallest)
+    # enumerated or composed on a product ring's identity map (a split at a
+    # central idempotent keeps a generator, not always the smallest)
     generators: tuple[int, ...]
 
     @property

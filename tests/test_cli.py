@@ -6,6 +6,7 @@ import pytest
 
 import zdgraph.cli
 import zdgraph.expr
+import zdgraph.rings
 import zdgraph.semigroups
 import zdgraph.theorems
 from zdgraph.cli import main
@@ -133,8 +134,9 @@ def test_ideal_enumeration_without_the_ring_exits_three(monkeypatch, capsys):
 def test_incomplete_ideal_enumeration_exits_three(monkeypatch, capsys, tmp_path, size, two_sided, message):
     # M2(Z2) x Z2 without its two-sided ideal M2(Z2) x 0, or without a minimal
     # right ideal: build_ipo's closure check raises, and that is an internal error;
-    # the ring is read from a table file, since a product is composed from its
-    # factors' lists and never enumerated itself
+    # the ring is read from a table file that is not split, since a ring that
+    # splits is composed from its factors' lists and never enumerated itself
+    monkeypatch.setattr(zdgraph.rings.FiniteRing, "split", None)
     enumerate_ideals = zdgraph.theorems.enumerate_one_sided_ideals
     product = zdgraph.expr.build_ring(zdgraph.expr.parse_ring_expr("M2(Z2) x Z2"))
     path = tmp_path / "m2z2xz2.txt"
@@ -336,13 +338,17 @@ def test_ten_thousand_factors_are_a_user_error(capsys):
 
 def test_analyze_does_not_import_numpy_ma(tmp_path):
     # numpy imports numpy.ma lazily, at the first np.unique; the pipeline needs
-    # none of it, and a fresh process would pay for the import
+    # none of it, and a fresh process would pay for the import.  The table
+    # rings: U2(Z4), whose ideals are not all principal, so build_ipo takes
+    # spans, and Z2 x Z2 x Z7, split at its central idempotents
     probe = [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"]
     if subprocess.run(probe, capture_output=True, text=True).stdout == "True\n":
         pytest.skip("import numpy alone loads numpy.ma")
-    ring = upper_triangular(4)  # non-principal ideals: build_ipo takes spans
-    path = tmp_path / "u2z4.tbl"
-    path.write_text(relabelled_table_text(ring, draw_permutation(ring.order, 7)))
+    split = zdgraph.expr.build_ring(zdgraph.expr.parse_ring_expr("Z2 x Z2 x Z7"))
+    paths = []
+    for name, ring in (("u2z4", upper_triangular(4)), ("z2xz2xz7", split)):
+        paths.append(tmp_path / f"{name}.tbl")
+        paths[-1].write_text(relabelled_table_text(ring, draw_permutation(ring.order, 7)))
     script = (
         "import contextlib, io, sys\n"
         "from zdgraph.cli import main\n"
@@ -350,6 +356,6 @@ def test_analyze_does_not_import_numpy_ma(tmp_path):
         "    codes = [main(['analyze', e]) for e in sys.argv[1:]]\n"
         "print(codes, 'numpy.ma' in sys.modules)\n"
     )
-    args = [sys.executable, "-c", script, f"T({path})", "M2(Z6)"]
+    args = [sys.executable, "-c", script, *(f"T({path})" for path in paths), "M2(Z6)"]
     proc = subprocess.run(args, capture_output=True, text=True)
-    assert proc.stdout == "[0, 0] False\n", proc.stderr
+    assert proc.stdout == "[0, 0, 0] False\n", proc.stderr

@@ -1,14 +1,15 @@
-"""A product ring, and a matrix ring over a base that splits, take their ideal
-lists and IPO from their factors' (`theorems._ideals_and_ipo`).  Both must be
-exactly what direct enumeration and `build_ipo` give on the ring itself, and
-every split map must be a ring isomorphism."""
+"""A ring that splits (a product ring, a ring with tables at a central
+idempotent, a matrix ring over a base that splits) takes its ideal lists and
+IPO from its factors' (`theorems._ideals_and_ipo`).  Both must be exactly what
+direct enumeration and `build_ipo` give on the ring itself, and every split
+map must be a ring isomorphism."""
 
 import numpy as np
 import pytest
 
 import zdgraph as z
-from table_rings import f2_xy, upper_triangular
-from zdgraph.rings import MatrixRing, ProductRing
+from table_rings import draw_permutation, f2_xy, relabelled_table_text, upper_triangular
+from zdgraph.rings import FiniteRing, MatrixRing, ProductRing
 from zdgraph.theorems import _ideals_and_ipo
 
 # every product and every split matrix ring of the test corpus under the cap:
@@ -54,10 +55,12 @@ def _generated(r, gens, side: str) -> set[int]:
     return set(total.tolist())
 
 
-@pytest.mark.parametrize("name", list(CORPUS))
-def test_composed_lists_and_ipo_match_the_direct_ones(name):
-    r = CORPUS[name]
-    assert isinstance(r, (MatrixRing, ProductRing)) and r.split is not None
+def _table_copy(r, seed: int = 5):
+    """`r` read back from a table file that relabels it by a seeded permutation."""
+    return z.load_table_ring(relabelled_table_text(r, draw_permutation(r.order, seed)))
+
+
+def _assert_composed_matches_direct(r, name: str) -> None:
     left, right, ipo = _ideals_and_ipo(r)
     direct = {side: z.enumerate_one_sided_ideals(r, side) for side in ("left", "right")}
     for side, composed in (("left", left), ("right", right)):
@@ -74,12 +77,54 @@ def test_composed_lists_and_ipo_match_the_direct_ones(name):
     assert ipo.table.dtype == built.table.dtype and np.array_equal(ipo.table, built.table), name
 
 
-@pytest.mark.parametrize("name", ["Z6", "Z12", "Z30", "Z60", "M2(Z6)", "M2(Z2 x Z3)", "Z8 x M2(Z2)"])
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_composed_lists_and_ipo_match_the_direct_ones(name):
+    r = CORPUS[name]
+    assert isinstance(r, (MatrixRing, ProductRing)) and r.split is not None
+    _assert_composed_matches_direct(r, name)
+
+
+# M2(Z10), of order 10^4, would need two 200 MB tables and a 1 GB table file
+TABLE_COPIES = [name for name, r in CORPUS.items() if r.order <= 1296]
+# Z1 x Z3 is Z3, and M2(Z1 x Z3) is M2(Z3), whose idempotents are not central
+INDECOMPOSABLE = {"Z1 x Z3", "M2(Z1 x Z3)"}
+
+
+@pytest.mark.parametrize("name", TABLE_COPIES)
+def test_a_table_copy_is_composed_to_the_direct_report(name, monkeypatch):
+    r = CORPUS[name]
+    text = relabelled_table_text(r, draw_permutation(r.order, 5))
+    copy = z.load_table_ring(text)
+    assert (copy.split is None) == (name in INDECOMPOSABLE), name
+    _assert_composed_matches_direct(copy, name)
+    composed = z.write_report_json(z.run_all(copy))
+    # a fresh copy of the same ring, enumerated whole
+    monkeypatch.setattr(FiniteRing, "split", None)
+    assert z.write_report_json(z.run_all(z.load_table_ring(text))) == composed, name
+
+
+def _expr(e: str):
+    return lambda: z.build_ring(z.parse_ring_expr(e))
+
+
+SPLIT_CASES = {
+    **{e: _expr(e) for e in ("Z6", "Z12", "Z30", "Z60", "M2(Z6)", "M2(Z2 x Z3)", "Z8 x M2(Z2)")},
+    # a relabelled product of four fields, and a noncommutative table ring
+    # with a central idempotent
+    "T(Z2 x Z2 x Z2 x Z7)": lambda: _table_copy(_expr("Z2 x Z2 x Z2 x Z7")(), 3),
+    "T(M2(Z2) x Z3)": lambda: _table_copy(CORPUS["M2(Z2) x Z3"]),
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_CASES))
 def test_every_split_is_a_ring_isomorphism(name):
-    r = z.build_ring(z.parse_ring_expr(name))
+    r = SPLIT_CASES[name]()
     a, b, phi = r.split
-    assert a.order * b.order == r.order
+    assert a.order * b.order == r.order and 1 < a.order < r.order
     assert sorted(phi.tolist()) == list(range(r.order))
+    # a ring with tables hands over its factors unvalidated
+    for factor in (a, b):
+        z.validate_ring(factor)
     pairs = z.make_product_ring(a, b)
     ar = np.arange(r.order)
     for op in ("add_at", "mul_at"):
@@ -90,7 +135,11 @@ def test_every_split_is_a_ring_isomorphism(name):
 
 
 def test_what_does_not_split():
-    # prime powers, table files and matrices over them are analysed whole
+    # prime powers, matrices over them and local rings (F2[x,y]/(x,y)^2) are
+    # indecomposable; the idempotents of M2(Z2) and U2(Z4) other than 0 and 1
+    # are not central
     for name in ("Z1", "Z7", "Z8", "M2(Z4)", "M3(Z2)", "M2(Z1)"):
-        assert z.build_ring(z.parse_ring_expr(name)).split is None, name
-    assert upper_triangular(4).split is None
+        assert _expr(name)().split is None, name
+    u2z4, m2z2 = upper_triangular(4), _expr("M2(Z2)")()
+    for r in (u2z4, _table_copy(u2z4), _table_copy(m2z2), f2_xy()):
+        assert r.split is None, r.name

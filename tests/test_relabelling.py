@@ -20,7 +20,8 @@ def _ideals(ideals, perm):
     return sorted((sorted(int(perm[x]) for x in i.set.indices()), i.is_left, i.is_right) for i in ideals)
 
 
-@pytest.mark.parametrize("name", ["Z12", "M2(Z2)", "F2[x,y]/(x,y)^2"])
+# Z12 and the products come back as table rings that split, so they are composed
+@pytest.mark.parametrize("name", ["Z12", "M2(Z2)", "F2[x,y]/(x,y)^2", "Z2 x Z2 x Z3", "M2(Z2) x Z2"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_report_survives_relabelling(name, seed):
     ring = f2_xy() if name.startswith("F2") else z.build_ring(z.parse_ring_expr(name))
