@@ -1,5 +1,6 @@
 """One-sided ideals, enumerated from the principal ones, and the ideal
 arithmetic that the ideal-product semigroup shares: spans, images and sums.
+A ring that splits composes its lists from its factors' (`compose_ideals`).
 
 All subsets are bit-vector ElementSets over a fixed ring.  Ideal lists are
 canonically sorted by bit-vector lexicographic order, so enumeration output
@@ -87,26 +88,22 @@ def additive_generators(r: FiniteRing, ideal: OneSidedIdeal) -> np.ndarray:
 # -- principal ideals and sums ---------------------------------------------------
 
 
-def _images(r: FiniteRing, xs: list[int], targets: list[int]) -> list[list[int]]:
-    """The bits of every image x*T = { x*t : t in T }, one row per x in xs
-    and one column per target T (a bit-vector).
-
-    The products of a block (`_blocks`) of x with the members of every
-    distinct target are read pointwise, `r.mul_at`, and scattered into one
-    row per x and distinct target.
+def _images(n: int, xs, ys, op) -> list[int]:
+    """The bits of every op(X x Y) = { op(x, y) : x in X, y in Y } over
+    elements 0..n-1, one row per X in xs and one column per Y in ys (arrays
+    of member indices), row-major; `op` broadcasts like `FiniteRing.mul_at`.
+    A block (`_blocks`) of X is scattered at once, by owner.  Its width,
+    |ys|·n per X, bounds both the mask and op's output, as |X|·Σ|Y| <= |ys|·n
+    for every caller: X a single x, or X x Y in a product, |X||Y| <= n.
     """
-    n = r.order
-    distinct = {t: k for k, t in enumerate(dict.fromkeys(targets))}
-    members = [np.flatnonzero(ElementSet(r, t).mask()) for t in distinct]
-    flat = np.concatenate(members)
-    owner = np.repeat(np.arange(len(distinct)), [len(m) for m in members])
-    column = [distinct[t] for t in targets]
-    out: list[list[int]] = []
-    for s in _blocks(len(xs), max(len(flat), len(distinct) * n)):
-        block = np.array(xs[s], dtype=np.intp)
-        rows = (np.arange(len(block))[:, None], owner)
-        images = _scatter_bits(n, r.mul_at(block[:, None], flat), rows, (len(block), len(distinct)))
-        out += [[images[lo + k] for k in column] for lo in range(0, len(images), len(distinct))]
+    y_flat = np.concatenate(ys)
+    y_owner = np.repeat(np.arange(len(ys)), [len(y) for y in ys])
+    out: list[int] = []
+    for s in _blocks(len(xs), len(ys) * n):
+        block = xs[s]
+        x_owner = np.repeat(np.arange(len(block)), [len(x) for x in block])
+        values = op(np.concatenate(block)[:, None], y_flat)
+        out += _scatter_bits(n, values, (x_owner[:, None], y_owner), (len(block), len(ys)))
     return out
 
 
@@ -251,3 +248,29 @@ def enumerate_one_sided_ideals(r: FiniteRing, side: str) -> list[OneSidedIdeal]:
         left, right = (True, other) if side == "left" else (other, True)
         ideals.append(OneSidedIdeal(s, left, right, xs))
     return sorted(ideals, key=lambda ideal: ideal.set.sort_key())
+
+
+def compose_ideals(r: FiniteRing, xs: list[OneSidedIdeal], ys: list[OneSidedIdeal]) -> list[OneSidedIdeal]:
+    """The ideals phi(L1 x L2) of a ring r that splits as a x b by phi
+    (`FiniteRing.split`), over L1 in xs and L2 in ys, one side's ideals of a
+    and of b, with the flags ANDed, sorted as enumeration sorts them.
+
+    a and b have a 1, so a left ideal L of a x b is L1 x L2, L1 = {x : (x, 0)
+    in L} and L2 alike: (x, y) in L gives (x, 0) = (1, 0)(x, y) in L; the
+    right ideals likewise.  On either side, (x1, x2) generates L1 x L2 when
+    x1 generates L1 and x2 generates L2; otherwise the (x, 0) and (0, y) over
+    the generators x of L1 and y of L2 do.
+    """
+    _, b, phi = r.split
+    nb = b.order
+    members = ([np.flatnonzero(i.set.mask()) for i in ideals] for ideals in (xs, ys))
+    sets = _images(r.order, *members, lambda p, q: phi[p * nb + q])
+    out = []
+    for (x, y), bits in zip([(x, y) for x in xs for y in ys], sets):
+        if len(x.generators) == len(y.generators) == 1:
+            gens = {phi[x.generators[0] * nb + y.generators[0]]}
+        else:
+            gens = {phi[g * nb] for g in x.generators} | {phi[g] for g in y.generators}
+        flags = (x.is_left and y.is_left, x.is_right and y.is_right)
+        out.append(OneSidedIdeal(ElementSet(r, bits), *flags, tuple(sorted(map(int, gens)))))
+    return sorted(out, key=lambda ideal: ideal.set.sort_key())

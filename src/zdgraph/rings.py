@@ -310,13 +310,8 @@ class MatrixRing(_ComposedRing):
         if base.split is None:
             return None
         a, b, phi = base.split
-        entry = phi.reshape(a.order, b.order)
         # pairs[I, J]: the matrix whose entries are phi(I's, J's), most significant first
-        pairs = entry
-        for _ in range(k * k - 1):
-            pairs = (pairs[:, None, :, None] * base.order + entry[None, :, None, :]).reshape(
-                len(pairs) * a.order, -1
-            )
+        pairs = reduce(_kronecker_sum(base.order), [phi.reshape(a.order, b.order)] * (k * k))
         return make_matrix_ring(a, k, self.order), make_matrix_ring(b, k, self.order), pairs.ravel()
 
 
@@ -360,7 +355,7 @@ class ProductRing(_ComposedRing):
     def units(self) -> np.ndarray:
         """The pairs of units, ascending."""
         a, b = self.factors
-        return (a.units[:, None] * b.order + b.units).ravel()
+        return _outer_sum(b.order)(a.units, b.units)
 
     def is_commutative(self) -> bool:
         return all(f.is_commutative() for f in self.factors)
@@ -643,6 +638,11 @@ def _outer_sum(w: int):
     return outer
 
 
+def _kronecker_sum(w: int):
+    """(p, q) -> t[(i, i'), (j, j')] = p[i, j]·w + q[i', j'], pairs row-major."""
+    return lambda p, q: _outer_sum(w)(p[:, None], q[None]).reshape(len(p) * len(q), -1)
+
+
 def make_product_ring(a: FiniteRing, b: FiniteRing, cap: int | None = None) -> FiniteRing:
     """Direct product, pairs indexed row-major (i*|b| + j), read through its factors."""
     _check_cap(a.order * b.order, cap)
@@ -675,7 +675,7 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int | None = None) -> Finite
     dtype = _index_dtype(n)  # every entry below is a row vector index, below n
     badd, bmul = base.add_at(ar[:, None], ar).astype(dtype), base.mul_rows(ar).astype(dtype)
     # the Kronecker sum vadd[(u, i), (w, j)] = vadd'[u, w]·m + badd[i, j], one entry at a time
-    vadd = reduce(lambda p, q: _outer_sum(m)(p[:, None], q[None]).reshape(len(p) * m, -1), [badd] * k)
+    vadd = reduce(_kronecker_sum(m), [badd] * k)
     # scaled[s, r] = s·r, the row vector r multiplied on the left by the scalar s
     scaled = reduce(_outer_sum(m), [bmul] * k)
     # terms[l][s, B] = s·row_l(B), so rm[u, B] = u·B = Σ_l terms[l][u_l, B], summed in vadd

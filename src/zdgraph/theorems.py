@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import INF, ZdGraph, directed_zd_graph
-from .ideals import OneSidedIdeal, additive_generators, enumerate_one_sided_ideals
-from .rings import CyclicRing, ElementSet, FiniteRing, _blocks, _index_dtype, _scatter_bits
+from .ideals import OneSidedIdeal, additive_generators, compose_ideals, enumerate_one_sided_ideals
+from .rings import CyclicRing, ElementSet, FiniteRing
 from .report import AnalysisReport, CheckResult, serialize_extent
-from .semigroups import AnnSets, FiniteSemigroupWithZero, ann_sets, build_ipo
+from .semigroups import AnnSets, FiniteSemigroupWithZero, ann_sets, build_ipo, compose_ipo
 
 PASS = "pass"
 FAIL = "fail"
@@ -51,75 +51,19 @@ def _ideals_and_ipo(r: FiniteRing) -> tuple[list[OneSidedIdeal], list[OneSidedId
     A ring that does not split enumerates each side once (one side for
     commutative r, where both lists coincide, flags included) and runs
     `build_ipo`.  So does Z_n, which is small enough that this costs less
-    (`prepare_ring_analysis` on Z60: 0.7 ms, against 1.3 ms composed).  Every
-    other ring that splits, r = A x B by phi (`FiniteRing.split`), takes
-    them from A's and B's, found by this same helper:
-
-    - The left list is phi(L1 x L2) over A's left ideals L1 and B's left
-      ideals L2, with the flags ANDed; the right list likewise.  A and B have
-      a 1, so a left ideal L of A x B is L1 x L2, L1 = {x : (x, 0) in L} and
-      L2 alike: (x, y) in L gives (x, 0) = (1, 0)(x, y) in L.  On either
-      side, (x1, x2) generates L1 x L2 when x1 generates L1 and x2 generates
-      L2; otherwise the (x, 0) and (0, y) over the generators x of L1 and y
-      of L2 do.
-    - (K1 x K2)(L1 x L2) = K1L1 x K2L2: it holds each (k1l1, 0) =
-      (k1, 0)(l1, 0) and each (0, k2l2), and they span it.  So the IPO is
-      the direct product IPO(A) x IPO(B), (P, Q)(P', Q') = (PP', QQ'), with
-      P x Q distinct for distinct pairs, since P and Q hold 0.  Each factor's
-      table was validated by its own `build_ipo`, and a direct product of
-      semigroups with zero is one (associative entry by entry, with zero
-      ({0}, {0})), so the composed table is not validated again.
-
-    Sets map through phi and are re-sorted by `ElementSet.sort_key`, so the
-    lists and the IPO come out in the order that `enumerate_one_sided_ideals`
-    and `build_ipo` give, {0} first.
+    (`prepare_ring_analysis` on Z60: 0.7 ms, against 1.3 ms composed).  A
+    ring that splits, r = A x B (`FiniteRing.split`), composes them from A's
+    and B's, found by this same helper.
     """
     parts = None if isinstance(r, CyclicRing) else r.split
     if parts is None:
         left = enumerate_one_sided_ideals(r, "left")
         right = left if r.is_commutative() else enumerate_one_sided_ideals(r, "right")
         return left, right, build_ipo(r, left, right)
-    a, b, phi = parts
-    (left_a, right_a, ipo_a), (left_b, right_b, ipo_b) = _ideals_and_ipo(a), _ideals_and_ipo(b)
-    n, nb = r.order, b.order
-
-    def products(xs, ys) -> list[ElementSet]:
-        """phi(X x Y) for X in xs and Y in ys, row-major, in blocks of xs."""
-        x_members, y_members = ([np.flatnonzero(s.mask()) for s in sets] for sets in (xs, ys))
-        y_flat = np.concatenate(y_members)
-        y_owner = np.repeat(np.arange(len(ys)), [len(m) for m in y_members])
-        out: list[int] = []
-        for s in _blocks(len(xs), len(ys) * n):
-            block = x_members[s]
-            x_owner = np.repeat(np.arange(len(block)), [len(m) for m in block])
-            values = phi[np.concatenate(block)[:, None] * nb + y_flat]
-            out += _scatter_bits(n, values, (x_owner[:, None], y_owner), (len(block), len(ys)))
-        return [ElementSet(r, bits) for bits in out]
-
-    def ideals(xs: list[OneSidedIdeal], ys: list[OneSidedIdeal]) -> list[OneSidedIdeal]:
-        pairs = [(x, y) for x in xs for y in ys]
-        out = []
-        for (x, y), s in zip(pairs, products([x.set for x in xs], [y.set for y in ys])):
-            if len(x.generators) == len(y.generators) == 1:
-                gens = {phi[x.generators[0] * nb + y.generators[0]]}
-            else:
-                gens = {phi[g * nb] for g in x.generators} | {phi[g] for g in y.generators}
-            flags = (x.is_left and y.is_left, x.is_right and y.is_right)
-            out.append(OneSidedIdeal(s, *flags, tuple(sorted(map(int, gens)))))
-        return sorted(out, key=lambda ideal: ideal.set.sort_key())
-
-    left = ideals(left_a, left_b)
-    right = left if right_a is left_a and right_b is left_b else ideals(right_a, right_b)
-    labels = products(ipo_a.labels, ipo_b.labels)  # the pair (P, Q) at P·|IPO(B)| + Q
-    m = len(labels)
-    order = np.array(sorted(range(m), key=lambda e: labels[e].sort_key()), dtype=np.intp)
-    rank = np.empty(m, dtype=_index_dtype(m))
-    rank[order] = np.arange(m)
-    # by pairs, [P, Q, P', Q'] = rank of (PP', QQ'); the factor tables broadcast
-    # against each other, so no m x m index array is built
-    by_pairs = rank.reshape(ipo_a.order, -1)[ipo_a.table[:, None, :, None], ipo_b.table[None, :, None, :]]
-    table = by_pairs.reshape(m, m)[np.ix_(order, order)]
-    return left, right, FiniteSemigroupWithZero(table, labels=[labels[e] for e in order])
+    (left_a, right_a, ipo_a), (left_b, right_b, ipo_b) = (_ideals_and_ipo(f) for f in parts[:2])
+    left = compose_ideals(r, left_a, left_b)
+    right = left if right_a is left_a and right_b is left_b else compose_ideals(r, right_a, right_b)
+    return left, right, compose_ipo(r, ipo_a, ipo_b)
 
 
 def _labels(g: ZdGraph, vertices) -> list[str]:

@@ -14,7 +14,8 @@ from zdgraph.theorems import _ideals_and_ipo
 
 # every product and every split matrix ring of the test corpus under the cap:
 # the `rings` fixture's products, the golden rings, the rings the CLI tests
-# build, a zero-ring factor, and a third prime (Z30)
+# build, a zero-ring factor, a third prime (Z30), and the one split at k = 3
+# under the cap (M3(Z1 x Z2), of order 512)
 EXPRS = [
     "Z2 x Z2",
     "Z2 x Z3",
@@ -28,6 +29,7 @@ EXPRS = [
     "M2(Z10)",
     "M2(Z2 x Z3)",
     "M2(Z1 x Z3)",
+    "M3(Z1 x Z2)",
     "Z8 x M2(Z2)",
     "M2(Z2) x Z3",
     "M2(Z2) x Z2",
@@ -86,8 +88,9 @@ def test_composed_lists_and_ipo_match_the_direct_ones(name):
 
 # M2(Z10), of order 10^4, would need two 200 MB tables and a 1 GB table file
 TABLE_COPIES = [name for name, r in CORPUS.items() if r.order <= 1296]
-# Z1 x Z3 is Z3, and M2(Z1 x Z3) is M2(Z3), whose idempotents are not central
-INDECOMPOSABLE = {"Z1 x Z3", "M2(Z1 x Z3)"}
+# Z1 x Z3 is Z3, and M2(Z1 x Z3) and M3(Z1 x Z2) are M2(Z3) and M3(Z2), whose
+# idempotents are not central
+INDECOMPOSABLE = {"Z1 x Z3", "M2(Z1 x Z3)", "M3(Z1 x Z2)"}
 
 
 @pytest.mark.parametrize("name", TABLE_COPIES)
@@ -108,7 +111,7 @@ def _expr(e: str):
 
 
 SPLIT_CASES = {
-    **{e: _expr(e) for e in ("Z6", "Z12", "Z30", "Z60", "M2(Z6)", "M2(Z2 x Z3)", "Z8 x M2(Z2)")},
+    **{e: _expr(e) for e in ("Z6", "Z12", "Z30", "Z60", "M1(Z6)", "M2(Z6)", "M2(Z2 x Z3)", "Z8 x M2(Z2)")},
     # a relabelled product of four fields, and a noncommutative table ring
     # with a central idempotent
     "T(Z2 x Z2 x Z2 x Z7)": lambda: _table_copy(_expr("Z2 x Z2 x Z2 x Z7")(), 3),
@@ -132,6 +135,21 @@ def test_every_split_is_a_ring_isomorphism(name):
             xs = ar[s, None]
             assert np.array_equal(getattr(r, op)(phi[xs], phi[ar]), phi[getattr(pairs, op)(xs, ar)]), (name, op)
     assert phi[pairs.one] == r.one
+
+
+def test_small_blocks_compose_the_same_lists_and_ipo(monkeypatch):
+    # at _BLOCK_ELEMS = 200 the owner scatter of a composed list or IPO runs
+    # in many blocks (M2(Z6)'s labels take 17), so each block must find its
+    # owners at its own offset; the factors split and the rings' derived values
+    # are cached, so both runs compose on the same factor rings
+    cases = {e: _expr(e)() for e in ("M2(Z6)", "M2(Z2) x Z3", "M3(Z1 x Z2)")}
+    cases["T(Z2 x Z2 x Z7)"] = _table_copy(_expr("Z2 x Z2 x Z7")(), 7)
+    expected = {name: _ideals_and_ipo(r) for name, r in cases.items()}
+    monkeypatch.setattr(z.rings, "_BLOCK_ELEMS", 200)
+    for name, r in cases.items():
+        (left, right, ipo), (small_left, small_right, small) = expected[name], _ideals_and_ipo(r)
+        assert small_left == left and small_right == right, name
+        assert np.array_equal(small.table, ipo.table) and small.labels == ipo.labels, name
 
 
 def test_what_does_not_split():

@@ -4,8 +4,10 @@ them through the ideal layer's helpers.  The span itself has one caller, the
 sum that no known ideal matches.  A ring has one read per shape: points
 through `mul_at`, whole rows and columns through `mul_rows` and `mul_cols`.
 Array plumbing lives in `zdgraph/rings.py`: only it packs element sets into
-bits, and only its `_blocks` reads the block budget `_BLOCK_ELEMS`.  Above the
-ideal and semigroup layers, element sets are read as sets, never as bits."""
+bits, and only its `_blocks` reads the block budget `_BLOCK_ELEMS`.  Every IPO
+is built in `zdgraph/semigroups.py`, and the checks module imports no private
+name of the layers below it.  Above the ideal and semigroup layers, element
+sets are read as sets, never as bits."""
 
 import ast
 from pathlib import Path
@@ -119,4 +121,23 @@ def test_checks_read_element_sets_as_sets():
         if (isinstance(node, ast.Attribute) and node.attr in ("bits", "bit_count"))
         or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.LShift))
     ]
+    assert found == []
+
+
+LOWER_LAYERS = {"rings", "ideals", "semigroups"}
+
+
+def test_every_ipo_is_built_in_the_semigroup_layer():
+    # build_ipo and compose_ipo decide an IPO's layout (label order, index
+    # dtype); the checks module composes through them and reaches no private
+    # helper of the layers below it
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call) and path.name != "semigroups.py":
+                if "FiniteSemigroupWithZero" in _called_names(node.func):
+                    found.append(f"{where} FiniteSemigroupWithZero")
+            if isinstance(node, ast.ImportFrom) and path.name == "theorems.py" and node.module in LOWER_LAYERS:
+                found += [f"{where} {a.name}" for a in node.names if a.name.startswith("_")]
     assert found == []
