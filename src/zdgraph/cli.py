@@ -51,7 +51,7 @@ def _build_parser() -> _Parser:
     pa = sub.add_parser("analyze", help="analyze one ring expression")
     pa.add_argument("expr")
     pa.add_argument("--json", default=None, metavar="PATH", help="report path ('-' = stdout)")
-    pa.add_argument("--dot", default=None, metavar="PATH", help="write the graph in DOT form")
+    pa.add_argument("--dot", default=None, metavar="PATH", help="write the graph in DOT form to a file")
     pa.add_argument("--dot-mode", choices=["directed", "undirected"], default="directed")
     pa.add_argument("--cap", type=int, default=None, help="element-count cap for constructors")
 
@@ -96,6 +96,8 @@ def _analyze_expr(text: str, cap: int) -> tuple[AnalysisReport, RingAnalysis]:
 
 
 def _cmd_analyze(args) -> int:
+    if args.dot == "-":  # standard output carries the JSON report
+        raise _UsageError("--dot takes a file path, not '-'")
     report, analysis = _analyze_expr(args.expr, _resolve_cap(args.cap))
     text = write_report_json(report)
     if args.json is None or args.json == "-":

@@ -490,14 +490,16 @@ def _reaching_generators(r: FiniteRing) -> list[int]:
 
 def _first_bad_distributive(mul: np.ndarray, add: np.ndarray, bs, side: str):
     """A triple (a, b, c) with b in `bs` where a*(b+c) != a*b + a*c (side
-    "left") or (b+c)*a != b*a + c*a (side "right"), or None."""
-    m = mul if side == "left" else mul.T              # m[a, x] = a*x, or x*a
+    "left", every a) or (b+c)*a != b*a + c*a (side "right", a in `bs`), or
+    None."""
+    # m[k, x] = a*x for a = k, or x*a for a = bs[k]
+    m = mul if side == "left" else np.ascontiguousarray(mul[:, bs].T)
     for b in bs:
         lhs = m[:, add[b]]                            # a*(b+c)
         rhs = add[m[:, b][:, None], m]                # a*b + a*c
         if not np.array_equal(lhs, rhs):
-            a, c = _first_bad_pair(lhs != rhs)
-            return a, int(b), c
+            k, c = _first_bad_pair(lhs != rhs)
+            return (k if side == "left" else int(bs[k])), int(b), c
     return None
 
 
@@ -519,10 +521,16 @@ def validate_ring(r: FiniteRing) -> None:
       (x+(a+b))+y = ((x+a)+b)+y = (x+a)+(b+y) = x+(a+(b+y)) = x+((a+b)+y)).
       So it holds every element reachable from 0, which is all of them.
     - zero-annihilates and one-identity are checked on whole rows and columns.
-    - left- and right-distributive are checked with the middle summand b in
-      G, for all a, c.  The good set of b contains 0 (a*0 = 0) and is closed
-      under b -> b + g, since a*((b+g)+c) = a*(b+(g+c)) = a*b + (a*g + a*c)
+    - left-distributive is checked with the middle summand b in G, for all
+      a, c.  The good set of b contains 0 (a*0 = 0) and is closed under
+      b -> b + g, since a*((b+g)+c) = a*(b+(g+c)) = a*b + (a*g + a*c)
       = (a*b + a*g) + a*c = a*(b+g) + a*c; so it is everything.
+    - right-distributive is then checked for a and b in G, all c.  For a in
+      G the good set of b contains 0 and is closed under b -> b + g, as
+      above, so x -> x*a is additive.  The set of a with x -> x*a additive
+      contains 0 and is closed under a -> a + g, since by the full left law
+      (b+c)*(a+g) = (b+c)*a + (b+c)*g = (b*a + c*a) + (b*g + c*g)
+      = (b*a + b*g) + (c*a + c*g) = b*(a+g) + c*(a+g); so it is everything.
     - mul-associative is checked on G^3 only.  Both distributive laws make
       (xy)z and x(yz) additive in each argument, and both vanish when any
       argument is 0, so the set of x where they agree for fixed y, z contains

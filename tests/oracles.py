@@ -195,6 +195,50 @@ def naive_girth(vertices, und_edges):
     return best[0]
 
 
+def dense_diameter(adj):
+    """Largest distance over ordered pairs of distinct vertices of a loopless
+    boolean adjacency matrix, by boolean level expansion with V x V float32
+    products: None below two vertices, inf when some pair is unreachable."""
+    v = adj.shape[0]
+    if v < 2:
+        return None
+    adj_f = adj.astype(np.float32)
+    reached = adj | np.eye(v, dtype=bool)
+    frontier = adj
+    level = 1
+    while not reached.all():
+        new = ((frontier.astype(np.float32) @ adj_f) > 0) & ~reached
+        if not new.any():
+            return float("inf")
+        reached |= new
+        frontier = new
+        level += 1
+    return level
+
+
+def dense_girth_with_cycle(g):
+    """(girth, witness cycle) of g's undirected view from the V x V count of
+    common neighbours: the first pair (row-major) that is adjacent with a
+    common neighbour closes a triangle through its first common neighbour;
+    failing that, the first pair with two common neighbours and the first
+    two of them make a 4-cycle; failing both, the library's BFS fallback."""
+    if not g.und.any():
+        return float("inf"), None
+    und_f = g.und.astype(np.float32)
+    common = und_f @ und_f
+    tri = g.und & (common >= 1)
+    if tri.any():
+        a, b = divmod(int(tri.argmax()), g.n_vertices)
+        x = int(np.nonzero(g.und[a] & g.und[b])[0][0])
+        return 3, [g.vertices[a], g.vertices[x], g.vertices[b]]
+    quad = (common >= 2) & ~np.eye(g.n_vertices, dtype=bool)
+    if quad.any():
+        a, b = divmod(int(quad.argmax()), g.n_vertices)
+        x, y = (int(i) for i in np.nonzero(g.und[a] & g.und[b])[0][:2])
+        return 4, [g.vertices[a], g.vertices[x], g.vertices[b], g.vertices[y]]
+    return z.graphs._girth_bfs(g)
+
+
 def naive_is_division_ring(ring):
     """Every nonzero element has a two-sided inverse, by a double loop."""
     n = ring.order

@@ -125,15 +125,16 @@ def test_analyze_matrix_of_table_file_builds_inner_ring_once(rings, tmp_path, mo
 def test_each_graph_is_measured_once(rings, monkeypatch):
     ann = _count_calls(monkeypatch, "ann_sets", lambda s: s.order)
     metrics = _count_calls(monkeypatch, "compute_graph_metrics", id)
-    girths = _count_calls(monkeypatch, "girth_with_cycle", id, home=graphs)
-    levels = _count_calls(monkeypatch, "_diameter", lambda adj: len(adj), home=graphs)
+    girths = _count_calls(monkeypatch, "_girth", lambda g, *walks: g.n_vertices, home=graphs)
+    levels = _count_calls(monkeypatch, "_diameter", lambda arcs, *view: len(arcs), home=graphs)
     report = z.run_all(rings["M2(Z2)"])
     assert [c.status for c in report.checks[-3:]] == ["pass"] * 3
     # one IPO each for M2(Z2) and Z2
     assert list(ann.values()) == [1, 1]
     # three graphs: both IPO graphs and Z2's annihilating-ideal graph
     assert list(metrics.values()) == [1, 1, 1]
-    assert girths == metrics
+    # a girth search for each graph with an edge: only the M2(Z2) graph has one
+    assert girths == {report.vertex_count: 1}
     # one diameter per view of each graph; only the M2(Z2) graph has two
     # vertices, so only its two views are expanded
     assert sum(levels.values()) == 2 * sum(metrics.values())

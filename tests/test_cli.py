@@ -199,6 +199,19 @@ def test_analyze_writes_files(tmp_path, capsys):
     assert dot.startswith("graph zd {") and '"{0,2,4}" -- "{0,3}"' in dot
 
 
+def test_analyze_refuses_dot_to_stdout(tmp_path, monkeypatch, capsys):
+    # refused before any ring is built, and no file named "-" appears
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_ring called for a refused --dot")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(zdgraph.cli, "build_ring", no_build)
+    assert main(["analyze", "Z6", "--dot", "-"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--dot takes a file path" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_deterministic_outputs(tmp_path):
     outputs = []
     dots = []

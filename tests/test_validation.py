@@ -15,6 +15,7 @@ import zdgraph as z
 from zdgraph.ideals import _cyclic_chain
 
 from oracles import exhaustive_validate_ring, exhaustive_validate_semigroup
+from table_rings import upper_triangular
 
 # checked in this order by both validators; only the last three may swap
 _LATE_RING_AXIOMS = {"mul-associative", "left-distributive", "right-distributive"}
@@ -84,13 +85,45 @@ def _check_ring(r) -> bool:
     return True
 
 
-@pytest.mark.parametrize("name", ["Z4", "Z2xZ2", "Z6"])
+# U2(Z2) is not commutative, so its right distributive law is not the left
+# one read backwards
+@pytest.mark.parametrize("name", ["Z4", "Z2xZ2", "Z6", "U2(Z2)"])
 def test_ring_validator_agrees_with_oracle_on_every_corruption(rings, name):
-    ring = rings[name]
+    ring = upper_triangular(2) if name == "U2(Z2)" else rings[name]
     add, mul = ring.add_table, ring.mul_table
     rejected = sum(_check_ring(z.FiniteRing(bad, mul, one=ring.one)) for bad in _corruptions(add))
     rejected += sum(_check_ring(z.FiniteRing(add, bad, one=ring.one)) for bad in _corruptions(mul))
     assert rejected > 0
+
+
+def _left_linear_product(k: int, images) -> np.ndarray:
+    """A multiplication on Z2^k (addition XOR) that is additive in its right
+    argument, with unity 1 and 0 absorbing: a*y is the XOR of L_a(2^i) over
+    the bits i of y, where L_a(1) = a, L_1 is the identity, L_0 is 0, and
+    L_a(2^i) = images[a - 2][i - 1] for a >= 2, i >= 1."""
+    n = 1 << k
+    basis = np.zeros((n, k), dtype=np.int64)
+    basis[:, 0] = np.arange(n)
+    basis[1] = 1 << np.arange(k)
+    basis[2:, 1:] = images
+    bits = (np.arange(n)[:, None] >> np.arange(k)) & 1
+    return np.bitwise_xor.reduce(basis[:, None, :] * bits[None, :, :], axis=2)
+
+
+def test_right_distributivity_is_checked_on_left_distributive_products():
+    # every left-distributive product on Z2^2 with unity 1, and a sample on
+    # Z2^3: only the right law (or associativity, which the oracle checks
+    # first) can fail, and the validator must reject exactly when the oracle does
+    rng = np.random.default_rng(3)
+    images = [(2, np.reshape(p, (2, 1))) for p in itertools.product(range(4), repeat=2)]
+    images += [(3, rng.integers(0, 8, size=(6, 2))) for _ in range(200)]
+    axioms = []
+    for k, im in images:
+        add = np.bitwise_xor.outer(np.arange(1 << k), np.arange(1 << k))
+        ring = z.FiniteRing(add, _left_linear_product(k, im), one=1)
+        if _check_ring(ring):
+            axioms.append(_outcome(z.validate_ring, ring, z.RingValidationError).axiom)
+    assert "right-distributive" in axioms and len(axioms) < len(images)
 
 
 def test_ring_validator_agrees_with_oracle_on_every_commutative_addition_of_order_four(rings):
