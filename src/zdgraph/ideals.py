@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rings import ElementSet, FiniteRing, _blocks, _scatter_bits
+from .rings import ElementSet, FiniteRing, _blocks, _gather_blocks, _scatter_bits
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,16 @@ def _images(n: int, xs, ys, op) -> list[int]:
     """The bits of every op(X x Y) = { op(x, y) : x in X, y in Y } over
     elements 0..n-1, one row per X in xs and one column per Y in ys (arrays
     of member indices), row-major; `op` broadcasts like `FiniteRing.mul_at`.
-    A block (`_blocks`) of X is scattered at once, by owner.  Its width,
-    |ys|·n per X, bounds both the mask and op's output, as |X|·Σ|Y| <= |ys|·n
-    for every caller: X a single x, or X x Y in a product, |X||Y| <= n.
+    A block of X is scattered at once, by owner.  Its width, |ys|·n per X,
+    bounds the mask and op's output, as |X|·Σ|Y| <= |ys|·n for every caller:
+    X a single x, or X x Y in a product, |X||Y| <= n.  A table ring's point
+    read gathers through an intp index of the output's shape, so the blocks
+    are `_gather_blocks`.
     """
     y_flat = np.concatenate(ys)
     y_owner = np.repeat(np.arange(len(ys)), [len(y) for y in ys])
     out: list[int] = []
-    for s in _blocks(len(xs), len(ys) * n):
+    for s in _gather_blocks(len(xs), len(ys) * n):
         block = xs[s]
         x_owner = np.repeat(np.arange(len(block)), [len(x) for x in block])
         values = op(np.concatenate(block)[:, None], y_flat)

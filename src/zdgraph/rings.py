@@ -17,6 +17,7 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import re
 from functools import cached_property, reduce
 
 import numpy as np
@@ -30,6 +31,9 @@ _BLOCK_ELEMS = 4_000_000
 # entries per block of an associativity scan; a scan runs while a parsed
 # table file is still in memory, so its blocks stay small (about 1 MB)
 _ASSOC_BLOCK = 1 << 18
+
+# the first token of a table file: its declared order
+_FIRST_TOKEN = re.compile(r"\s*(\S*)")
 
 
 class RingValidationError(ValueError):
@@ -58,6 +62,12 @@ def _blocks(count: int, width: int) -> list[slice]:
     about _BLOCK_ELEMS entries, at least one item per block."""
     step = max(1, _BLOCK_ELEMS // width)
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _gather_blocks(count: int, width: int) -> list[slice]:
+    """`_blocks` for a pass that gathers through an intp index: an index
+    entry takes 8 bytes, four uint16 entries, so it counts four times."""
+    return _blocks(count, 4 * width)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -147,27 +157,30 @@ class FiniteRing:
         e; so is fR, with f.  x = ex + fx, and only so: ea + fb = 0 gives
         ea = e(ea + fb) = 0.  And (ex)(fy) = efxy = 0, so phi(ex, fy) = ex + fy
         is a ring isomorphism.  The factors (`_corner`) have this ring's
-        operations restricted, so they are not validated again.
+        operations restricted; `validate_ring` validates them as part of
+        this ring, and checks phi entry by entry.  On tables that are not a
+        ring, the split may not be one, and when no f has e + f = 1 it is None.
         """
         add, mul = self.add_table, self.mul_table
         idempotents = np.flatnonzero(mul.diagonal() == np.arange(self.order))
         e = next((int(x) for x in idempotents if x not in (0, self.one) and np.array_equal(mul[x], mul[:, x])), None)
-        if e is None:
+        f = None if e is None else next(iter(np.flatnonzero(add[e] == self.one).tolist()), None)
+        if f is None:
             return None
-        f = int(np.flatnonzero(add[e] == self.one)[0])
         (a, e_r), (b, f_r) = self._corner(e), self._corner(f)
         return a, b, add[e_r[:, None], f_r].astype(np.intp).ravel()
 
     def _corner(self, e: int) -> tuple[FiniteRing, np.ndarray]:
         """eR for a central idempotent e, as a table ring named "e*(name)" on
         its elements relabelled by rank (0 first, e's rank its unity), and
-        those elements, ascending."""
+        those elements, ascending.  It is validated as a factor of this ring
+        (`validate_ring`)."""
         inside = np.zeros(self.order, dtype=bool)
         inside[self.mul_table[e]] = True
         members = np.flatnonzero(inside)
         rank = np.zeros(self.order, dtype=_index_dtype(len(members)))
         rank[members] = np.arange(len(members))
-        tables = (rank[t[np.ix_(members, members)]] for t in (self.add_table, self.mul_table))
+        tables = (rank.take(t[members].take(members, axis=1)) for t in (self.add_table, self.mul_table))
         return FiniteRing(*tables, one=int(rank[e]), name=f"{e}*({self.name})"), members
 
     def is_zero_ring(self) -> bool:
@@ -491,51 +504,26 @@ def _reaching_generators(r: FiniteRing) -> list[int]:
 def _first_bad_distributive(mul: np.ndarray, add: np.ndarray, bs, side: str):
     """A triple (a, b, c) with b in `bs` where a*(b+c) != a*b + a*c (side
     "left", every a) or (b+c)*a != b*a + c*a (side "right", a in `bs`), or
-    None."""
+    None.  Read in row blocks of a (`_gather_blocks`), b by b, so the witness
+    is the first in row-major order for the first failing b."""
+    n, flat = add.shape[0], add.ravel()
     # m[k, x] = a*x for a = k, or x*a for a = bs[k]
     m = mul if side == "left" else np.ascontiguousarray(mul[:, bs].T)
     for b in bs:
-        lhs = m[:, add[b]]                            # a*(b+c)
-        rhs = add[m[:, b][:, None], m]                # a*b + a*c
-        if not np.array_equal(lhs, rhs):
-            k, c = _first_bad_pair(lhs != rhs)
-            return (k if side == "left" else int(bs[k])), int(b), c
+        for s in _gather_blocks(len(m), n):
+            block = m[s]
+            lhs = block.take(add[b], axis=1)                                  # a*(b+c)
+            rhs = flat.take(block[:, b, None].astype(np.intp) * n + block)    # a*b + a*c
+            if not np.array_equal(lhs, rhs):
+                k, c = _first_bad_pair(lhs != rhs)
+                k += s.start
+                return (k if side == "left" else int(bs[k])), int(b), c
     return None
 
 
-def validate_ring(r: FiniteRing) -> None:
-    """Check every ring axiom, raising RingValidationError with a witness
-    that fails the named axiom (not necessarily the first in row-major order).
-    It reads the ring's two tables: `load_table_ring` runs it on every table
-    file; a composed ring writes its tables when it is validated.
-
-    Cost: O(n^2 |G|) table lookups, where G is a set of additive generators
-    found by `_reaching_generators`: every element is reachable from 0 by
-    steps x -> x + g with g in G (for the `table` ring of order 448, |G| = 6).
-    The O(n^2) axioms (range, commutative addition, identity 0, inverses)
-    are checked first.  Soundness of the rest, with each check run in order:
-
-    - add-associative is checked on (x, g, y) for g in G.  The set
-      {a : (x+a)+y = x+(a+y) for all x, y} contains the identity 0, contains
-      G, and is closed under + (Light's test: if a and b are in it, then
-      (x+(a+b))+y = ((x+a)+b)+y = (x+a)+(b+y) = x+(a+(b+y)) = x+((a+b)+y)).
-      So it holds every element reachable from 0, which is all of them.
-    - zero-annihilates and one-identity are checked on whole rows and columns.
-    - left-distributive is checked with the middle summand b in G, for all
-      a, c.  The good set of b contains 0 (a*0 = 0) and is closed under
-      b -> b + g, since a*((b+g)+c) = a*(b+(g+c)) = a*b + (a*g + a*c)
-      = (a*b + a*g) + a*c = a*(b+g) + a*c; so it is everything.
-    - right-distributive is then checked for a and b in G, all c.  For a in
-      G the good set of b contains 0 and is closed under b -> b + g, as
-      above, so x -> x*a is additive.  The set of a with x -> x*a additive
-      contains 0 and is closed under a -> a + g, since by the full left law
-      (b+c)*(a+g) = (b+c)*a + (b+c)*g = (b*a + c*a) + (b*g + c*g)
-      = (b*a + b*g) + (c*a + c*g) = b*(a+g) + c*(a+g); so it is everything.
-    - mul-associative is checked on G^3 only.  Both distributive laws make
-      (xy)z and x(yz) additive in each argument, and both vanish when any
-      argument is 0, so the set of x where they agree for fixed y, z contains
-      0 and is closed under x -> x + g; then the same holds for y, then z.
-    """
+def _check_tables(r: FiniteRing) -> None:
+    """The O(n^2) pre-checks of `validate_ring`, in its order: range,
+    commutative addition, 0 the additive identity, additive inverses."""
     n, add, mul = r.order, r.add_table, r.mul_table
     ar = np.arange(n)
     for name, tbl in (("addition", add), ("multiplication", mul)):
@@ -559,20 +547,29 @@ def validate_ring(r: FiniteRing) -> None:
         i = int(np.argwhere(~(add == 0).any(axis=1))[0][0])
         raise RingValidationError("add-inverse", (i,), f"element {i} has no additive inverse")
 
+
+def _check_zero_and_one(r: FiniteRing) -> None:
+    """0 annihilates, and `one` is a two-sided multiplicative identity."""
+    n, mul = r.order, r.mul_table
+    if not (np.array_equal(mul[0], np.zeros(n, mul.dtype)) and np.array_equal(mul[:, 0], np.zeros(n, mul.dtype))):
+        raise RingValidationError("zero-annihilates", None, "element 0 does not annihilate")
+    ar = np.arange(n)
+    if not (np.array_equal(mul[r.one], ar) and np.array_equal(mul[:, r.one], ar)):
+        raise RingValidationError(
+            "one-identity", (r.one,), f"element {r.one} is not a two-sided multiplicative identity"
+        )
+
+
+def _validate_direct(r: FiniteRing) -> None:
+    """The direct route of `validate_ring`, after `_check_tables`."""
+    mul, add = r.mul_table, r.add_table
     g = r.additive_generators
     bad = _first_non_associative(add, g)
     if bad is not None:
         raise RingValidationError(
             "add-associative", bad, "addition not associative at ({},{},{})".format(*bad)
         )
-
-    if not (np.array_equal(mul[0], np.zeros(n, mul.dtype)) and np.array_equal(mul[:, 0], np.zeros(n, mul.dtype))):
-        raise RingValidationError("zero-annihilates", None, "element 0 does not annihilate")
-    if not (np.array_equal(mul[r.one], ar) and np.array_equal(mul[:, r.one], ar)):
-        raise RingValidationError(
-            "one-identity", (r.one,), f"element {r.one} is not a two-sided multiplicative identity"
-        )
-
+    _check_zero_and_one(r)
     for side in ("left", "right"):
         bad = _first_bad_distributive(mul, add, g, side)
         if bad is not None:
@@ -588,6 +585,115 @@ def validate_ring(r: FiniteRing) -> None:
         raise RingValidationError(
             "mul-associative", (x, y, z), f"multiplication not associative at ({x},{y},{z})"
         )
+
+
+def _carries(r: FiniteRing, a: FiniteRing, b: FiniteRing, phi: np.ndarray) -> bool:
+    """Whether phi is a bijection from the pairs of a x b onto r's elements
+    that carries a x b's addition and multiplication onto r's.  Then so does
+    its inverse psi, x -> (i(x), j(x)), the other way, which is what is read:
+    psi(x + y) = (i(x) + i(y), j(x) + j(y)) and likewise for x·y, for every
+    x and y, so every entry of r's two tables is read once, in row blocks
+    (`_gather_blocks`)."""
+    n, w, dtype = r.order, b.order, r.add_table.dtype
+    if len(phi) != n:
+        return False
+    ar, psi = np.arange(n), np.zeros(n, dtype=dtype)
+    psi[phi] = ar
+    if not np.array_equal(psi[phi], ar):
+        return False
+    i, j = np.divmod(psi, w)
+    for ta, tb, t in ((a.add_table, b.add_table, r.add_table), (a.mul_table, b.mul_table, r.mul_table)):
+        for s in _gather_blocks(n, n):
+            pairs = (ta[i[s]].astype(dtype) * w).take(i, axis=1)
+            pairs += tb[j[s]].take(j, axis=1)
+            if not np.array_equal(psi.take(t[s]), pairs):
+                return False
+    return True
+
+
+def _validate_split(r: FiniteRing) -> bool | None:
+    """The split route of `validate_ring`, after `_check_tables`: True when it
+    proves r a ring, None when r does not split, and False when it cannot
+    prove r a ring; it raises RingValidationError when a check on r's own
+    elements fails or a factor is rejected."""
+    _check_zero_and_one(r)
+    if r.split is None:
+        return None
+    a, b, phi = r.split
+    if not _carries(r, a, b, phi):
+        return False
+    validate_ring(a)
+    validate_ring(b)
+    return True
+
+
+def validate_ring(r: FiniteRing) -> None:
+    """Check every ring axiom, raising RingValidationError with a witness
+    that fails the named axiom (not necessarily the first in row-major order).
+    It reads the ring's two tables: `load_table_ring` runs it on every table
+    file; a composed ring writes its tables when it is validated.
+
+    The O(n^2) axioms (range, commutative addition, identity 0, inverses)
+    are checked first.  Then a ring that splits (`FiniteRing.split`, cached,
+    so the analysis reads the same split) takes the split route, in O(n^2)
+    table reads:
+
+    1. 0 annihilates and `one` is a two-sided identity, read on r itself;
+    2. phi is a bijection from the pairs of a x b onto r's elements, and
+       phi(p + q) = phi(p) + phi(q) and phi(p·q) = phi(p)·phi(q) for every
+       two pairs p, q, entry by entry (`_carries`);
+    3. a and b are rings, validated by this function.
+
+    Soundness: by 3, a x b is a ring, and by 2 phi is an isomorphism of
+    structures with two operations, so r is a ring, isomorphic to a x b; its
+    additive identity and its unity are unique, and by the pre-checks and 1
+    they are the elements 0 and `one`.  The recursion ends: after 1, eR holds
+    0 and e = e·e, and fR holds 0 and f = f·1, where e is not 0 and neither
+    is f (else e = e + f = one), so when phi is a bijection each factor has
+    at most n/2 elements.  A ring always
+    passes: a central idempotent e splits it as eR x fR (see `split`), and
+    corners of a ring are rings.
+
+    A ring that does not split takes the direct route, and so does one that
+    fails the split route; there the direct route raises exactly the axiom
+    and witness it raises alone, and if it accepts, that is an internal
+    error (RuntimeError).  The direct route costs O(n^2 |G|) table lookups,
+    where G is a set of additive generators found by `_reaching_generators`:
+    every element is reachable from 0 by steps x -> x + g with g in G (for
+    the `table` ring of order 448, |G| = 6).  Soundness of its checks, each
+    run in order:
+
+    - add-associative is checked on (x, g, y) for g in G.  The set
+      {a : (x+a)+y = x+(a+y) for all x, y} contains the identity 0, contains
+      G, and is closed under + (Light's test: if a and b are in it, then
+      (x+(a+b))+y = ((x+a)+b)+y = (x+a)+(b+y) = x+(a+(b+y)) = x+((a+b)+y)).
+      So it holds every element reachable from 0, which is all of them.
+    - zero-annihilates and one-identity are checked on whole rows and columns.
+    - left-distributive is checked with the middle summand b in G, for all
+      a, c.  The good set of b contains 0 (a*0 = 0) and is closed under
+      b -> b + g, since a*((b+g)+c) = a*(b+(g+c)) = a*b + (a*g + a*c)
+      = (a*b + a*g) + a*c = a*(b+g) + a*c; so it is everything.
+    - right-distributive is then checked for a and b in G, all c.  For a in
+      G the good set of b contains 0 and is closed under b -> b + g, as
+      above, so x -> x*a is additive.  The set of a with x -> x*a additive
+      contains 0 and is closed under a -> a + g, since by the full left law
+      (b+c)*(a+g) = (b+c)*a + (b+c)*g = (b*a + c*a) + (b*g + c*g)
+      = (b*a + b*g) + (c*a + c*g) = b*(a+g) + c*(a+g); so it is everything.
+    - mul-associative is checked on G^3 only.  Both distributive laws make
+      (xy)z and x(yz) additive in each argument, and both vanish when any
+      argument is 0, so the set of x where they agree for fixed y, z contains
+      0 and is closed under x -> x + g; then the same holds for y, then z.
+    """
+    _check_tables(r)
+    try:
+        proven = _validate_split(r)
+    except RingValidationError:
+        proven = False
+    if proven:
+        return
+    _validate_direct(r)
+    if proven is False:
+        raise RuntimeError(f"validate_ring: {r.name} failed the split route, yet the direct route accepts it")
 
 
 # -- constructors ------------------------------------------------------------
@@ -694,12 +800,13 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int | None = None) -> Finite
 
 
 def table_order(text: str) -> int:
-    """The order a table file declares: its first integer, which must be positive."""
-    head = text.split(maxsplit=1)
+    """The order a table file declares: its first integer, which must be
+    positive.  Only the first token is read, so the body is not copied."""
+    head = _FIRST_TOKEN.match(text).group(1)
     if not head:
         raise TableFormatError("empty table file")
     try:
-        n = int(head[0])
+        n = int(head)
     except ValueError as exc:
         raise TableFormatError(f"non-integer token in table file: {exc}") from None
     if n < 1:
@@ -714,14 +821,14 @@ def load_table_ring(text: str, cap: int | None = None) -> FiniteRing:
     and then the n x n multiplication table rows (0-based indices).  The
     additive identity is renumbered to element 0 if needed, and unity is
     auto-detected by scanning for a two-sided multiplicative identity.
-    The declared order is checked against `cap` before the body is parsed.
+    The declared order is checked against `cap` before the body is parsed,
+    and the whole text is parsed once, in place.
     """
     n = table_order(text)
     _check_cap(n, cap)
-    rest = text.split(maxsplit=1)[1:]
     try:
         # a token beyond int64 saturates, and the range check below rejects it
-        body = np.fromstring(rest[0] if rest else "", dtype=np.int64, sep=" ")
+        body = np.fromstring(text, dtype=np.int64, sep=" ")[1:]
     except ValueError:
         raise TableFormatError("non-integer token in table file") from None
     expected = 2 * n * n
@@ -731,16 +838,17 @@ def load_table_ring(text: str, cap: int | None = None) -> FiniteRing:
         )
     if body.min() < 0 or body.max() >= n:
         raise TableFormatError("table entry out of range for declared order")
+    body = body.astype(_index_dtype(n))
     add = body[: n * n].reshape(n, n)
     mul = body[n * n :].reshape(n, n)
 
-    ar = np.arange(n)
+    ar = np.arange(n, dtype=body.dtype)
     ident = np.flatnonzero((add == ar).all(axis=1))
     if not ident.size:
         raise RingValidationError("add-identity", None, "no additive identity element found")
     e = int(ident[0])
     if e != 0:
-        perm = np.arange(n)
+        perm = ar.copy()
         perm[0], perm[e] = e, 0
         add = perm[add[np.ix_(perm, perm)]]
         mul = perm[mul[np.ix_(perm, perm)]]
@@ -748,7 +856,7 @@ def load_table_ring(text: str, cap: int | None = None) -> FiniteRing:
     ones = np.flatnonzero((mul == ar).all(axis=1) & (mul == ar[:, None]).all(axis=0))
     if not ones.size:
         raise RingValidationError("unity", None, "no unity found (no two-sided multiplicative identity)")
-    ring = FiniteRing(add.astype(_index_dtype(n)), mul.astype(_index_dtype(n)), one=ones[0], name=f"table-ring-{n}")
+    ring = FiniteRing(add, mul, one=ones[0], name=f"table-ring-{n}")
     validate_ring(ring)
     return ring
 

@@ -5,6 +5,7 @@ import hashlib
 import os
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,36 @@ def test_a_table_ring_is_composed_from_its_blocks(monkeypatch):
     assert sorted(order for order, _ in ipo.elements()) == [2, 2, 2, 7]
     assert sorted(order for order, _, _ in enum.elements()) == [2, 2, 2, 7]
     assert {side for _, _, side in enum} == {"left"}
+
+
+def test_a_table_ring_is_validated_through_its_split(monkeypatch):
+    # the `table` benchmark ring, a relabelled Z2^6 x Z7 (seed 5): Light's
+    # test runs once on each of its seven fields and never on a larger
+    # table, and each ring's split is computed once, for the validation and
+    # the analysis together
+    lights = _count_calls(monkeypatch, "_first_non_associative", lambda t, middles: t.shape[0], home=z.rings)
+    computed: Counter = Counter()
+    split = z.FiniteRing.__dict__["split"]
+
+    def counting_split(ring):
+        computed[id(ring)] += 1
+        return split.func(ring)
+
+    counted = cached_property(counting_split)
+    counted.__set_name__(z.FiniteRing, "split")
+    monkeypatch.setattr(z.FiniteRing, "split", counted)
+    ring = z.build_ring(z.parse_ring_expr("Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z7"))
+    table = z.load_table_ring(relabelled_table_text(ring, draw_permutation(ring.order, 5)))
+    assert lights == {2: 6, 7: 1}
+    # six splits and seven fields
+    assert len(computed) == 13 and set(computed.values()) == {1}
+    z.run_all(table)
+    assert len(computed) == 13 and set(computed.values()) == {1}
+    # a table copy of M2(Z2) does not split: the whole ring takes Light's test
+    lights.clear()
+    m2z2 = z.make_matrix_ring(z.make_cyclic_ring(2), 2)
+    z.load_table_ring(relabelled_table_text(m2z2, draw_permutation(m2z2.order, 1)))
+    assert set(lights) == {16}
 
 
 def test_verify_zn_builds_no_factor_ring(monkeypatch, capsys):

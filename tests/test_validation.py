@@ -2,10 +2,14 @@
 every single-entry corruption of small rings, semigroups and an IPO, and on
 whole families of small tables that catch a validator checking too few
 generators: both must accept or reject alike, and each rejection's witness
-must fail the axiom it names."""
+must fail the axiom it names.  A ring that splits is validated through its
+split, and on corrupted tables that route must raise exactly what the
+direct route raises alone."""
 
 import itertools
+import os
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -13,9 +17,10 @@ import pytest
 
 import zdgraph as z
 from zdgraph.ideals import _cyclic_chain
+from zdgraph.rings import _check_tables, _first_bad_distributive, _validate_direct
 
 from oracles import exhaustive_validate_ring, exhaustive_validate_semigroup
-from table_rings import upper_triangular
+from table_rings import draw_permutation, relabelled_table_text, upper_triangular
 
 # checked in this order by both validators; only the last three may swap
 _LATE_RING_AXIOMS = {"mul-associative", "left-distributive", "right-distributive"}
@@ -94,6 +99,166 @@ def test_ring_validator_agrees_with_oracle_on_every_corruption(rings, name):
     rejected = sum(_check_ring(z.FiniteRing(bad, mul, one=ring.one)) for bad in _corruptions(add))
     rejected += sum(_check_ring(z.FiniteRing(add, bad, one=ring.one)) for bad in _corruptions(mul))
     assert rejected > 0
+
+
+def _direct(r) -> None:
+    """The direct route alone, as `validate_ring` runs it on a ring that does
+    not split."""
+    _check_tables(r)
+    _validate_direct(r)
+
+
+def _check_split_route(r) -> bool:
+    """`validate_ring` and the direct route alone raise the same axiom with
+    the same witness, or both accept; True when they reject."""
+    routed = _outcome(z.validate_ring, r, z.RingValidationError)
+    direct = _outcome(_direct, r, z.RingValidationError)
+    assert (routed is None) == (direct is None), (r.add_table.tolist(), r.mul_table.tolist())
+    if routed is None:
+        return False
+    assert (routed.axiom, routed.witness) == (direct.axiom, direct.witness)
+    return True
+
+
+def _table_copy(ring, one=None) -> z.FiniteRing:
+    return z.FiniteRing(ring.add_table, ring.mul_table, one=ring.one if one is None else one)
+
+
+def _relabelled(expr: str, seed: int) -> z.FiniteRing:
+    ring = z.build_ring(z.parse_ring_expr(expr))
+    return z.load_table_ring(relabelled_table_text(ring, draw_permutation(ring.order, seed)))
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2", "Z6"])
+def test_split_route_raises_what_the_direct_route_raises_on_every_corruption(rings, name):
+    ring = _table_copy(rings[name])
+    assert ring.split is not None
+    add, mul = ring.add_table, ring.mul_table
+    rejected = sum(_check_split_route(z.FiniteRing(bad, mul, one=ring.one)) for bad in _corruptions(add))
+    rejected += sum(_check_split_route(z.FiniteRing(add, bad, one=ring.one)) for bad in _corruptions(mul))
+    assert rejected > 0
+
+
+def _sampled_corruptions(t, count: int, seed: int):
+    """`count` tables that each differ from t in one entry, drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    n = t.shape[0]
+    for _ in range(count):
+        i, j, shift = rng.integers(n), rng.integers(n), rng.integers(1, n)
+        bad = np.array(t)
+        bad[i, j] = (bad[i, j] + shift) % n
+        yield bad
+
+
+@pytest.mark.parametrize("expr, seed", [("Z2 x Z2 x Z3", 4), ("M2(Z2) x Z2", None)])
+def test_split_route_raises_what_the_direct_route_raises_on_sampled_corruptions(expr, seed):
+    ring = _table_copy(z.build_ring(z.parse_ring_expr(expr))) if seed is None else _relabelled(expr, seed)
+    # M2(Z2) x Z2 splits once, into a factor that does not split and Z2
+    assert ring.split is not None
+    add, mul = ring.add_table, ring.mul_table
+    rejected = sum(_check_split_route(z.FiniteRing(bad, mul, one=ring.one)) for bad in _sampled_corruptions(add, 300, 1))
+    rejected += sum(_check_split_route(z.FiniteRing(add, bad, one=ring.one)) for bad in _sampled_corruptions(mul, 300, 2))
+    assert rejected > 0
+
+
+def test_a_product_is_rejected_when_a_factor_is_not_a_ring(rings):
+    # the tables of B x Z2, pairs row-major, for every B that differs from
+    # Z4 in one product of 2 and 3: each B breaks distributivity, but the
+    # split at (0, 1) carries every entry onto the product, so only the
+    # validation of the factor B can reject it
+    z2, z4 = rings["Z2"], rings["Z4"]
+    kron = z.rings._kronecker_sum(2)
+    for bad in _corruptions(z4.mul_table, first=2):
+        product = z.FiniteRing(kron(z4.add_table, z2.add_table), kron(bad, z2.mul_table), one=3)
+        assert product.split is not None
+        assert _check_ring(product)
+
+
+def test_tables_of_a_ring_that_splits_are_rejected_with_a_wrong_one():
+    # the split route reads 0 and `one` on the ring itself, before the split
+    # is computed, not only through the isomorphism with its factors
+    ring = _relabelled("Z2 x Z2 x Z3", 6)
+    assert ring.split is not None
+    for one in range(ring.order):
+        if one != ring.one:
+            copy = _table_copy(ring, one)
+            with pytest.raises(z.RingValidationError) as err:
+                z.validate_ring(copy)
+            assert (err.value.axiom, err.value.witness) == ("one-identity", (one,))
+            assert "split" not in vars(copy)
+
+
+def _relabel(t, perm) -> np.ndarray:
+    """The table t with element i renamed perm[i]."""
+    new = np.empty_like(t)
+    new[np.ix_(perm, perm)] = perm[t]
+    return new
+
+
+def test_tables_of_a_ring_that_splits_are_rejected_when_0_is_not_the_zero():
+    # the checks of the addition run before the split route, whose factors
+    # are sure to shrink only when 0 is the zero
+    ring = z.build_ring(z.parse_ring_expr("Z2 x Z2 x Z3"))
+    for seed in range(4):
+        # element 0 of the copy is a nonzero element of the ring
+        perm = np.roll(draw_permutation(ring.order, seed), 1)
+        copy = z.FiniteRing(*(_relabel(t, perm) for t in (ring.add_table, ring.mul_table)), one=perm[ring.one])
+        with pytest.raises(z.RingValidationError) as err:
+            z.validate_ring(copy)
+        assert err.value.axiom == "add-identity"
+
+
+def test_split_is_none_when_no_element_completes_an_idempotent_to_one(rings):
+    # Z2 x Z2 with (0,1) + (1,0) = (1,0): the first central idempotent other
+    # than 0 and 1, e = (0,1), has no f with e + f = (1,1) in its row of the
+    # addition
+    ring = _table_copy(rings["Z2xZ2"])
+    e, other, one = 1, 2, ring.one
+    add = np.array(ring.add_table)
+    add[e, other] = add[other, e] = other
+    assert one == 3 and one not in add[e]
+    broken = z.FiniteRing(add, ring.mul_table, one=one)
+    assert broken.split is None
+    with pytest.raises(z.RingValidationError):
+        z.validate_ring(broken)
+
+
+def test_left_distributivity_is_read_in_row_blocks(monkeypatch):
+    # a table copy of M3(Z2) with one product changed: blocks of 8 rows find
+    # the witness that one block of all 512 rows finds, and hold only a block
+    # (a whole-table pass holds 2 MiB of intp index alone)
+    ring = _table_copy(z.make_matrix_ring(z.make_cyclic_ring(2), 3))
+    mul, g = np.array(ring.mul_table), ring.additive_generators
+    mul[400, 300] ^= 1
+    whole = _first_bad_distributive(mul, ring.add_table, g, "left")
+    monkeypatch.setattr(z.rings, "_BLOCK_ELEMS", 4 * 8 * ring.order)
+    assert len(z.rings._gather_blocks(ring.order, ring.order)) == ring.order // 8
+    tracemalloc.start()
+    try:
+        blocked = _first_bad_distributive(mul, ring.add_table, g, "left")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert whole is not None and blocked == whole
+    assert peak < 1 << 19
+
+
+@pytest.mark.skipif(
+    os.environ.get("ZDGRAPH_STRETCH") != "1",
+    reason="two 6561 x 6561 tables, 172 MB, and 0.5-1 s; set ZDGRAPH_STRETCH=1 to run",
+)
+def test_left_distributivity_of_a_large_table_holds_one_block_at_a_time():
+    # a table copy of M2(Z9): read whole, the left law's temporaries reach
+    # 246 MiB; in row blocks, a few blocks of _BLOCK_ELEMS / 4 entries
+    ring = _table_copy(z.build_ring(z.parse_ring_expr("M2(Z9)")))
+    g = ring.additive_generators
+    tracemalloc.start()
+    try:
+        assert _first_bad_distributive(ring.mul_table, ring.add_table, g, "left") is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 def _left_linear_product(k: int, images) -> np.ndarray:
