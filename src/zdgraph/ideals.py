@@ -1,6 +1,7 @@
 """One-sided ideals, enumerated from the principal ones, and the ideal
 arithmetic that the ideal-product semigroup shares: spans, images and sums.
-A ring that splits composes its lists from its factors' (`compose_ideals`).
+A ring that splits reads its lists off its composed IPO
+(`semigroups.compose_ideals_and_ipo`).
 
 All subsets are bit-vector ElementSets over a fixed ring.  Ideal lists are
 canonically sorted by bit-vector lexicographic order, so enumeration output
@@ -250,29 +251,3 @@ def enumerate_one_sided_ideals(r: FiniteRing, side: str) -> list[OneSidedIdeal]:
         left, right = (True, other) if side == "left" else (other, True)
         ideals.append(OneSidedIdeal(s, left, right, xs))
     return sorted(ideals, key=lambda ideal: ideal.set.sort_key())
-
-
-def compose_ideals(r: FiniteRing, xs: list[OneSidedIdeal], ys: list[OneSidedIdeal]) -> list[OneSidedIdeal]:
-    """The ideals phi(L1 x L2) of a ring r that splits as a x b by phi
-    (`FiniteRing.split`), over L1 in xs and L2 in ys, one side's ideals of a
-    and of b, with the flags ANDed, sorted as enumeration sorts them.
-
-    a and b have a 1, so a left ideal L of a x b is L1 x L2, L1 = {x : (x, 0)
-    in L} and L2 alike: (x, y) in L gives (x, 0) = (1, 0)(x, y) in L; the
-    right ideals likewise.  On either side, (x1, x2) generates L1 x L2 when
-    x1 generates L1 and x2 generates L2; otherwise the (x, 0) and (0, y) over
-    the generators x of L1 and y of L2 do.
-    """
-    _, b, phi = r.split
-    nb = b.order
-    members = ([np.flatnonzero(i.set.mask()) for i in ideals] for ideals in (xs, ys))
-    sets = _images(r.order, *members, lambda p, q: phi[p * nb + q])
-    out = []
-    for (x, y), bits in zip([(x, y) for x in xs for y in ys], sets):
-        if len(x.generators) == len(y.generators) == 1:
-            gens = {phi[x.generators[0] * nb + y.generators[0]]}
-        else:
-            gens = {phi[g * nb] for g in x.generators} | {phi[g] for g in y.generators}
-        flags = (x.is_left and y.is_left, x.is_right and y.is_right)
-        out.append(OneSidedIdeal(ElementSet(r, bits), *flags, tuple(sorted(map(int, gens)))))
-    return sorted(out, key=lambda ideal: ideal.set.sort_key())

@@ -1,8 +1,9 @@
 """Finite semigroups with an absorbing zero, including the semigroup of all
 products of two one-sided ideals of a ring (its Cayley table is built and
 closure is machine-checked, never assumed).  Every IPO is built here, by
-`build_ipo` or, for a ring that splits, by `compose_ipo`, whose table is a
-direct product of validated ones and so is not validated again."""
+`build_ipo` or, for a ring that splits, by `compose_ideals_and_ipo`, whose
+table is a direct product of validated ones and so is not validated again,
+and which reads the split ring's ideal lists off that IPO."""
 
 from __future__ import annotations
 
@@ -247,31 +248,53 @@ def build_ipo(
     return s
 
 
-def compose_ipo(
-    r: FiniteRing, ipo_a: FiniteSemigroupWithZero, ipo_b: FiniteSemigroupWithZero
-) -> FiniteSemigroupWithZero:
-    """The IPO of a ring r that splits as a x b by phi (`FiniteRing.split`):
-    IPO(a) x IPO(b), labelled phi(P x Q) and sorted as `build_ipo` sorts.
+def compose_ideals_and_ipo(r: FiniteRing, factor_a: tuple, factor_b: tuple) -> tuple:
+    """The left and right ideal lists and the IPO of a ring r that splits as
+    a x b by phi (`FiniteRing.split`), from each factor's (left, right, ipo).
 
-    A one-sided ideal of a x b is L1 x L2 (`ideals.compose_ideals`), and
-    (K1 x K2)(L1 x L2) = K1L1 x K2L2: it holds each (k1l1, 0) = (k1, 0)(l1, 0)
-    and each (0, k2l2), and they span it.  So (P, Q)(P', Q') = (PP', QQ'),
-    with P x Q distinct for distinct pairs, since P and Q hold 0.  The
-    factors' tables were validated, and a direct product of semigroups with
-    zero is one (associative entry by entry, with zero ({0}, {0})), so the
-    composed table is not validated again.
+    a and b have a 1, so a left ideal L of a x b is L1 x L2, L1 = {x : (x, 0)
+    in L} and L2 alike ((x, 0) = (1, 0)(x, y)); the right ideals likewise.
+    (K1 x K2)(L1 x L2) = K1L1 x K2L2, spanned by the (k1l1, 0) and (0, k2l2),
+    so the IPO is IPO(a) x IPO(b), labelled phi(P x Q) (distinct, as P and Q
+    hold 0) and sorted as `build_ipo` sorts.  The factors' tables were
+    validated and a direct product of semigroups with zero is one, so the
+    table is not validated again.  A one-sided ideal is an IPO element
+    (L = R*L, K = K*R), so each list is read off the IPO: phi(L1 x L2) is the
+    element ranked at the pair of L1's and L2's places among the factors'
+    labels, flags ANDed, in rank order, which is enumeration's.  (x1, x2)
+    generates L1 x L2 when x1 generates L1 and x2 generates L2; otherwise the
+    (x, 0) and (0, y) over the generators x of L1 and y of L2 do.
     """
     _, b, phi = r.split
+    nb = b.order
+    (left_a, right_a, ipo_a), (left_b, right_b, ipo_b) = factor_a, factor_b
     members = ([np.flatnonzero(s.mask()) for s in ipo.labels] for ipo in (ipo_a, ipo_b))
     # the pair (P, Q) at P·|IPO(b)| + Q
-    labels = [ElementSet(r, bits) for bits in _images(r.order, *members, lambda p, q: phi[p * b.order + q])]
+    labels = [ElementSet(r, bits) for bits in _images(r.order, *members, lambda p, q: phi[p * nb + q])]
     m = len(labels)
     order = np.array(sorted(range(m), key=lambda e: labels[e].sort_key()), dtype=np.intp)
     rank = np.empty(m, dtype=_index_dtype(m))
     rank[order] = np.arange(m)
     # by pairs, [P, Q, P', Q'] = rank of (PP', QQ'), broadcast with no m x m index array
     by_pairs = rank.reshape(ipo_a.order, -1)[ipo_a.table[:, None, :, None], ipo_b.table[None, :, None, :]]
-    return FiniteSemigroupWithZero(by_pairs.reshape(m, m)[np.ix_(order, order)], [labels[e] for e in order])
+    ipo = FiniteSemigroupWithZero(by_pairs.reshape(m, m)[np.ix_(order, order)], [labels[e] for e in order])
+    pos_a, pos_b = ({s: e for e, s in enumerate(f.labels)} for f in (ipo_a, ipo_b))
+
+    def compose(xs: list[OneSidedIdeal], ys: list[OneSidedIdeal]) -> list[OneSidedIdeal]:
+        out = {}
+        for x, y in itertools.product(xs, ys):
+            if len(x.generators) == len(y.generators) == 1:
+                gens = {phi[x.generators[0] * nb + y.generators[0]]}
+            else:
+                gens = {phi[g * nb] for g in x.generators} | {phi[g] for g in y.generators}
+            e = int(rank[pos_a[x.set] * ipo_b.order + pos_b[y.set]])
+            flags = (x.is_left and y.is_left, x.is_right and y.is_right)
+            out[e] = OneSidedIdeal(ipo.labels[e], *flags, tuple(sorted(map(int, gens))))
+        return [out[e] for e in sorted(out)]
+
+    left = compose(left_a, left_b)
+    right = left if right_a is left_a and right_b is left_b else compose(right_a, right_b)
+    return left, right, ipo
 
 
 def enumerate_semigroups_with_zero(order: int):

@@ -3,8 +3,8 @@
 Each test prints a single PASS line on success (visible with pytest -s or
 in the captured output); failures surface as ordinary assertion errors.
 Criterion 7's large instance (base ring Z12) is feature-flagged behind
-ZDGRAPH_STRETCH=1 because it is past the default cap; it takes about 2 s
-and 212 MiB of memory (on a 2-core host).
+ZDGRAPH_STRETCH=1 because it is past the default cap; it takes about 1.5 s
+and 122 MiB of memory (on a 2-core host).
 """
 
 import json
@@ -143,7 +143,7 @@ def test_criterion_07_matrix_diameter_and_girth(rings):
 
 @pytest.mark.skipif(
     os.environ.get("ZDGRAPH_STRETCH") != "1",
-    reason="2 s, 212 MiB stretch instance; set ZDGRAPH_STRETCH=1 to run",
+    reason="1.5 s, 122 MiB stretch instance; set ZDGRAPH_STRETCH=1 to run",
 )
 def test_criterion_07_stretch_m2_z12(rings):
     started = time.monotonic()

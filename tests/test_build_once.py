@@ -18,7 +18,7 @@ from zdgraph.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 STRETCH = pytest.mark.skipif(
     os.environ.get("ZDGRAPH_STRETCH") != "1",
-    reason="order above the default cap, 0.5-17 s each; set ZDGRAPH_STRETCH=1 to run",
+    reason="order above the default cap, 1-12 s each; set ZDGRAPH_STRETCH=1 to run",
 )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import zdgraph.cli
 import zdgraph.expr
+import zdgraph.report
 import zdgraph.rings
 import zdgraph.semigroups
 import zdgraph.theorems
@@ -82,6 +83,42 @@ def test_bad_table_file_is_a_user_error(tmp_path, capsys, body):
     path.write_bytes(body)
     assert main(["analyze", f"T({path})"]) == 1
     assert capsys.readouterr().err.startswith("zdgraph: error:")
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("two\n0 1\n1 0\n0 0\n0 1\n", "non-integer token in table file"),
+        ("0\n", "declared order must be a positive integer"),
+        ("-2\n0 1\n1 0\n0 0\n0 1\n", "declared order must be a positive integer"),
+        ("2\n1 1\n1 1\n0 0\n0 1\n", "no additive identity element found"),
+    ],
+    ids=["order-not-an-integer", "order-zero", "order-negative", "no-additive-identity"],
+)
+def test_bad_table_header_or_identity_is_a_user_error(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    assert main(["analyze", f"T({path})"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zdgraph: error:") and message in err
+
+
+def test_a_split_route_that_fails_on_a_ring_is_an_internal_error(monkeypatch, capsys, tmp_path):
+    # Z2 x Z3 from a table file, with a split whose phi sends two pairs to
+    # one element: the split route fails, the direct route accepts the ring
+    ring = zdgraph.expr.build_ring(zdgraph.expr.parse_ring_expr("Z2 x Z3"))
+    path = tmp_path / "z6.txt"
+    path.write_text(relabelled_table_text(ring, draw_permutation(ring.order, 5)))
+    a, b, phi = zdgraph.rings.load_table_ring(path.read_text()).split
+    collapsed = phi.copy()
+    collapsed[1] = collapsed[0]
+    monkeypatch.setattr(zdgraph.rings.FiniteRing, "split", property(lambda r: (a, b, collapsed)))
+    with pytest.raises(RuntimeError, match="failed the split route, yet the direct route accepts it"):
+        zdgraph.rings.load_table_ring(path.read_text())
+    assert main(["analyze", f"T({path})"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("zdgraph: internal error: RuntimeError: validate_ring: table-ring-6 failed")
+    assert err.endswith(" (in rings.validate_ring)\n")
 
 
 @pytest.mark.parametrize(
@@ -260,6 +297,18 @@ def test_verify_semigroups(capsys):
 def test_verify_semigroups_order_4_prints_only_the_summary(capsys):
     assert main(["verify", "semigroups", "--order", "4"]) == 0
     assert capsys.readouterr().out == "order 4: 442 semigroups with zero, 0 failing checks\n"
+
+
+def test_verify_semigroups_names_a_failing_check(monkeypatch, capsys):
+    # no semigroup fails a check, so fake one to verify the failure line
+    def failing_checks(g, ann):
+        return [zdgraph.report.CheckResult("girth_bound", "fail", {"girth": 5})]
+
+    monkeypatch.setattr(zdgraph.cli, "semigroup_checks", failing_checks)
+    assert main(["verify", "semigroups", "--order", "2"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "semigroup #1: girth_bound FAILED: {'girth': 5}"
+    assert out[-1] == f"order 2: {len(out) - 1} semigroups with zero, {len(out) - 1} failing checks"
 
 
 def test_verify_semigroups_order_cap(capsys):

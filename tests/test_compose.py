@@ -76,6 +76,10 @@ def _assert_composed_matches_direct(r, name: str) -> None:
                 assert ideal.generators == expected.generators, (name, side, str(ideal))
     built = z.build_ipo(r, direct["left"], direct["right"])
     assert ipo.labels == built.labels, name
+    if r.split is not None:
+        # the lists are read off the composed IPO: each set is an IPO label object
+        labels = {id(label) for label in ipo.labels}
+        assert all(id(ideal.set) in labels for ideal in left + right), name
     assert ipo.table.dtype == built.table.dtype and np.array_equal(ipo.table, built.table), name
 
 

@@ -44,6 +44,22 @@ def test_parse_error_details():
         z.parse_ring_expr("(" * 5000 + "Z2" + ")" * 5000)
 
 
+@pytest.mark.parametrize(
+    "text, offset, expected, found",
+    [
+        ("Z", 1, ("an unsigned integer",), "end of input"),
+        ("T(abc", 5, ("')'",), "end of input"),
+        ("T( )", 2, ("a file path",), "')'"),
+        ("(" * 5000 + "Z2" + ")" * 5000, 0, ("an expression nested less deeply",), "too deep a nesting"),
+    ],
+    ids=["no-integer", "unclosed-table", "empty-table-path", "too-deep"],
+)
+def test_parse_error_names_what_it_expected(text, offset, expected, found):
+    with pytest.raises(z.ParseError) as err:
+        z.parse_ring_expr(text)
+    assert (err.value.offset, err.value.expected, err.value.found) == (offset, expected, found)
+
+
 def test_parse_case_sensitive():
     with pytest.raises(z.ParseError):
         z.parse_ring_expr("z6")

@@ -319,6 +319,24 @@ def test_cyclic_rings_validate(n):
     z.validate_ring(z.make_cyclic_ring(n))
 
 
+def test_tables_that_are_not_square_are_refused():
+    square, wide = np.zeros((2, 2), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)
+    for add, mul in ((wide, wide), (square, wide), (wide, square)):
+        with pytest.raises(z.RingValidationError) as err:
+            z.FiniteRing(add, mul, one=1)
+        assert err.value.axiom == "shape"
+
+
+@pytest.mark.parametrize("table", ["add", "mul"])
+def test_validation_refuses_an_out_of_range_entry(rings, table):
+    z2 = rings["Z2"]
+    tables = {"add": np.array(z2.add_table), "mul": np.array(z2.mul_table)}
+    tables[table][1, 1] = 2
+    with pytest.raises(z.RingValidationError) as err:
+        z.validate_ring(z.FiniteRing(tables["add"], tables["mul"], one=1))
+    assert (err.value.axiom, err.value.witness) == ("range", None)
+
+
 def test_validation_catches_broken_associativity(rings):
     mul = rings["Z4"].mul_table.copy()
     mul[3, 3] = 2  # 3*3 = 9 = 1 mod 4; breaking it breaks associativity

@@ -32,6 +32,17 @@ def test_semigroup_from_table_zero_not_absorbing():
         z.validate_semigroup(z.FiniteSemigroupWithZero([[0, 1], [1, 1]]))
 
 
+@pytest.mark.parametrize(
+    "table, reason",
+    [([[0, 0, 0], [0, 0, 0]], "shape"), ([[0, 0], [0, 2]], "range"), ([[0, 0], [0, -1]], "range")],
+    ids=["not-square", "too-large", "negative"],
+)
+def test_semigroup_from_table_shape_and_range_errors(table, reason):
+    with pytest.raises(z.SemigroupValidationError) as err:
+        z.validate_semigroup(z.FiniteSemigroupWithZero(table))
+    assert (err.value.reason, err.value.witness) == (reason, None)
+
+
 def test_build_ipo_sizes(rings):
     assert z.prepare_ring_analysis(rings["Z4"]).ipo.order == 3
     assert z.prepare_ring_analysis(rings["Z8"]).ipo.order == 4

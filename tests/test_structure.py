@@ -6,7 +6,9 @@ through `mul_at`, whole rows and columns through `mul_rows` and `mul_cols`.
 Array plumbing lives in `zdgraph/rings.py`: only it packs element sets into
 bits, and only its `_blocks` reads the block budget `_BLOCK_ELEMS`.  Every IPO
 is built in `zdgraph/semigroups.py`, and the checks module imports no private
-name of the layers below it.  Above the ideal and semigroup layers, element
+name of the layers below it.  A ring's split is read where rings are built and
+validated, where a split ring's lists and IPO are composed, and by the
+recursion that decides what to compose.  Above the ideal and semigroup layers, element
 sets are read as sets, never as bits."""
 
 import ast
@@ -128,7 +130,7 @@ LOWER_LAYERS = {"rings", "ideals", "semigroups"}
 
 
 def test_every_ipo_is_built_in_the_semigroup_layer():
-    # build_ipo and compose_ipo decide an IPO's layout (label order, index
+    # build_ipo and compose_ideals_and_ipo decide an IPO's layout (label order, index
     # dtype); the checks module composes through them and reaches no private
     # helper of the layers below it
     found = []
@@ -140,4 +142,24 @@ def test_every_ipo_is_built_in_the_semigroup_layer():
                     found.append(f"{where} FiniteSemigroupWithZero")
             if isinstance(node, ast.ImportFrom) and path.name == "theorems.py" and node.module in LOWER_LAYERS:
                 found += [f"{where} {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
+def test_a_split_is_read_only_where_it_is_composed():
+    # rings.py builds and validates splits, semigroups.py composes a split
+    # ring's lists and IPO, and theorems._ideals_and_ipo recurses into the
+    # factors; no other code knows how a split ring is composed (`str.split`
+    # is a call, the ring's split a property read)
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "theorems.py":
+            helper = next(node for node in tree.body if getattr(node, "name", None) == "_ideals_and_ipo")
+            allowed = set(range(helper.lineno, helper.end_lineno + 1))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "split" and id(node) not in called:
+                if path.name not in ("rings.py", "semigroups.py") and node.lineno not in allowed:
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -50,6 +50,62 @@ def test_undirected_and_girth_on_rings(rings):
         assert z.check_girth_bound(g).status == "pass", name
 
 
+# no semigroup fails a check, so the FAIL branches run on hand-built graphs
+# and annihilator sets: a directed 5-cycle (strongly connected, diameter 4)
+# and an undirected 5-path (diameter 4)
+def _graph(arcs, n=5) -> z.ZdGraph:
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in arcs:
+        adj[i, j] = True
+    return z.ZdGraph(range(1, n + 1), [f"v{v}" for v in range(1, n + 1)], adj)
+
+
+CYCLE5 = [(i, (i + 1) % 5) for i in range(5)]
+PATH5 = [(i, i + 1) for i in range(4)]
+
+
+def test_directed_connectivity_fails_past_diameter_three():
+    g = _graph(CYCLE5)
+    assert g.metrics.directed_connected and g.metrics.directed_diameter == 4
+    everyone = frozenset(range(1, 6))
+    res = z.check_directed_connectivity_iff(g, z.AnnSets(everyone, everyone, everyone))
+    assert res.status == "fail"
+    assert res.witness == {"ann_sides_equal": True, "connected": True, "diameter": 4}
+
+
+def test_directed_connectivity_fails_when_connectivity_and_ann_sides_disagree():
+    g = _graph(CYCLE5)
+    ann = z.AnnSets(frozenset(range(1, 6)), frozenset({1, 2, 3}), frozenset({3, 4, 5}))
+    res = z.check_directed_connectivity_iff(g, ann)
+    assert res.status == "fail"
+    assert res.witness["ann_sides_equal"] is False and res.witness["connected"] is True
+    assert res.witness["left_only"] == ["v1", "v2"] and res.witness["right_only"] == ["v4", "v5"]
+
+
+def test_undirected_connectivity_fails_past_diameter_three():
+    res = z.check_undirected_connectivity(_graph(PATH5))
+    assert res.status == "fail" and res.witness == {"diameter": 4}
+
+
+def test_duo_ann_sets_fails_with_both_sides_named(rings):
+    a = z.prepare_ring_analysis(rings["Z6"])
+    v, w = a.graph.vertices
+    res = z.check_duo_ann_sets(dataclasses.replace(a, ann=z.AnnSets(frozenset({v, w}), frozenset({v}), frozenset({w}))))
+    assert res.status == "fail"
+    assert res.witness["expected_vertices"] == [a.graph.label_of(v), a.graph.label_of(w)]
+    assert res.witness["a_left"] == [a.graph.label_of(v)] and res.witness["a_right"] == [a.graph.label_of(w)]
+
+
+def test_not_tournament_fails_on_a_tournament(rings):
+    # Z6 meets the hypotheses (the check passes on it); a directed 3-cycle
+    # has exactly one arc per pair
+    a = z.prepare_ring_analysis(rings["Z6"])
+    tournament = _graph([(0, 1), (1, 2), (2, 0)], n=3)
+    assert tournament.metrics.tournament
+    res = z.check_not_tournament(dataclasses.replace(a, graph=tournament))
+    assert res.status == "fail" and res.witness == {"tournament": True}
+
+
 def test_checks_on_exhaustive_small_semigroups():
     for order in (2, 3):
         for s in z.enumerate_semigroups_with_zero(order):
