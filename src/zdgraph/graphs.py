@@ -90,8 +90,6 @@ def directed_zd_graph(s: FiniteSemigroupWithZero, ann: AnnSets) -> ZdGraph:
     matrix, at no more cost than two reads of R's row and column."""
     verts = sorted(ann.d_star)
     labels = [s.labels[v] if s.labels is not None else str(v) for v in verts]
-    if not verts:
-        return ZdGraph(verts, labels, np.zeros((0, 0), bool))
     whole = s.labels[-1] if s.labels is not None else None
     if isinstance(whole, ElementSet) and len(whole) == whole.ring.order:
         left = s.table[-1, verts]  # RA, for each vertex A
@@ -177,17 +175,16 @@ def _first_pair(hits, v: int):
     return None
 
 
-def _girth(g: ZdGraph, triangles, common):
+def _girth(g: ZdGraph, triangles):
     """(girth, witness cycle as a vertex list) on the undirected view.
 
     A triangle is the first pair, row-major, that triangles(rows) marks
     (adjacent, with a common neighbour; see `compute_graph_metrics`), closed
     by their first common neighbour.  Failing that, a 4-cycle is the first
-    pair with two common neighbours and the first two of them, counted on
-    the graph itself (`common`, V x V, or computed here: with classes a
-    walk count counts a mutual pair twice, so only that of the graph
-    counts neighbours).  A graph with neither falls back to
-    shortest-cycle-through-each-edge BFS.
+    pair with two common neighbours and the first two of them, counted here
+    on the graph itself as und·und (with classes a walk count counts a
+    mutual pair twice, so only the graph's own counts neighbours).  A graph
+    with neither falls back to shortest-cycle-through-each-edge BFS.
     """
     v, und = g.n_vertices, g.und
     pair = _first_pair(triangles, v)
@@ -195,10 +192,8 @@ def _girth(g: ZdGraph, triangles, common):
         a, b = pair
         x = int(np.nonzero(und[a] & und[b])[0][0])
         return 3, [g.vertices[a], g.vertices[x], g.vertices[b]]
-    if common is None:
-        und_f = und.astype(np.float32)
-        common = und_f @ und_f
-    quad = (common >= 2) & ~np.eye(v, dtype=bool)
+    und_f = und.astype(np.float32)
+    quad = (und_f @ und_f >= 2) & ~np.eye(v, dtype=bool)
     if quad.any():
         a, b = divmod(int(quad.argmax()), v)  # first pair, row-major
         x, y = (int(i) for i in np.nonzero(und[a] & und[b])[0][:2])
@@ -254,13 +249,11 @@ def _graph_walks(g: ZdGraph):
     levels run on `adj` and on `und` itself, and the 2-walk counts are
     those of `und`, so they count common neighbours."""
     v, adj, und = g.n_vertices, g.adj, g.und
-    adj_f = und_f = two = None
-    if und.any():
-        adj_f, und_f = adj.astype(np.float32), und.astype(np.float32)
-        two = und_f @ und_f
+    adj_f, und_f = adj.astype(np.float32), und.astype(np.float32)
+    two = und_f @ und_f
     directed = (adj, lambda: adj | _hits(adj, adj_f), adj_f, lambda r: (r | np.eye(v, dtype=bool)).all())
     undirected = (und, lambda: und | (two > 0), und_f)
-    return directed, undirected, None, lambda rows: und[rows] & (two[rows] >= 1), two
+    return directed, undirected, None, lambda rows: und[rows] & (two[rows] >= 1)
 
 
 def _class_walks(g: ZdGraph):
@@ -294,7 +287,7 @@ def _class_walks(g: ZdGraph):
         loop_walks = 2 * _at_vertices(g_u, ports, rows) * (loops[rows, None] + loops)
         return g.und[rows] & (_at_vertices(two, ports, rows) > loop_walks)
 
-    return directed, undirected, ports, triangles, None
+    return directed, undirected, ports, triangles
 
 
 def compute_graph_metrics(g: ZdGraph) -> GraphMetrics:
@@ -333,12 +326,12 @@ def compute_graph_metrics(g: ZdGraph) -> GraphMetrics:
     or `und`.
     """
     v, adj, und = g.n_vertices, g.adj, g.und
-    directed, undirected, ports, triangles, common = (_graph_walks if g.classes is None else _class_walks)(g)
+    directed, undirected, ports, triangles = (_graph_walks if g.classes is None else _class_walks)(g)
     ddiam = _diameter(adj, *directed)
     udiam = _diameter(
         und, *undirected, lambda s: all(_at_vertices(s, ports, rows).all() for rows in _row_scan(v))
     )
-    girth_value, cycle = _girth(g, triangles, common) if und.any() else (INF, None)
+    girth_value, cycle = _girth(g, triangles) if und.any() else (INF, None)
 
     def symmetric(rows):  # both arcs or neither, above the diagonal
         return (adj[rows] == adj[:, rows].T) & (np.arange(v) > np.arange(rows.start, rows.stop)[:, None])

@@ -110,10 +110,10 @@ def _images(n: int, xs, ys, op) -> list[int]:
     return out
 
 
-def _principal_sets(r: FiniteRing, side: str) -> dict[int, tuple[int, bool]]:
+def _principal_sets(r: FiniteRing, side: str) -> dict[int, tuple[int, int]]:
     """Distinct principal left (Rx) or right (xR) ideals, keyed by bits, each
-    with its smallest generator x and whether it absorbs the other side, in
-    ascending order of x.
+    with its smallest generator x and the bits of x's other-side line (xR
+    for a left ideal, Rx for a right one), in ascending order of x.
 
     { r*x } is already an additive subgroup (distributivity), so each
     principal ideal is the value set of a multiplication column (left) or
@@ -124,9 +124,8 @@ def _principal_sets(r: FiniteRing, side: str) -> dict[int, tuple[int, bool]]:
     needs no theorem; one does bound the cost: a finite ring has stable
     range one, where Rx = Ry implies y = u*x for a unit u (Canfell 1995),
     so each principal ideal is read from one column (row).
-    The other side takes one row test: Rx is a right ideal iff xR is in Rx
-    (one way take r = 1 in r*x*s; the other way r*(x*s) stays in the left
-    ideal Rx), and likewise xR is a left ideal iff Rx is in xR.
+    The other-side lines decide every ideal's other side
+    (`enumerate_one_sided_ideals`).
     """
     n, units = r.order, r.units
     # column(x)[y] = y*x and other(x)[y] = x*y (left); the other way round (right)
@@ -141,7 +140,7 @@ def _principal_sets(r: FiniteRing, side: str) -> dict[int, tuple[int, bool]]:
     xs, others = list(found.values()), []
     for s in _blocks(len(xs), n):
         others += _scatter_bits(n, other(xs[s]), (np.arange(len(xs[s]))[:, None],), (len(xs[s]),))
-    return {bits: (x, (o | bits) == bits) for (bits, x), o in zip(found.items(), others)}
+    return {bits: (x, o) for (bits, x), o in zip(found.items(), others)}
 
 
 def _known_sum(a: int, b: int, by_size: dict[int, list[int]]) -> int | None:
@@ -224,13 +223,17 @@ def enumerate_one_sided_ideals(r: FiniteRing, side: str) -> list[OneSidedIdeal]:
     the ideals known so far when it is among them, and only a sum that no
     known ideal matches (one that is not principal) is computed as an
     additive span (see `_Sums`).  Each ideal keeps its one-sided generators
-    (the generators of its principal summands), so the other-side flag of a
-    sum is a row test as for a principal ideal.
+    (the generators of its principal summands), and one rule decides its
+    other side: a left ideal S = sum of the R*x_i is a right ideal iff every
+    x_i*R lies in S (one way x_i = 1*x_i is in S; the other way S*t = sum of
+    r_i*(x_i*t) stays in R*S = S), read off the lines of `_principal_sets`;
+    likewise for a right ideal.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     principal = _principal_sets(r, side)
     add = _Sums(r, list(principal)).add
+    line = dict(principal.values())  # generator -> bits of its other-side line
     seeds = {bits: (x,) for bits, (x, _) in principal.items()}
     found = list(seeds)
     for i, a in enumerate(found):
@@ -242,12 +245,7 @@ def enumerate_one_sided_ideals(r: FiniteRing, side: str) -> list[OneSidedIdeal]:
 
     ideals = []
     for bits, xs in seeds.items():
-        s = ElementSet(r, bits)
-        if bits in principal:
-            other = principal[bits][1]
-        else:
-            img = (r.mul_rows if side == "left" else r.mul_cols)(list(xs))
-            other = bool(s.mask()[img].all())
+        other = all((line[x] | bits) == bits for x in xs)
         left, right = (True, other) if side == "left" else (other, True)
-        ideals.append(OneSidedIdeal(s, left, right, xs))
+        ideals.append(OneSidedIdeal(ElementSet(r, bits), left, right, xs))
     return sorted(ideals, key=lambda ideal: ideal.set.sort_key())

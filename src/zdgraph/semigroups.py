@@ -64,17 +64,18 @@ class FiniteSemigroupWithZero:
         return f"FiniteSemigroupWithZero(order={self.order})"
 
 
-def validate_semigroup(s: FiniteSemigroupWithZero, generators=None) -> None:
+def validate_semigroup(s: FiniteSemigroupWithZero, generators=()) -> None:
     """Check the absorbing zero and associativity, naming a bad triple.
 
     Associativity is checked as (x*g)*y == x*(g*y) for every g in a set G
-    and all x, y: O(m^2 |G|) lookups.  G is `generators` (indices; None
-    means every element), plus every element that the table does not show
-    to be 0, a member of G, or a product t[p, q] with p, q in G.  This is
-    sound (Light's test): the set {a : (x*a)*y = x*(a*y) for all x, y}
-    contains 0, which absorbs, and G, and is closed under the product, since
-    for a, b in it (x*(ab))*y = ((xa)*b)*y = (xa)*(by) = x*(a*(by)) =
-    x*((ab)*y); so it holds every element.
+    and all x, y: O(m^2 |G|) lookups.  G is `generators` (indices, none by
+    default), plus every element that the table does not show to be 0, a
+    member of G, or a product t[p, q] with p, q in G: with none given, every
+    nonzero element.  This is sound (Light's test): the set
+    {a : (x*a)*y = x*(a*y) for all x, y} contains 0, which absorbs, and G,
+    and is closed under the product, since for a, b in it (x*(ab))*y =
+    ((xa)*b)*y = (xa)*(by) = x*(a*(by)) = x*((ab)*y); so it holds every
+    element.
     """
     m, t = s.order, s.table
     if t.shape != (m, m):
@@ -83,15 +84,12 @@ def validate_semigroup(s: FiniteSemigroupWithZero, generators=None) -> None:
         raise SemigroupValidationError("range", None, "Cayley table entry out of range")
     if not (np.array_equal(t[0], np.zeros(m, t.dtype)) and np.array_equal(t[:, 0], np.zeros(m, t.dtype))):
         raise SemigroupValidationError("zero", None, "element 0 is not absorbing")
-    if generators is None:
-        gens = np.arange(m)
-    else:
-        gens = np.asarray(generators, dtype=np.intp)
-        covered = np.zeros(m, dtype=bool)
-        covered[0] = True
-        covered[gens] = True
-        covered[t[gens][:, gens]] = True
-        gens = np.concatenate((gens, np.flatnonzero(~covered)))
+    gens = np.asarray(generators, dtype=np.intp)
+    covered = np.zeros(m, dtype=bool)
+    covered[0] = True
+    covered[gens] = True
+    covered[t[gens][:, gens]] = True
+    gens = np.concatenate((gens, np.flatnonzero(~covered)))
     bad = _first_non_associative(t, gens)
     if bad is not None:
         raise SemigroupValidationError(
@@ -111,10 +109,7 @@ class AnnSets:
 def ann_sets(s: FiniteSemigroupWithZero) -> AnnSets:
     """d_star: nonzero a with ab = 0 or ba = 0 for some nonzero b (b = a allowed);
     a_left collects those with a nonzero left-annihilating partner, a_right
-    those with a right one."""
-    m = s.order
-    if m <= 1:
-        return AnnSets(frozenset(), frozenset(), frozenset())
+    those with a right one; all three read off the nonzero block (empty for {0})."""
     z = s.table[1:, 1:] == 0
     a_right = frozenset(int(i) + 1 for i in np.nonzero(z.any(axis=1))[0])
     a_left = frozenset(int(j) + 1 for j in np.nonzero(z.any(axis=0))[0])

@@ -277,9 +277,8 @@ def check_duo_ann_sets(a: RingAnalysis) -> CheckResult:
                 NOT_APPLICABLE,
                 {"unmet": "ring is not Duo", "one_sided_ideal": str(ideal.set)},
             )
-    # IPO element 0 is {0}; R, the largest left ideal, is one too (R = R*R)
-    whole = max(a.left, key=lambda i: len(i.set)).set
-    expected = frozenset(range(1, a.ipo.order)) - {a.ipo.labels.index(whole)}
+    # IPO element 0 is {0}; R = R*R is one too, the last (every bit set sorts last)
+    expected = frozenset(range(1, a.ipo.order - 1))
     witness = {"ipo_size": a.ipo.order, "expected_vertices": _labels(a.graph, expected)}
     if a.ann.a_left == a.ann.a_right == expected:
         return CheckResult(name, PASS, witness)
@@ -320,7 +319,7 @@ def _completeness_branches(a: RingAnalysis) -> tuple[list[str], dict]:
       smaller of e and f in 1 = e + f, e in the first and f in the second.
     """
     r = a.ring
-    whole = max(a.left, key=lambda i: len(i.set)).set  # R
+    whole = a.ipo.labels[-1]  # R
     proper = [i for i in a.left if i.set != whole]
     m = max(proper, key=lambda i: len(i.set))
     if all(i.set <= m.set for i in proper):

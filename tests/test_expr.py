@@ -71,6 +71,11 @@ def test_unparse():
     assert z.unparse(z.parse_ring_expr("Z2 x Z2 x Z2")) == "Z2 x Z2 x Z2"
     assert z.unparse(z.parse_ring_expr("M2( Z2 x Z3 )")) == "M2(Z2 x Z3)"
     assert z.unparse(z.parse_ring_expr("(Z2 x Z3) x M2(Z2)")) == "Z2 x Z3 x M2(Z2)"
+    # a value that is not a ring expression is refused, by unparse and by
+    # expr_order alike
+    for walk in (z.unparse, expr_order):
+        with pytest.raises(TypeError, match="not a ring expression: 'Z6'"):
+            walk("Z6")
 
 
 def _exprs(depth):

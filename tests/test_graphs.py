@@ -48,6 +48,17 @@ def test_null_semigroup_graph():
     assert set(g.directed_edges()) == {(1, 2), (2, 1)}
 
 
+@pytest.mark.parametrize("table", [[[0]], [[0, 0], [0, 1]]], ids=["zero", "no-zero-divisors"])
+def test_semigroup_without_zero_divisors_has_an_empty_graph(table):
+    s = z.FiniteSemigroupWithZero(table)
+    z.validate_semigroup(s)
+    ann = z.ann_sets(s)
+    assert ann == z.AnnSets(frozenset(), frozenset(), frozenset())
+    g = z.directed_zd_graph(s, ann)
+    assert (g.vertices, g.labels, g.adj.shape) == ((), (), (0, 0))
+    assert g.metrics == z.GraphMetrics(True, None, None, INF, None, True, True, None)
+
+
 def test_element_graphs(rings):
     g4 = _element_graph(rings["Z4"])
     assert g4.vertices == (2,) and g4.directed_edges() == []
@@ -182,7 +193,8 @@ def _symmetric(n, edges):
 
 def _hand_made_graphs():
     """Graphs no ring in the corpus gives: a directed diameter above 3, finite
-    girths above 4 (found only by the BFS fallback), and a path."""
+    girths above 4 (found only by the BFS fallback), a path, a triangle-free
+    4-cycle, and two vertices with no edge."""
     c6 = np.zeros((6, 6), bool)
     c6[range(6), [1, 2, 3, 4, 5, 0]] = True
     c5 = _symmetric(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -195,6 +207,8 @@ def _hand_made_graphs():
         "C5": z.ZdGraph(range(5), map(str, range(5)), c5),
         "Petersen": z.ZdGraph(order, map(str, order), _symmetric(10, [(at[a], at[b]) for a, b in petersen])),
         "P4": z.ZdGraph(range(4), map(str, range(4)), _symmetric(4, [(0, 1), (1, 2), (2, 3)])),
+        "C4": z.ZdGraph(range(4), map(str, range(4)), _symmetric(4, [(0, 1), (1, 2), (2, 3), (3, 0)])),
+        "edgeless": z.ZdGraph(range(2), map(str, range(2)), np.zeros((2, 2), bool)),
     }
 
 
@@ -205,6 +219,8 @@ HAND_MADE_METRICS = {
     "C5": z.GraphMetrics(True, 2, 2, 5, (1, 2, 3, 4, 0), False, False, (0, 1)),
     "Petersen": z.GraphMetrics(True, 2, 2, 5, (9, 4, 0, 5, 7), False, False, (0, 1)),
     "P4": z.GraphMetrics(True, 3, 3, INF, None, False, False, (0, 1)),
+    "C4": z.GraphMetrics(True, 2, 2, 4, (0, 1, 2, 3), False, False, (0, 1)),
+    "edgeless": z.GraphMetrics(False, INF, INF, INF, None, False, False, (0, 1)),
 }
 
 

@@ -117,6 +117,38 @@ def test_enumerate_matches_subset_scan(rings, nonprincipal):
                 assert ideal.is_right == (ideal.set in scans["right"])
 
 
+def test_other_sides_are_read_off_the_principal_lines(nonprincipal, monkeypatch):
+    # a sum's other side is decided by its generators' lines, which
+    # _principal_sets reads: the enumeration reads no row or column elsewhere
+    inside, outside = [False], []
+    principal_sets = z.ideals._principal_sets
+
+    def traced(*args):
+        inside[0] = True
+        try:
+            return principal_sets(*args)
+        finally:
+            inside[0] = False
+
+    def counted(line, read):
+        def wrapper(xs):
+            if not inside[0]:
+                outside.append(line)
+            return read(xs)
+
+        return wrapper
+
+    monkeypatch.setattr(z.ideals, "_principal_sets", traced)
+    for name in ORDER_8_NONPRINCIPAL:
+        ring = nonprincipal[name]
+        for line in ("mul_rows", "mul_cols"):
+            monkeypatch.setattr(ring, line, counted(line, getattr(ring, line)))
+        for side in ("left", "right"):
+            ideals = z.enumerate_one_sided_ideals(ring, side)
+            assert any(len(ideal.generators) > 1 for ideal in ideals), (name, side)
+            assert outside == [], (name, side)
+
+
 def test_generators_on_larger_nonprincipal_rings(nonprincipal):
     for name, ring in nonprincipal.items():
         for side in ("left", "right"):
@@ -143,11 +175,14 @@ def _orbit_walk_cases(rings, nonprincipal):
 
 
 def test_principal_sets_by_unit_orbits_match_scatter(rings, nonprincipal):
-    # keys, smallest generators, other-side flags and insertion order
+    # keys, smallest generators, other-side flags and insertion order; the
+    # flag is read off the other-side line, which the ideal holds exactly
+    # when the ideal absorbs the other side
     for name, ring in _orbit_walk_cases(rings, nonprincipal).items():
         for side in ("left", "right"):
             got = z.ideals._principal_sets(ring, side)
-            assert list(got.items()) == list(scatter_principal_sets(ring, side).items()), (name, side)
+            flags = [(bits, (x, line | bits == bits)) for bits, (x, line) in got.items()]
+            assert flags == list(scatter_principal_sets(ring, side).items()), (name, side)
 
 
 def test_sums_match_the_span_oracle(rings, nonprincipal, monkeypatch):

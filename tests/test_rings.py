@@ -181,6 +181,8 @@ def _format_tables(ring):
 def test_load_table_ring_roundtrip(rings):
     loaded = z.load_table_ring(_format_tables(rings["Z4"]))
     assert loaded == rings["Z4"]
+    # another type is not a ring: __eq__ defers, and Python falls back to identity
+    assert loaded != 5 and not loaded == 5
 
 
 def test_load_table_ring_commutativity_error(rings):
@@ -291,6 +293,10 @@ def test_element_set_operations(rings):
     assert 2 in s and 3 not in s
     assert len(s) == 3
     assert str(s) == "{0,2,4}"
+    # against another type, == falls back to identity and <= has no fallback
+    assert s != 5 and not s == 5
+    with pytest.raises(TypeError):
+        s <= 5
 
 
 def test_element_set_sort_key_is_bitvector_lex(rings):

@@ -27,6 +27,29 @@ def test_semigroup_from_table_associativity_error():
     assert t[t[x][y]][w] != t[x][t[y][w]]
 
 
+def _validation_outcome(s, *generators):
+    try:
+        z.validate_semigroup(s, *generators)
+    except z.SemigroupValidationError as err:
+        return err.reason, err.witness
+    return None
+
+
+def test_no_generators_given_is_none_given():
+    # every order-3 table, the non-associative one above among them, and the
+    # shape and range cases below: with no generators the cover check takes
+    # every nonzero element, and the reason and witness match the default
+    tables = [np.array(v).reshape(3, 3) for v in itertools.product(range(3), repeat=9)]
+    tables += [[[0, 0, 0], [0, 0, 0]], [[0, 0], [0, 2]], [[0, 0], [0, -1]]]
+    reasons = set()
+    for table in tables:
+        s = z.FiniteSemigroupWithZero(table)
+        outcome = _validation_outcome(s)
+        assert _validation_outcome(s, []) == outcome, s.table.tolist()
+        reasons.add(outcome and outcome[0])
+    assert reasons == {None, "associativity", "zero", "shape", "range"}
+
+
 def test_semigroup_from_table_zero_not_absorbing():
     with pytest.raises(z.SemigroupValidationError, match="absorbing"):
         z.validate_semigroup(z.FiniteSemigroupWithZero([[0, 1], [1, 1]]))

@@ -9,7 +9,8 @@ is built in `zdgraph/semigroups.py`, and the checks module imports no private
 name of the layers below it.  A ring's split is read where rings are built and
 validated, where a split ring's lists and IPO are composed, and by the
 recursion that decides what to compose.  Above the ideal and semigroup layers, element
-sets are read as sets, never as bits."""
+sets are read as sets, never as bits.  Every private module-level name is read
+somewhere in the package, so no dead helper stays."""
 
 import ast
 from pathlib import Path
@@ -163,3 +164,39 @@ def test_a_split_is_read_only_where_it_is_composed():
                 if path.name not in ("rings.py", "semigroups.py") and node.lineno not in allowed:
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _module_private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The module-level functions, classes and constants of a module whose
+    names have one leading underscore, each with the statement defining it."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found.update((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def test_every_private_module_name_is_used():
+    # a helper, class or constant that nothing reads is dead; a read inside
+    # its own definition (recursion) does not count, nor does an import
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    reads = []  # (file, line, name)
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((name, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((name, node.lineno, node.attr))
+    unused = []
+    for name, tree in trees.items():
+        for private, node in _module_private_definitions(tree).items():
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(read == private and not (where == name and line in inside) for where, line, read in reads):
+                unused.append(f"{name}:{node.lineno} {private}")
+    assert unused == []
