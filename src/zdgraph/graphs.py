@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .rings import ElementSet, _blocks
+from .rings import ElementSet, _blocks, _freeze
 from .semigroups import AnnSets, FiniteSemigroupWithZero
 
 INF = math.inf
@@ -41,7 +42,9 @@ class ZdGraph:
     vertex list: `adj` (directed) and its symmetrization `und`.  It is given
     the zero-product matrix over the vertex list (its diagonal is dropped),
     or that matrix factored over vertex classes (`ZeroProducts`, kept as
-    `classes`), which `adj` expands and the metrics read."""
+    `classes`), which `adj` expands and the metrics read.  `common`, frozen
+    too, is und·und as float32, the common neighbours of each vertex pair,
+    computed when a metric first reads it and kept for the next one."""
 
     def __init__(self, vertices, labels, adj_matrix):
         self.vertices = tuple(int(v) for v in vertices)
@@ -58,6 +61,11 @@ class ZdGraph:
         for frozen in (self.adj, self.und):
             frozen.flags.writeable = False
         self.metrics = compute_graph_metrics(self)
+
+    @cached_property
+    def common(self) -> np.ndarray:
+        und_f = self.und.astype(np.float32)
+        return _freeze(und_f @ und_f)
 
     @property
     def n_vertices(self) -> int:
@@ -181,10 +189,11 @@ def _girth(g: ZdGraph, triangles):
     A triangle is the first pair, row-major, that triangles(rows) marks
     (adjacent, with a common neighbour; see `compute_graph_metrics`), closed
     by their first common neighbour.  Failing that, a 4-cycle is the first
-    pair with two common neighbours and the first two of them, counted here
-    on the graph itself as und·und (with classes a walk count counts a
-    mutual pair twice, so only the graph's own counts neighbours).  A graph
-    with neither falls back to shortest-cycle-through-each-edge BFS.
+    pair with two common neighbours and the first two of them, counted on
+    the graph itself (`g.common`, which the walks of identity classes have
+    already computed; with classes a walk count counts a mutual pair twice,
+    so only the graph's own counts neighbours).  A graph with neither falls
+    back to shortest-cycle-through-each-edge BFS.
     """
     v, und = g.n_vertices, g.und
     pair = _first_pair(triangles, v)
@@ -192,8 +201,7 @@ def _girth(g: ZdGraph, triangles):
         a, b = pair
         x = int(np.nonzero(und[a] & und[b])[0][0])
         return 3, [g.vertices[a], g.vertices[x], g.vertices[b]]
-    und_f = und.astype(np.float32)
-    quad = (und_f @ und_f >= 2) & ~np.eye(v, dtype=bool)
+    quad = (g.common >= 2) & ~np.eye(v, dtype=bool)
     if quad.any():
         a, b = divmod(int(quad.argmax()), v)  # first pair, row-major
         x, y = (int(i) for i in np.nonzero(und[a] & und[b])[0][:2])
@@ -249,8 +257,7 @@ def _graph_walks(g: ZdGraph):
     levels run on `adj` and on `und` itself, and the 2-walk counts are
     those of `und`, so they count common neighbours."""
     v, adj, und = g.n_vertices, g.adj, g.und
-    adj_f, und_f = adj.astype(np.float32), und.astype(np.float32)
-    two = und_f @ und_f
+    adj_f, und_f, two = adj.astype(np.float32), und.astype(np.float32), g.common
     directed = (adj, lambda: adj | _hits(adj, adj_f), adj_f, lambda r: (r | np.eye(v, dtype=bool)).all())
     undirected = (und, lambda: und | (two > 0), und_f)
     return directed, undirected, None, lambda rows: und[rows] & (two[rows] >= 1)

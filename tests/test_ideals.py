@@ -119,7 +119,8 @@ def test_enumerate_matches_subset_scan(rings, nonprincipal):
 
 def test_other_sides_are_read_off_the_principal_lines(nonprincipal, monkeypatch):
     # a sum's other side is decided by its generators' lines, which
-    # _principal_sets reads: the enumeration reads no row or column elsewhere
+    # _principal_sets reads: the enumeration reads no row or column elsewhere,
+    # and each sum's other-side flag matches a scan of its products with R
     inside, outside = [False], []
     principal_sets = z.ideals._principal_sets
 
@@ -139,14 +140,22 @@ def test_other_sides_are_read_off_the_principal_lines(nonprincipal, monkeypatch)
         return wrapper
 
     monkeypatch.setattr(z.ideals, "_principal_sets", traced)
-    for name in ORDER_8_NONPRINCIPAL:
-        ring = nonprincipal[name]
+    # every table is read before any line is counted: a product ring reads its factors' lines
+    tables = {name: ring.mul_table for name, ring in nonprincipal.items()}
+    for name, ring in nonprincipal.items():
+        table, every = tables[name], np.arange(ring.order)
         for line in ("mul_rows", "mul_cols"):
             monkeypatch.setattr(ring, line, counted(line, getattr(ring, line)))
         for side in ("left", "right"):
-            ideals = z.enumerate_one_sided_ideals(ring, side)
-            assert any(len(ideal.generators) > 1 for ideal in ideals), (name, side)
-            assert outside == [], (name, side)
+            sums = [i for i in z.enumerate_one_sided_ideals(ring, side) if len(i.generators) > 1]
+            assert sums and outside == [], (name, side)
+            for ideal in sums:
+                s = list(ideal.set.indices())
+                assert ideal.is_right == np.isin(table[np.ix_(s, every)], s).all(), (name, str(ideal))
+                assert ideal.is_left == np.isin(table[np.ix_(every, s)], s).all(), (name, str(ideal))
+            flags = {(i.is_left, i.is_right) for i in sums}
+            if name == "U2(Z4)":  # non-commutative: some sums are one-sided only
+                assert (side == "left", side == "right") in flags, side
 
 
 def test_generators_on_larger_nonprincipal_rings(nonprincipal):

@@ -35,17 +35,18 @@ def _validation_outcome(s, *generators):
     return None
 
 
-def test_no_generators_given_is_none_given():
+def test_no_generators_checks_every_element():
     # every order-3 table, the non-associative one above among them, and the
     # shape and range cases below: with no generators the cover check takes
-    # every nonzero element, and the reason and witness match the default
+    # every nonzero element, and the reason and witness are those of every
+    # element given as a generator
     tables = [np.array(v).reshape(3, 3) for v in itertools.product(range(3), repeat=9)]
     tables += [[[0, 0, 0], [0, 0, 0]], [[0, 0], [0, 2]], [[0, 0], [0, -1]]]
     reasons = set()
     for table in tables:
         s = z.FiniteSemigroupWithZero(table)
         outcome = _validation_outcome(s)
-        assert _validation_outcome(s, []) == outcome, s.table.tolist()
+        assert _validation_outcome(s, range(s.order)) == outcome, s.table.tolist()
         reasons.add(outcome and outcome[0])
     assert reasons == {None, "associativity", "zero", "shape", "range"}
 
