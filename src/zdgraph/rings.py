@@ -5,14 +5,14 @@ through one of three reads, all in the ring's index dtype: `add_at` and
 `mul_at` read points, with numpy broadcasting (the products of named x
 and y are `mul_at(xs[:, None], ys)`); `mul_rows(xs)` reads whole rows of
 the multiplication and `mul_cols(ys)` whole columns.  A table ring (a
-table file, or Z_n) answers them from its two n x n tables; a matrix ring
-answers from the V x n table of row vectors times matrices, and a product
-ring from its two factors, so neither holds an n x n table unless
-`add_table` or `mul_table` is read.  A ring is frozen at construction, and
-its derived values, its units, its additive generators and its split as a
-product (`FiniteRing.split`; a ring with tables splits at a central
-idempotent), are computed on first use and cached on the ring, so rings are
-safe to share between threads.
+table file, or a corner) answers them from its two n x n tables; Z_n by
+arithmetic mod n, a matrix ring from the V x n table of row vectors times
+matrices, and a product ring from its two factors, so none of these holds
+an n x n table unless `add_table` or `mul_table` is read.  A ring is frozen
+at construction, and its derived values, its units, its additive
+generators and its split as a product (`FiniteRing.split`; a ring with
+tables splits at a central idempotent), are computed on first use and
+cached on the ring, so rings are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class FiniteRing:
     given by its addition and multiplication tables.
 
     `matrix_of` is (base, k) when `make_matrix_ring(base, k)` built the ring,
-    and None otherwise.  The access methods index the tables; the matrix and
-    product rings override them and keep no table.
+    and None otherwise.  The access methods index the tables; the built rings
+    (`_ComposedRing`) override them and keep no table.
     """
 
     zero = 0
@@ -133,11 +133,11 @@ class FiniteRing:
         """The units, ascending, found on first use.
 
         x is a unit iff `one` is in row x of the multiplication table, since a
-        one-sided inverse is two-sided in a finite ring.  The rows are compared
-        with `one` in blocks (`_blocks`).
+        one-sided inverse is two-sided in a finite ring.  The rows are read
+        through `mul_rows` and compared with `one` in blocks (`_blocks`).
         """
-        n, mul = self.order, self.mul_table
-        return np.flatnonzero(np.concatenate([(mul[s] == self.one).any(axis=1) for s in _blocks(n, n)]))
+        n, ar = self.order, np.arange(self.order)
+        return np.flatnonzero(np.concatenate([(self.mul_rows(ar[s]) == self.one).any(axis=1) for s in _blocks(n, n)]))
 
     @cached_property
     def additive_generators(self) -> np.ndarray:
@@ -217,10 +217,10 @@ class FiniteRing:
 
 
 class _ComposedRing(FiniteRing):
-    """A ring built from smaller rings that keeps no n x n table.  Its
-    `add_table` and `mul_table` are written from the access methods, in row
-    blocks, only when they are first read (by tests and tracers; the
-    analysis never reads them)."""
+    """A built ring that keeps no n x n table: it answers `add_at` and
+    `mul_at`, and reads whole rows and columns off `mul_at`.  Its tables are
+    written from these reads, in row blocks, when first read: by tests and
+    tracers, and by `FiniteRing.split` for Z_n under a matrix ring."""
 
     def __init__(self, n: int, one: int, name: str, matrix_of=None):
         self._identify(n, one, name, matrix_of)
@@ -241,6 +241,12 @@ class _ComposedRing(FiniteRing):
     @cached_property
     def mul_table(self) -> np.ndarray:
         return self._table(self.mul_rows)
+
+    def mul_rows(self, xs) -> np.ndarray:
+        return self.mul_at(np.asarray(xs)[..., None], np.arange(self.order))
+
+    def mul_cols(self, ys) -> np.ndarray:
+        return self.mul_at(np.arange(self.order), np.asarray(ys)[..., None])
 
 
 class MatrixRing(_ComposedRing):
@@ -330,8 +336,7 @@ class MatrixRing(_ComposedRing):
 
 class ProductRing(_ComposedRing):
     """a x b, built by `make_product_ring`, on row-major pairs i·|b| + j: every
-    access is split into the factors' accesses and joined again, and whole
-    rows and columns are the Kronecker layout of the factors' ones."""
+    point read is split into the factors' reads and joined again."""
 
     def __init__(self, a: FiniteRing, b: FiniteRing, name: str):
         super().__init__(a.order * b.order, a.one * b.order + b.one, name)
@@ -356,28 +361,29 @@ class ProductRing(_ComposedRing):
         (xi, xj), (yi, yj), (a, b) = self._pairs(xs), self._pairs(ys), self.factors
         return self._join(a.mul_at(xi, yi), b.mul_at(xj, yj))
 
-    def mul_rows(self, xs) -> np.ndarray:
-        (i, j), (a, b) = self._pairs(xs), self.factors
-        return _outer_sum(b.order)(a.mul_rows(i).astype(self.dtype), b.mul_rows(j))
-
-    def mul_cols(self, ys) -> np.ndarray:
-        (i, j), (a, b) = self._pairs(ys), self.factors
-        return _outer_sum(b.order)(a.mul_cols(i).astype(self.dtype), b.mul_cols(j))
-
-    @cached_property
-    def units(self) -> np.ndarray:
-        """The pairs of units, ascending."""
-        a, b = self.factors
-        return _outer_sum(b.order)(a.units, b.units)
-
     def is_commutative(self) -> bool:
         return all(f.is_commutative() for f in self.factors)
 
 
-class CyclicRing(FiniteRing):
-    """Z_n, built by `make_cyclic_ring`, from its two tables.  It splits by the
+class CyclicRing(_ComposedRing):
+    """Z_n, built by `make_cyclic_ring`: x + y and x·y are formed in uint64,
+    where (n−1)² fits since n <= 2**32, and reduced mod n.  It splits by the
     rule of every ring with tables, but the analysis reads that split only
     for a matrix ring over Z_n (see `theorems._ideals_and_ipo`)."""
+
+    def add_at(self, xs, ys) -> np.ndarray:
+        return (np.add(xs, ys, dtype=np.uint64, casting="unsafe") % self.order).astype(self.dtype)
+
+    def mul_at(self, xs, ys) -> np.ndarray:
+        return (np.multiply(xs, ys, dtype=np.uint64, casting="unsafe") % self.order).astype(self.dtype)
+
+    @cached_property
+    def units(self) -> np.ndarray:
+        """The x with gcd(x, n) = 1."""
+        return np.flatnonzero(np.gcd(np.arange(self.order), self.order) == 1)
+
+    def is_commutative(self) -> bool:
+        return True
 
 
 # each byte with its bits reversed, so that element 8k is its high bit
@@ -704,17 +710,7 @@ def make_cyclic_ring(n: int, cap: int | None = None) -> FiniteRing:
     if n <= 0:
         raise ValueError("cyclic ring order must be a positive integer")
     _check_cap(n, cap)
-    # products are formed before the reduction, so (n-1)**2 must fit the type
-    ar = np.arange(n, dtype=np.uint32 if n <= 2**16 else np.uint64)
-    add = np.empty((n, n), dtype=_index_dtype(n))
-    mul = np.empty_like(add)
-    for s in _blocks(n, n):
-        rows = ar[s, None]
-        total = rows + ar
-        total[total >= n] -= n
-        add[s] = total
-        mul[s] = rows * ar % n
-    return CyclicRing(add, mul, one=1 % n, name=f"Z{n}")
+    return CyclicRing(n, 1 % n, f"Z{n}")
 
 
 def _decimal(v: int) -> str:
@@ -729,6 +725,9 @@ def _check_cap(n: int, cap: int | None) -> None:
     cap = DEFAULT_SIZE_CAP if cap is None else cap
     if n > cap:
         raise CapacityError(f"ring of order {_decimal(n)} exceeds the size cap of {_decimal(cap)}")
+    # elements are indexed in at most uint32 (`_index_dtype`)
+    if n > 2**32:
+        raise CapacityError(f"ring of order {_decimal(n)} exceeds the largest order, 2**32")
 
 
 def _power_order(m: int, e: int, cap: int | None) -> int:

@@ -50,11 +50,11 @@ def _ideals_and_ipo(r: FiniteRing) -> tuple[list[OneSidedIdeal], list[OneSidedId
 
     A ring that does not split enumerates each side once (one side for
     commutative r, where both lists coincide, flags included) and runs
-    `build_ipo`.  So does Z_n, which is small enough that this costs less
-    (`verify zn --max 200` in-process: 0.14 s, against 0.18-0.23 s
-    composed).  A ring that splits, r = A x B (`FiniteRing.split`), composes
-    its IPO from A's and B's, found by this same helper, and reads its lists
-    off it (`compose_ideals_and_ipo`).
+    `build_ipo`.  So does Z_n, which costs less so than composed, where its
+    split writes its tables (lists and IPOs of Z2..Z200 in-process, rings
+    built: 0.07 s direct, against 0.15 s composed).  A ring that splits,
+    r = A x B (`FiniteRing.split`), composes its IPO from A's and B's, found
+    by this same helper, and reads its lists off it (`compose_ideals_and_ipo`).
     """
     parts = None if isinstance(r, CyclicRing) else r.split
     if parts is None:

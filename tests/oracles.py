@@ -460,10 +460,17 @@ def table_completeness_branches(a):
     return branches, detail
 
 
-# -- composite rings, entry by entry ---------------------------------------------
-# The product and matrix constructors as they were before the tables were
-# composed as Kronecker sums: every entry is assembled from its factor or
-# base digits.  The library's constructors must give the same bytes.
+# -- built rings, entry by entry ---------------------------------------------------
+# Z_n in Python ints, and the product and matrix constructors as they were
+# before the tables were composed as Kronecker sums: every entry is assembled
+# from its factor or base digits.  The library's rings must read the same bytes.
+
+
+def cyclic_ring(n: int) -> z.FiniteRing:
+    """Integers mod n, every entry computed in Python ints."""
+    add = [[(x + y) % n for y in range(n)] for x in range(n)]
+    mul = [[x * y % n for y in range(n)] for x in range(n)]
+    return z.FiniteRing(*(np.array(t, dtype=_index_dtype(n)) for t in (add, mul)), one=1 % n, name=f"Z{n}")
 
 
 def pairwise_product_ring(a: z.FiniteRing, b: z.FiniteRing, cap: int | None = None) -> z.FiniteRing:

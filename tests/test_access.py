@@ -1,24 +1,27 @@
 """Every read of a ring goes through its vectorised access: points through
 `add_at` and `mul_at`, whole rows and columns through `mul_rows` and
-`mul_cols`.  Matrix and product rings answer it from small pieces, never
-from n x n tables; here each access is compared with full tables that the
-oracles build entry by entry, and the analysis is checked to leave a
-composed ring without tables."""
+`mul_cols`.  Z_n answers by arithmetic, matrix and product rings from small
+pieces, never from n x n tables; here each access is compared with full
+tables that the oracles build entry by entry, and the analysis is checked
+to leave a built ring without tables."""
 
 import numpy as np
 import pytest
 
 import oracles
 import zdgraph as z
-from oracles import digit_matrix_ring, pairwise_product_ring, units_mask
+from oracles import cyclic_ring, digit_matrix_ring, pairwise_product_ring, units_mask
 from table_rings import upper_triangular
 from zdgraph.cli import _analyze_expr
-from zdgraph.rings import MatrixRing, ProductRing, _ComposedRing
+from zdgraph.rings import CyclicRing, MatrixRing, ProductRing, _ComposedRing
 
 
 def _reference(ring: z.FiniteRing) -> z.FiniteRing:
     """A table ring with ring's operations: the ring itself when it holds
-    tables, otherwise built entry by entry from its base or factors."""
+    tables, otherwise built entry by entry, Z_n in Python ints and the
+    others from their base or factors."""
+    if isinstance(ring, CyclicRing):
+        return cyclic_ring(ring.order)
     if isinstance(ring, MatrixRing):
         base, k = ring.matrix_of
         return digit_matrix_ring(_reference(base), k)
@@ -28,11 +31,16 @@ def _reference(ring: z.FiniteRing) -> z.FiniteRing:
 
 
 def _composed_parts(ring: z.FiniteRing) -> list[z.FiniteRing]:
-    """ring and every base and factor it is built from, when they keep no tables."""
+    """ring and every base and factor it is built from, when they keep no
+    tables: all but Z_n as the base of a matrix ring, whose split is read
+    off its tables."""
     if isinstance(ring, MatrixRing):
-        inner = [ring.matrix_of[0]]
+        base = ring.matrix_of[0]
+        inner = [] if isinstance(base, CyclicRing) else [base]
     elif isinstance(ring, ProductRing):
         inner = list(ring.factors)
+    elif isinstance(ring, CyclicRing):
+        inner = []
     else:
         return []
     return [ring] + [part for r in inner for part in _composed_parts(r)]
@@ -71,6 +79,8 @@ def test_access_matches_full_tables(rings, nonprincipal, monkeypatch):
     monkeypatch.setattr(oracles, "_BLOCK_ELEMS", 1 << 20)
     zn = z.make_cyclic_ring
     cases = {**rings, **nonprincipal}
+    # (n−1)² fits uint16 for Z255 and Z256, not for Z257: a product formed in uint16 would wrap
+    cases.update((f"Z{n}", zn(n)) for n in (255, 256, 257))
     cases["M2(Z6)"] = z.make_matrix_ring(zn(6), 2)
     cases["M3(Z2)"] = z.make_matrix_ring(zn(2), 3)
     cases["M2(Z2 x Z3)"] = z.make_matrix_ring(z.make_product_ring(zn(2), zn(3)), 2)
@@ -83,10 +93,10 @@ def test_access_matches_full_tables(rings, nonprincipal, monkeypatch):
         _check_access(name, ring, ref, rng)
 
 
-@pytest.mark.parametrize("expr", ["M2(Z6)", "M3(Z2)", "M2(Z2) x Z3"])
+@pytest.mark.parametrize("expr", ["M2(Z6)", "M3(Z2)", "M2(Z2) x Z3", "Z60", "Z2 x Z3", "Z20000"])
 def test_analysis_reads_no_table_of_a_composed_ring(expr):
     # the CLI path, build to run_all (with the base's analysis for a matrix
-    # ring), leaves the ring and every composed base or factor without tables
+    # ring), leaves the ring and every built base or factor without tables
     ring = _analyze_expr(expr, z.DEFAULT_SIZE_CAP)[1].ring
     parts = _composed_parts(ring)
     assert parts and parts[0] is ring

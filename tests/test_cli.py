@@ -48,6 +48,11 @@ def test_analyze_cap_applies_to_cyclic_ring(capsys):
     assert "size cap" in capsys.readouterr().err
 
 
+def test_analyze_refuses_an_order_above_2_32_under_any_cap(capsys):
+    assert main(["analyze", "Z70000 x Z70000", "--cap", "10000000000"]) == 1
+    assert "exceeds the largest order, 2**32" in capsys.readouterr().err
+
+
 def test_verify_zn_checks_the_cap_before_building(monkeypatch, capsys):
     monkeypatch.setenv("ZDGRAPH_CAP", "10")
     assert main(["verify", "zn", "--max", "10"]) == 0

@@ -130,11 +130,10 @@ def test_expr_order_reads_only_the_declared_order(tmp_path):
 
 
 def test_capacity_messages_print_any_order():
-    # under a cap of 3001 digits, Z(cap) x Z(cap) has more digits than str()
+    # under a cap of 3001 digits, M99(Z3) (3**9801) has more digits than str()
     # converts; the message names a power of 2 below it instead
-    big = 10**3000
-    with pytest.raises(z.CapacityError, match=r"^ring of order at least 2\*\*19931 exceeds"):
-        expr_order(z.parse_ring_expr(f"Z{big} x Z{big} x Z2"), cap=big)
+    with pytest.raises(z.CapacityError, match=r"^ring of order at least 2\*\*15534 exceeds"):
+        expr_order(z.parse_ring_expr("M99(Z3)"), cap=10**3000)
 
 
 def test_build_ring_capacity():

@@ -106,13 +106,34 @@ def test_matrix_ring_capacity():
 
 
 def test_cyclic_ring_capacity():
-    # checked before the two n x n tables are allocated, like its siblings;
-    # the small cap goes first, so a build without the check fails fast
     with pytest.raises(z.CapacityError):
         z.make_cyclic_ring(30, cap=20)
     with pytest.raises(z.CapacityError):
         z.make_cyclic_ring(z.DEFAULT_SIZE_CAP + 1)
     assert z.make_cyclic_ring(20, cap=20).order == 20
+
+
+def test_orders_above_2_32_are_refused_whatever_the_cap():
+    # elements are indexed in at most uint32, so a larger order would wrap:
+    # Z70000 x Z70000 read x·x for its last element as 801446209, not 70001
+    limit = r"^ring of order 4294967297 exceeds the largest order, 2\*\*32$"
+    with pytest.raises(z.CapacityError, match=limit):
+        z.make_cyclic_ring(2**32 + 1, cap=10**10)
+    a, b = (z.make_cyclic_ring(p, cap=10**10) for p in (641, 6700417))  # 641·6700417 = 2**32 + 1
+    with pytest.raises(z.CapacityError, match=limit):
+        z.make_product_ring(a, b, cap=10**10)
+    with pytest.raises(z.CapacityError, match=r"exceeds the largest order"):
+        z.build_ring(z.parse_ring_expr("M3(Z12)"), cap=10**10)
+
+
+def test_cyclic_ring_of_order_2_32_reads_in_uint32():
+    # (n−1)² is formed below 2**64, and no table is written
+    n = 2**32
+    r = z.make_cyclic_ring(n, cap=n)
+    top = np.array([n - 1], dtype=np.uint32)
+    assert r.mul_at(n - 1, n - 1) == 1 and r.add_at(n - 1, n - 1) == n - 2
+    assert r.mul_at(top, top).dtype == r.add_at(top, top).dtype == np.uint32
+    assert r.mul_at(top, top).tolist() == [1] and r.add_at(top, top).tolist() == [n - 2]
 
 
 def _composite_cases():
