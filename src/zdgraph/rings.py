@@ -367,20 +367,17 @@ class ProductRing(_ComposedRing):
 
 class CyclicRing(_ComposedRing):
     """Z_n, built by `make_cyclic_ring`: x + y and x·y are formed in uint64,
-    where (n−1)² fits since n <= 2**32, and reduced mod n.  It splits by the
-    rule of every ring with tables, but the analysis reads that split only
-    for a matrix ring over Z_n (see `theorems._ideals_and_ipo`)."""
+    where (n−1)² fits since n <= 2**32, and reduced mod n.  The analysis
+    never enumerates it: its ideals and IPO come from the divisors of n
+    (`semigroups.cyclic_ideals_and_ipo`).  It splits by the rule of every
+    ring with tables, and the analysis reads that split only for a matrix
+    ring over Z_n (see `theorems._ideals_and_ipo`)."""
 
     def add_at(self, xs, ys) -> np.ndarray:
         return (np.add(xs, ys, dtype=np.uint64, casting="unsafe") % self.order).astype(self.dtype)
 
     def mul_at(self, xs, ys) -> np.ndarray:
         return (np.multiply(xs, ys, dtype=np.uint64, casting="unsafe") % self.order).astype(self.dtype)
-
-    @cached_property
-    def units(self) -> np.ndarray:
-        """The x with gcd(x, n) = 1."""
-        return np.flatnonzero(np.gcd(np.arange(self.order), self.order) == 1)
 
     def is_commutative(self) -> bool:
         return True

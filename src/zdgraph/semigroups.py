@@ -1,19 +1,22 @@
 """Finite semigroups with an absorbing zero, including the semigroup of all
 products of two one-sided ideals of a ring (its Cayley table is built and
-closure is machine-checked, never assumed).  Every IPO is built here, by
-`build_ipo` or, for a ring that splits, by `compose_ideals_and_ipo`, whose
+closure is machine-checked, never assumed).  Every IPO is built here, by one
+of three builders: `build_ipo` from a ring's ideal enumerations;
+`cyclic_ideals_and_ipo` for Z_n, from the divisors of n, with no
+enumeration; and, for a ring that splits, `compose_ideals_and_ipo`, whose
 table is a direct product of validated ones and so is not validated again,
 and which reads the split ring's ideal lists off that IPO."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ideals import OneSidedIdeal, _images, _Sums, additive_generators
-from .rings import ElementSet, FiniteRing, _first_bad_pair, _first_non_associative, _freeze, _index_dtype
+from .rings import CyclicRing, ElementSet, FiniteRing, _first_bad_pair, _first_non_associative, _freeze, _index_dtype
 
 
 class SemigroupValidationError(ValueError):
@@ -241,6 +244,47 @@ def build_ipo(
     s = FiniteSemigroupWithZero(pp_eidx[k[:, None], u], labels=ordered)
     validate_semigroup(s, pool_e)
     return s
+
+
+def _repunit(n: int, d: int) -> int:
+    """Bits 0, d, 2d, ... below n, the base-2^d repunit (2^n − 1)/(2^d − 1),
+    written by doubling the pattern: log2(n/d) shifts, where the division
+    would cost about d·(n − d) word steps (3 s over the divisors of 720720)."""
+    bits, width = 1, d
+    while width < n:
+        bits |= bits << width
+        width *= 2
+    return bits & ((1 << n) - 1)
+
+
+def cyclic_ideals_and_ipo(r: CyclicRing) -> tuple:
+    """Z_n's ideal list (left and right alike) and its IPO, from the divisors
+    of n, exactly as enumeration and `build_ipo` give them.
+
+    Z_n is Z/nZ, and Z is a principal ideal ring, so the ideals of Z_n are
+    the images of the ideals dZ that contain nZ: the dZ_n = {0, d, 2d, ...}
+    for d | n, of size n/d, so distinct for distinct d.  x generates
+    gcd(x, n)Z_n (Bezout), so the smallest generator of dZ_n is d, and 0 for
+    the zero ideal nZ_n.  Z_n is commutative, so every ideal is two-sided,
+    and (dZ_n)(eZ_n), spanned by the products dx·ey, is the subgroup that de
+    generates, gcd(de, n)Z_n: the IPO is the set of ideals (each I = I·Z_n)
+    with (d)(e) = (gcd(de, n)).  dZ_n is bits 0, d, 2d, ... (`_repunit`),
+    and its smallest nonzero member is d, so in `ElementSet.sort_key` order,
+    element 0 first, the divisors run in descending order: {0} first and
+    Z_n last.  The divisors are found by trial division up to √n.  The table
+    is validated as `build_ipo` validates it, with every element as a
+    generator: Z_n's pool is every element.
+    """
+    n = r.order
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = sorted({*small, *(n // d for d in small)}, reverse=True)
+    place = {d: i for i, d in enumerate(divisors)}
+    ideals = [OneSidedIdeal(ElementSet(r, _repunit(n, d)), True, True, (d % n,)) for d in divisors]
+    m = len(divisors)
+    table = np.array([[place[math.gcd(d * e, n)] for e in divisors] for d in divisors], dtype=_index_dtype(m))
+    ipo = FiniteSemigroupWithZero(table, labels=[i.set for i in ideals])
+    validate_semigroup(ipo, np.arange(m))
+    return ideals, ideals, ipo
 
 
 def compose_ideals_and_ipo(r: FiniteRing, factor_a: tuple, factor_b: tuple) -> tuple:

@@ -19,7 +19,14 @@ from .graphs import INF, ZdGraph, directed_zd_graph
 from .ideals import OneSidedIdeal, additive_generators, enumerate_one_sided_ideals
 from .rings import CyclicRing, ElementSet, FiniteRing
 from .report import AnalysisReport, CheckResult, serialize_extent
-from .semigroups import AnnSets, FiniteSemigroupWithZero, ann_sets, build_ipo, compose_ideals_and_ipo
+from .semigroups import (
+    AnnSets,
+    FiniteSemigroupWithZero,
+    ann_sets,
+    build_ipo,
+    compose_ideals_and_ipo,
+    cyclic_ideals_and_ipo,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -48,15 +55,18 @@ def prepare_ring_analysis(r: FiniteRing) -> RingAnalysis:
 def _ideals_and_ipo(r: FiniteRing) -> tuple[list[OneSidedIdeal], list[OneSidedIdeal], FiniteSemigroupWithZero]:
     """r's left and right ideal lists and its IPO, as enumeration gives them.
 
-    A ring that does not split enumerates each side once (one side for
-    commutative r, where both lists coincide, flags included) and runs
-    `build_ipo`.  So does Z_n, which costs less so than composed, where its
-    split writes its tables (lists and IPOs of Z2..Z200 in-process, rings
-    built: 0.07 s direct, against 0.15 s composed).  A ring that splits,
-    r = A x B (`FiniteRing.split`), composes its IPO from A's and B's, found
-    by this same helper, and reads its lists off it (`compose_ideals_and_ipo`).
+    Z_n reads them off the divisors of n (`cyclic_ideals_and_ipo`): no
+    enumeration, no pool discovery, and no split, which would write its
+    tables.  Any other ring that does not split enumerates each side once
+    (one side for commutative r, where both lists coincide, flags included)
+    and runs `build_ipo`.  A ring that splits, r = A x B (`FiniteRing.split`),
+    composes its IPO from A's and B's, found by this same helper, and reads
+    its lists off it (`compose_ideals_and_ipo`); so a Z_n factor, as in
+    Z2 x Z3, takes the divisor builder too.
     """
-    parts = None if isinstance(r, CyclicRing) else r.split
+    if isinstance(r, CyclicRing):
+        return cyclic_ideals_and_ipo(r)
+    parts = r.split
     if parts is None:
         left = enumerate_one_sided_ideals(r, "left")
         right = left if r.is_commutative() else enumerate_one_sided_ideals(r, "right")

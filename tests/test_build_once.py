@@ -46,26 +46,34 @@ def _count_pipeline(monkeypatch) -> tuple[Counter, Counter]:
     return ipo, enum
 
 
+def _count_cyclic(monkeypatch) -> Counter:
+    return _count_calls(monkeypatch, "cyclic_ideals_and_ipo", lambda r: r.name, home=z.semigroups)
+
+
 def test_run_all_builds_each_artifact_once(rings, monkeypatch):
     ipo, enum = _count_pipeline(monkeypatch)
+    cyclic = _count_cyclic(monkeypatch)
     report = z.run_all(rings["M2(Z2)"])
     assert [c.status for c in report.checks[-3:]] == ["pass"] * 3
-    assert ipo == {"M2(Z2)": 1, "Z2": 1}
-    # Z2 is commutative: one enumeration serves both sides
-    assert enum == {("M2(Z2)", "left"): 1, ("M2(Z2)", "right"): 1, ("Z2", "left"): 1}
+    assert ipo == {"M2(Z2)": 1}
+    assert enum == {("M2(Z2)", "left"): 1, ("M2(Z2)", "right"): 1}
+    # the base Z2, which the matrix checks read, takes the divisor builder once
+    assert cyclic == {"Z2": 1}
 
 
 def test_a_ring_that_splits_is_composed_from_its_factors(monkeypatch):
     # M2(Z6) = M2(3Z6) x M2(4Z6), with 3Z6 ~ Z2 and 4Z6 ~ Z3 the corners of
     # Z6 at its central idempotent 3 and at 1 - 3 = 4: only the two factors
-    # and the base Z6 (for the matrix checks) are enumerated and get an IPO,
-    # never the ring of order 1296 itself
+    # are enumerated and get an IPO, never the ring of order 1296 itself, and
+    # the base Z6 (for the matrix checks) takes the divisor builder
     ipo, enum = _count_pipeline(monkeypatch)
+    cyclic = _count_cyclic(monkeypatch)
     report = z.run_all(z.build_ring(z.parse_ring_expr("M2(Z6)")))
     assert (report.ring_order, report.ipo_size) == (1296, 442)
     factors = ("M2(3*(Z6))", "M2(4*(Z6))")
-    assert ipo == {**{f: 1 for f in factors}, "Z6": 1}
-    assert enum == {**{(f, side): 1 for f in factors for side in ("left", "right")}, ("Z6", "left"): 1}
+    assert ipo == {f: 1 for f in factors}
+    assert enum == {(f, side): 1 for f in factors for side in ("left", "right")}
+    assert cyclic == {"Z6": 1}
 
 
 def test_a_table_ring_is_composed_from_its_blocks(monkeypatch):
@@ -114,13 +122,18 @@ def test_a_table_ring_is_validated_through_its_split(monkeypatch):
 
 def test_verify_zn_builds_no_factor_ring(monkeypatch, capsys):
     # Z_n splits like every ring with tables, but `verify zn` analyses each
-    # Z_n directly: one enumeration and one IPO, on Z_n itself, never on a
-    # factor ring
+    # Z_n directly: one divisor build and one validated IPO, on Z_n itself,
+    # never on a factor ring, and no enumeration
     ipo, enum = _count_pipeline(monkeypatch)
+    cyclic = _count_cyclic(monkeypatch)
+    validated = _count_calls(monkeypatch, "validate_semigroup", lambda s, *gens: s.order)
     assert main(["verify", "zn", "--max", "30"]) == 0
     capsys.readouterr()
-    assert ipo == {f"Z{n}": 1 for n in range(2, 31)}
-    assert enum == {(f"Z{n}", "left"): 1 for n in range(2, 31)}
+    assert ipo == enum == {}
+    assert cyclic == {f"Z{n}": 1 for n in range(2, 31)}
+    # Z_n's IPO has one element per divisor of n
+    orders = Counter(sum(n % d == 0 for d in range(1, n + 1)) for n in range(2, 31))
+    assert validated == orders
 
 
 def test_analyze_matrix_of_table_file_builds_inner_ring_once(rings, tmp_path, monkeypatch, capsys):
@@ -234,6 +247,15 @@ def test_analyze_matches_golden_bytes(stem, expr, tmp_path, capsys):
     assert main(["analyze", expr, "--json", "-", "--dot", str(dot)]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{stem}.json").read_bytes()
     assert dot.read_bytes() == (GOLDEN / f"{stem}.dot").read_bytes()
+
+
+def test_z720_and_verify_zn_match_golden_bytes(capsys):
+    # Z720 has 30 ideals (d(720) = 30); both pins were written by enumeration
+    # and build_ipo, before Z_n took its ideals from the divisors of n
+    assert main(["analyze", "Z720", "--json", "-"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "Z720.json").read_bytes()
+    assert main(["verify", "zn", "--max", "200"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "verify_zn_200.txt").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -136,29 +136,37 @@ def test_a_split_route_that_fails_on_a_ring_is_an_internal_error(monkeypatch, ca
     ],
 )
 def test_internal_invariant_failure_exits_three(monkeypatch, capsys, error):
-    def broken_build_ipo(*args, **kwargs):
+    def broken_builder(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(zdgraph.theorems, "build_ipo", broken_build_ipo)
-    assert main(["analyze", "Z6"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"zdgraph: internal error: {type(error).__name__}: {error}")
-    # the stage is the innermost zdgraph frame: the caller of the patched-in function
-    assert err.endswith(" (in theorems._ideals_and_ipo)\n")
+    # M2(Z2) does not split, so it is enumerated and reaches build_ipo; Z_n
+    # takes the divisor builder
+    monkeypatch.setattr(zdgraph.theorems, "build_ipo", broken_builder)
+    monkeypatch.setattr(zdgraph.theorems, "cyclic_ideals_and_ipo", broken_builder)
+    for expr in ("M2(Z2)", "Z6"):
+        assert main(["analyze", expr]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"zdgraph: internal error: {type(error).__name__}: {error}")
+        # the stage is the innermost zdgraph frame: the caller of the patched-in function
+        assert err.endswith(" (in theorems._ideals_and_ipo)\n")
     assert main(["verify", "zn", "--max", "3"]) == 3
     assert capsys.readouterr().err.endswith(" (in theorems._ideals_and_ipo)\n")
 
 
-def test_ideal_enumeration_without_the_ring_exits_three(monkeypatch, capsys):
+def test_ideal_enumeration_without_the_ring_exits_three(monkeypatch, capsys, tmp_path):
     # Z4 without R: build_ipo names the pool member 2Z4, which no pool pair
-    # produces, as an internal error
+    # produces, as an internal error; Z4 is read from a table file, since Z_n
+    # itself takes its ideals from the divisors of n and is never enumerated
     enumerate_ideals = zdgraph.theorems.enumerate_one_sided_ideals
+    path = tmp_path / "z4.txt"
+    z4 = zdgraph.rings.make_cyclic_ring(4)
+    path.write_text(relabelled_table_text(z4, range(z4.order)))
 
     def without_ring(r, side):
         return [i for i in enumerate_ideals(r, side) if i.bits != (1 << r.order) - 1]
 
     monkeypatch.setattr(zdgraph.theorems, "enumerate_one_sided_ideals", without_ring)
-    assert main(["analyze", "Z4"]) == 3
+    assert main(["analyze", f"T({path})"]) == 3
     err = capsys.readouterr().err
     message = (
         "the two-sided ideal with right generator 2 and 2 elements is among the enumerated "

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import zdgraph as z
-from oracles import ideal_product, naive_semigroups_with_zero
+from oracles import ideal_product, naive_semigroups_with_zero, subset_scan_ideals
+from zdgraph.semigroups import cyclic_ideals_and_ipo
 
 
 def test_semigroup_from_table_valid():
@@ -378,3 +379,30 @@ def test_left_ideal_counts_follow_morita(expr, count):
 def test_build_ipo_never_violates_closure(rings):
     for ring in rings.values():
         z.prepare_ring_analysis(ring).ipo  # raises ClosureViolationError on any escape
+
+
+def _ideal_rows(ideals) -> list[tuple]:
+    return [(i.bits, i.is_left, i.is_right, i.generators) for i in ideals]
+
+
+def test_divisor_builder_matches_enumeration():
+    # Z_n's lists and IPO from the divisors of n equal those of enumeration
+    # and build_ipo: bits, flags, generators, labels, and the table with its dtype
+    for n in range(1, 301):
+        ring = z.make_cyclic_ring(n)
+        left, right, ipo = cyclic_ideals_and_ipo(ring)
+        enumerated = z.enumerate_one_sided_ideals(ring, "left")
+        built = z.build_ipo(ring, enumerated, enumerated)
+        assert right is left, n
+        assert _ideal_rows(left) == _ideal_rows(enumerated), n
+        assert [s.bits for s in ipo.labels] == [s.bits for s in built.labels], n
+        assert ipo.table.dtype == built.table.dtype and np.array_equal(ipo.table, built.table), n
+
+
+def test_divisor_builder_matches_subset_scan():
+    # the scan tries every subset, so n stays small
+    for n in range(1, 17):
+        ring = z.make_cyclic_ring(n)
+        left = cyclic_ideals_and_ipo(ring)[0]
+        for side in ("left", "right"):
+            assert [i.set for i in left] == subset_scan_ideals(ring, side), (n, side)
